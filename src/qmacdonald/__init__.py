@@ -19,8 +19,9 @@ from .operators import (LaurentPoly, SpectralData, dominance_ideal,
                         monomial_symmetric, staircase)
 from .hcseries import (HCSolution, PowerTable, eigen_residual, evaluate,
                        integral_rep_fq, leading_coefficient,
-                       residue_integral_prop6, solve_coefficients,
-                       solution_from_json, solution_to_json)
+                       residue_integral_prop6, solve_basis,
+                       solve_coefficients, solution_from_json,
+                       solution_to_json)
 from .continuation import (BoltzmannWeights, ConnectionMatrix, boltzmann_w,
                            boltzmann_exchange_matrix, braid_matrix,
                            braid_action, fq_connection,
@@ -40,7 +41,8 @@ __all__ = [
     "SpectralData", "LaurentPoly", "staircase", "eigenvalue_c",
     "macdonald_apply_numeric", "macdonald_apply_poly", "duality_check",
     "monomial_symmetric", "dominance_leq", "dominance_ideal",
-    "PowerTable", "HCSolution", "solve_coefficients", "leading_coefficient",
+    "PowerTable", "HCSolution", "solve_coefficients", "solve_basis",
+    "leading_coefficient",
     "evaluate", "eigen_residual", "residue_integral_prop6",
     "integral_rep_fq", "solution_to_json", "solution_from_json",
     "ConnectionMatrix", "BoltzmannWeights", "fq_connection", "braid_matrix",

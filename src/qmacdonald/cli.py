@@ -22,13 +22,11 @@ from dataclasses import dataclass, field
 from .continuation import braid_matrix, verify_braid_relations
 from .errors import (ConvergenceError, DomainError, QMacdonaldError,
                      ResonanceError)
-from .hcseries import (DEFAULT_DEPTH, _fmt, eigen_residual, evaluate,
+from .hcseries import (_fmt, eigen_residual, evaluate, solve_basis,
                        solve_coefficients, solution_to_dict)
 from .macpoly import macdonald_a1, macdonald_poly
 from .operators import SpectralData
 from .qcore import QParams
-
-_PERMS = {2: [(0, 1), (1, 0)]}
 
 
 def _parse_lambda(text: str) -> tuple[float, ...]:
@@ -251,16 +249,12 @@ def cmd_connect(cfg: RunConfig):
 
 
 def cmd_verify(cfg: RunConfig):
-    import itertools
-
     p = QParams(q=cfg.q, k=cfg.k)
     n = len(cfg.lam)
     z = cfg.points[0] if cfg.points else _default_point(n, p.q)
     checks = []
-    for w in itertools.permutations(range(n)):
-        s = SpectralData(n=n, lam=tuple(complex(c) for c in cfg.lam),
-                         w=w, k=p.k)
-        sol = solve_coefficients(s, p, N=cfg.N)
+    for sol in solve_basis(cfg.lam, p, N=cfg.N):
+        w = sol.spectral.w
         for m in range(1, n + 1):
             r = eigen_residual(sol, m, z)
             checks.append((f"eigen_w{''.join(str(i + 1) for i in w)}_m{m}",

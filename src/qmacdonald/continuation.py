@@ -14,7 +14,6 @@ evaluation points in tests keep arguments well away from the cut.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 

@@ -1,29 +1,36 @@
 """Harish Chandra series solutions in the asymptotic zone |z_1|<...<|z_n|.
 
-The solver derives a triangular recursion for the series coefficients from
-the first-order eigen-equation: expanding each rational operator weight in
-the ratio variables zeta_l = z_l/z_{l+1} raises the total degree, so the
-coefficient of every monomial is determined by strictly lower degrees.
-Higher-order equations are verified numerically, not imposed.
+Multiplying the first-order eigen-equation by Delta = prod_{a<b}(1 - z_a/z_b)
+makes each operator weight W_i a polynomial G_i = W_i Delta in the ratio
+variables z_l/z_{l+1}.  Over the finite stencil d != 0 of their monomials
+the series coefficients then obey
 
-Also holds the closed-form leading coefficients, numeric evaluation with a
-geometric tail estimate, JSON round-tripping, and the residue-summation
-oracles for the contour-integral representations.
+    a(P) den(P) = -sum_d a(P-d) [c Delta_d - t sum_i G_{i,d} q^nu_i(P-d)]
+
+with den(P) = c - sum_i t^(i+1) q^nu_i(P), nu = eta + rho + kappa(P) and
+kappa_i(P) = P_i - P_(i-1).  Each total degree is one vectorized step over
+a dense array on the simplex |p| <= N whose rows are basis elements: they
+differ only in q^(eta+rho).  Higher-order equations are verified
+numerically, not imposed.  Also holds the closed-form leading
+coefficients, numeric evaluation with a geometric tail estimate, JSON
+round-tripping, and the residue-summation oracles for the contour integrals.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
 from .operators import SpectralData, eigenvalue_c, macdonald_apply_numeric
-from .qcore import (QParams, XRMode, _cpow, fq, qgamma, qpochhammer_inf,
-                    qpochhammer_inf_drop, theta)
+from .qcore import QParams, XRMode, _cpow, fq, qgamma, qpochhammer_inf, theta
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
@@ -65,12 +72,6 @@ def multi_indices(n_vars: int, max_total: int):
             yield tuple(p)
 
 
-def kappa(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Exponent shift of the monomial prod zeta_l^(p_l): kappa_i = p_i - p_(i-1)."""
-    ext = (0,) + tuple(p) + (0,)
-    return tuple(ext[i] - ext[i - 1] for i in range(1, len(ext)))
-
-
 @dataclass
 class HCSolution:
     """A Harish Chandra solution: prefactor exponent, coefficient table, params."""
@@ -94,98 +95,96 @@ class HCSolution:
         return self.spectral.eta_plus_rho
 
 
-def _weight_expansions(n: int, t: float, N: int) -> list[dict]:
-    """For each i, the expansion of prod_{j != i}(t z_i - z_j)/(z_i - z_j)
-    in the ratio variables, truncated at total degree N.
+def _stencil(n: int, t: float):
+    """Offsets d != 0 by increasing |d|, and the coefficients there of Delta
+    (row 0) and of each G_i = prod_{j>i}(1 - t z_i/z_j) prod_{j<i}(t - z_j/z_i)
+    prod_{a<b; a,b != i}(1 - z_a/z_b) (row i+1).  All n+1 polynomials are
+    built at once; a factor c0 + c1 z_a/z_b (a < b) adds c1 times the
+    polynomial shifted by 1 on slots a..b-1."""
+    zero = (0,) * (n - 1)
+    poly = {zero: np.ones(n + 1)}
+    for a, b in itertools.combinations(range(n), 2):
+        c0, c1 = np.ones(n + 1), -np.ones(n + 1)
+        c0[b + 1], c1[a + 1] = t, -t
+        out = {d: c0 * v for d, v in poly.items()}
+        for d, v in poly.items():
+            e = tuple(x + (a <= l < b) for l, x in enumerate(d))
+            out[e] = out.get(e, 0.0) + c1 * v
+        poly = out
+    offsets = sorted((d for d, v in poly.items() if d != zero and v.any()),
+                     key=sum)
+    return (np.array(offsets, dtype=np.int64).reshape(-1, n - 1),
+            np.array([poly[d] for d in offsets]).reshape(-1, n + 1).T)
 
-    For j > i the factor is 1 + (1-t) sum_{m>=1} u^m, u = z_i/z_j;
-    for j < i it is t + (t-1) sum_{m>=1} u^m, u = z_j/z_i.  The ratio
-    z_a/z_b (a < b) carries multi-index (0,..,m..,m,..0) on slots a..b-1.
-    """
+
+def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
+    """Solve the basis elements rows (one lambda, several w) as the rows of
+    one coefficient array.  Only elementwise operations mix values, so a
+    row does not depend on the rows solved with it."""
+    n, q, t = rows[0].n, p.q, p.t
+    N = default_depth(n) if N is None else N
+    if not isinstance(N, numbers.Integral) or N < 0:
+        raise DomainError(f"N must be a non-negative integer, got {N!r}")
+    N = int(N)
+    c = eigenvalue_c(rows[0].lam_plus_rho, 1, p)
+    keys = list(multi_indices(n - 1, N))
+    M = len(keys)
+    index = np.array(keys).reshape(M, n - 1)
+    q_kappa = q ** np.diff(index, axis=1, prepend=0, append=0)  # q^kappa(P)
+    q_epr = np.array([[_cpow(q, e) for e in s.eta_plus_rho] for s in rows])
+    # checked up front: the error names the first row, then the first P
+    den = c - sum(t ** (i + 1) * q_epr[:, i, None] * q_kappa[:, i]
+                  for i in range(n))
+    small = np.argwhere(np.abs(den[:, 1:]) < 1e-10 * abs(c))
+    if len(small):
+        P = keys[small[0][1] + 1]
+        raise NondegeneracyError(f"nondegeneracy violated at p={P}",
+                                 multi_index=P)
+    offsets, weights = _stencil(n, t)
+    # q^nu_i(P-d) = q^nu_i(P) q^-kappa_i(d): the d part joins G_i
+    weights[1:] *= q ** -np.diff(offsets, axis=1, prepend=0, append=0).T
+    column = np.full((N + 1,) * (n - 1), M)  # multi-index -> column of a
+    column[tuple(index.T)] = np.arange(M)
+    a = np.zeros((len(rows), M + 1), dtype=complex)  # column M stays 0
+    a[:, 0] = 1.0
+    for D in range(1, N + 1):
+        blk = slice(math.comb(D + n - 2, n - 1), math.comb(D + n - 1, n - 1))
+        src = index[blk] - offsets[offsets.sum(axis=1) <= D, None]
+        src = np.where((src >= 0).all(axis=2),  # src[d, P]: column of P - d
+                       column[tuple(np.maximum(src, 0).T)].T, M)
+        # y[0] = sum_d Delta_d a(P-d); y[i+1] sums G_{i,d} q^-kappa_i(d) a(P-d)
+        y = sum(w[:, None, None] * a[:, cols]
+                for cols, w in zip(src, weights.T))
+        a[:, blk] = (t * sum(q_epr[:, i, None] * q_kappa[blk, i] * y[i + 1]
+                             for i in range(n)) - c * y[0]) / den[:, blk]
+
+    def lead(s, mode):
+        try:
+            return leading_coefficient(s, p, mode)
+        except PoleError:  # non-generic lambda; the series is still defined
+            return None
+
     out = []
-    zero = tuple([0] * (n - 1))
-    for i in range(n):
-        acc = {zero: complex(1.0)}
-        for j in range(n):
-            if j == i:
-                continue
-            a, b = (i, j) if i < j else (j, i)
-            const = 1.0 if j > i else t
-            coef = (1.0 - t) if j > i else (t - 1.0)
-            span = b - a
-            factor = {zero: complex(const)}
-            for m in range(1, N // span + 1):
-                d = [0] * (n - 1)
-                for l in range(a, b):
-                    d[l] = m
-                factor[tuple(d)] = complex(coef)
-            acc = _convolve_truncated(acc, factor, N)
-        out.append(acc)
-    return out
-
-
-def _convolve_truncated(A: dict, B: dict, N: int) -> dict:
-    out: dict[tuple[int, ...], complex] = {}
-    for da, ca in A.items():
-        sa = sum(da)
-        for db, cb in B.items():
-            if sa + sum(db) > N:
-                continue
-            d = tuple(x + y for x, y in zip(da, db))
-            out[d] = out.get(d, 0.0) + ca * cb
+    for s, coeffs in zip(rows, a[:, :M].tolist()):
+        table = PowerTable(n - 1, N)
+        table.coeffs.update(zip(keys, coeffs))
+        out.append(HCSolution(s, p, table, *(lead(s, m) for m in XRMode)))
     return out
 
 
 def solve_coefficients(s: SpectralData, p: QParams, N: int | None = None
                        ) -> HCSolution:
-    """Build the coefficients a(p), |p| <= N, by the triangular recursion
+    """Build the coefficients a(p), |p| <= N, by the stencil recursion
     from the D^1 eigen-equation, normalized by a(0) = 1."""
-    n = s.n
-    if N is None:
-        N = default_depth(n)
-    q, t = p.q, p.t
-    epr = s.eta_plus_rho
-    weights = _weight_expansions(n, t, N)
-    c_target = eigenvalue_c(s.lam_plus_rho, 1, p)
+    return _solve([s], p, N)[0]
 
-    table = PowerTable(n - 1, N)
-    table[(0,) * (n - 1)] = 1.0
-    q_epr = [_cpow(q, e) for e in epr]
 
-    def q_nu(pp, i):
-        # q^{(eta+rho+kappa(pp))_i}
-        return q_epr[i] * q ** kappa(pp)[i]
-
-    for P in multi_indices(n - 1, N):
-        if sum(P) == 0:
-            continue
-        nu_qs = [q_nu(P, i) for i in range(n)]
-        denom = c_target - sum(t ** (i + 1) * nu_qs[i] for i in range(n))
-        if abs(denom) < 1e-10 * abs(c_target):
-            raise NondegeneracyError(
-                f"nondegeneracy violated at p={P}", multi_index=P)
-        acc = complex(0.0)
-        for i in range(n):
-            for d, wc in weights[i].items():
-                if sum(d) == 0 or any(dl > pl for dl, pl in zip(d, P)):
-                    continue
-                pp = tuple(pl - dl for pl, dl in zip(P, d))
-                acc += wc * q_nu(pp, i) * table[pp]
-        table[P] = t * acc / denom
-
-    def _lead(mode):
-        # a Gamma_q pole here flags a non-generic lambda; the series itself
-        # is still well defined, so record the coefficient as unavailable
-        try:
-            return leading_coefficient(s, p, mode)
-        except PoleError:
-            return None
-
-    return HCSolution(
-        spectral=s, params=p, table=table,
-        leading_coefficient_modeA=_lead(XRMode.A),
-        leading_coefficient_modeB=_lead(XRMode.B),
-    )
+def solve_basis(lam, p: QParams, N: int | None = None) -> list[HCSolution]:
+    """The n! basis solutions for lam, one per w in itertools.permutations
+    order, from one batched solve; each equals solve_coefficients bit for
+    bit, and a NondegeneracyError concerns the first w that fails."""
+    return _solve([SpectralData.make(lam, p, w=w)
+                   for w in itertools.permutations(range(len(lam)))], p, N)
 
 
 def leading_coefficient(s: SpectralData, p: QParams,

@@ -8,9 +8,8 @@ relating D^(n-1)(q,t) to D^1 with inverted parameters.
 
 from __future__ import annotations
 
-import cmath
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,7 +13,7 @@ branch, and theta functions always carry their base explicitly.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConvergenceError, DomainError, PoleError
@@ -104,27 +104,6 @@ def qpochhammer_inf(z: complex, q: float, eps: float = DEFAULT_EPS) -> complex:
             return prod * cmath.exp(-zq / (1.0 - q))
         prod *= 1.0 - zq
         zq *= q
-    raise ConvergenceError("(z;q)_inf did not truncate within the term cap")
-
-
-def qpochhammer_inf_drop(z: complex, q: float, drop: int,
-                         eps: float = DEFAULT_EPS) -> complex:
-    """(z; q)_inf with the single factor (1 - z q^drop) removed.
-
-    Used by the residue oracles, where that factor vanishes at the pole.
-    """
-    if not abs(q) < 1.0:
-        raise DomainError(f"|q| must be < 1, got q={q}")
-    prod = complex(1.0)
-    zq = complex(z)
-    i = 0
-    for _ in range(_MAX_TERMS):
-        if abs(zq) < eps:
-            return prod * cmath.exp(-zq / (1.0 - q))
-        if i != drop:
-            prod *= 1.0 - zq
-        zq *= q
-        i += 1
     raise ConvergenceError("(z;q)_inf did not truncate within the term cap")
 
 

@@ -117,6 +117,13 @@ class TestConfigAndErrors:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "DomainError"
 
+    def test_negative_depth_exit(self, capsys):
+        for command in ("solve", "verify"):
+            code, out = run_cli(capsys, command, "--lambda", "0.27,-0.27",
+                                "--N", "-5")
+            assert code == 2
+            assert json.loads(out)["error"]["type"] == "DomainError"
+
     def test_zone_error_exit(self, capsys):
         code, out = run_cli(capsys, "eval", "--lambda", "0.27,-0.27",
                             "--points", "8,1")

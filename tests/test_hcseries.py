@@ -7,16 +7,54 @@ import json
 import numpy as np
 import pytest
 
-from qmacdonald import (ConvergenceError, NondegeneracyError, QParams,
-                        SpectralData, ZoneError, eigen_residual, evaluate,
-                        fq, integral_rep_fq, leading_coefficient, qgamma,
-                        residue_integral_prop6, solution_from_json,
-                        solution_to_json, solve_coefficients)
+from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
+                        QParams, SpectralData, ZoneError, eigen_residual,
+                        evaluate, fq, integral_rep_fq, leading_coefficient,
+                        qgamma, residue_integral_prop6, solution_from_json,
+                        solution_to_json, solve_basis, solve_coefficients)
 from qmacdonald.hcseries import (integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
 
 LAM2 = (0.27, -0.27)
 LAM3 = (0.31, -0.11, -0.20)
+LAM5 = (0.33, 0.11, -0.07, -0.15, -0.22)
+
+# (q, k, lambda, w, N) and entries (p, re, im) of the coefficient table
+# computed by the truncated-convolution solver that preceded the stencil
+# recursion: the largest and the smallest entry at a few total degrees.
+GOLDEN = [
+    ((0.4, 0.35, (0.27, -0.27), (1, 0), 40), [
+        ((1,), -0.13937139465493523, 0.0),
+        ((2,), -0.04611106128750162, 0.0),
+        ((20,), -7.908941055517359e-07, 0.0),
+        ((39,), -9.628513083261165e-12, 0.0),
+        ((40,), -5.307600413166354e-12, 0.0),
+    ]),
+    ((0.5, 0.4, (0.31, -0.11, -0.2), (2, 0, 1), 12), [
+        ((0, 1), 0.22118465969018702, 0.0),
+        ((1, 0), -0.08790366148658633, 0.0),
+        ((1, 1), 0.1982446865935211, 0.0),
+        ((2, 0), -0.03433313402070114, 0.0),
+        ((3, 3), 0.05454782523658355, 0.0),
+        ((5, 1), -0.004213287585662492, 0.0),
+        ((5, 6), 0.007168060031054445, 0.0),
+        ((10, 1), -0.00049477490314779, 0.0),
+        ((6, 6), 0.014098660575695782, 0.0),
+        ((11, 1), -0.00032611134495919757, 0.0),
+    ]),
+    ((0.6, 0.65, (0.31 + 0.05j, -0.05, -0.12 - 0.05j, -0.14), (1, 3, 0, 2), 8), [
+        ((0, 0, 1), 0.4840096905462534, 0.010537243392130828),
+        ((0, 1, 0), 0.23759348750801237, -0.036866571273719555),
+        ((0, 1, 1), 0.5930218099148598, -0.005994981700123227),
+        ((0, 2, 0), 0.1479821134873181, -0.024331438257277602),
+        ((1, 1, 2), 0.5254148043463901, 0.009275358963087513),
+        ((0, 4, 0), 0.08470101500095152, -0.014272606232249909),
+        ((2, 2, 3), 0.5040492114729845, 0.007971165667807983),
+        ((4, 0, 3), 0.04337604273964571, 0.0013280944506693496),
+        ((2, 3, 3), 0.5885105537241054, -0.004491870064743335),
+        ((4, 0, 4), 0.03441666896868323, 0.001099428729640525),
+    ]),
+]
 
 
 class TestSolver:
@@ -52,8 +90,64 @@ class TestSolver:
     def test_nondegeneracy_error(self, p):
         # lambda_12 = -1 puts the spectral point on the resonant lattice
         s = SpectralData.make((-0.5, 0.5), p)
-        with pytest.raises(NondegeneracyError):
+        with pytest.raises(NondegeneracyError) as exc:
             solve_coefficients(s, p, N=4)
+        assert exc.value.multi_index == (1,)
+
+    def test_basis_error_names_first_failing_element(self, p):
+        # the batched solve raises where the one-by-one loop first would:
+        # w = (0, 1, 2) fails at (1, 1) although w = (0, 2, 1) already
+        # fails at degree 1, at (1, 0)
+        lam = (-0.5, 0.0, 0.5)
+        for w in itertools.permutations(range(3)):
+            try:
+                solve_coefficients(SpectralData.make(lam, p, w=w), p, N=4)
+            except NondegeneracyError as exc:
+                first = exc.multi_index
+                break
+        with pytest.raises(NondegeneracyError) as exc:
+            solve_basis(lam, p, N=4)
+        assert exc.value.multi_index == first
+
+    @pytest.mark.parametrize("N", [-1, -5, 2.0, 2.5, "3"])
+    def test_depth_must_be_nonnegative_integer(self, p, N):
+        with pytest.raises(DomainError):
+            solve_coefficients(SpectralData.make(LAM2, p), p, N=N)
+        with pytest.raises(DomainError):
+            solve_basis(LAM3, p, N=N)
+
+    @pytest.mark.parametrize("case,entries", GOLDEN)
+    def test_golden_coefficients(self, case, entries):
+        q, k, lam, w, N = case
+        p = QParams(q=q, k=k)
+        sol = solve_coefficients(SpectralData.make(lam, p, w=w), p, N=N)
+        scale = {}
+        for P, a in sol.table.coeffs.items():
+            scale[sum(P)] = max(scale.get(sum(P), 0.0), abs(a))
+        for P, re, im in entries:
+            err = abs(sol.table[P] - complex(re, im))
+            assert err <= 1e-12 * scale[sum(P)], (P, err)
+
+
+class TestBasis:
+    @pytest.mark.parametrize("lam,N", [(LAM2, 30), (LAM3, 10),
+                                       ((0.31, -0.05, -0.12, -0.14), 6)])
+    def test_rows_equal_single_solves(self, p, lam, N):
+        basis = solve_basis(lam, p, N=N)
+        perms = list(itertools.permutations(range(len(lam))))
+        assert [sol.spectral.w for sol in basis] == perms
+        for sol, w in zip(basis, perms):
+            one = solve_coefficients(SpectralData.make(lam, p, w=w), p, N=N)
+            assert sol.table.coeffs == one.table.coeffs
+            assert sol.leading_coefficient_modeA == one.leading_coefficient_modeA
+            assert sol.leading_coefficient_modeB == one.leading_coefficient_modeB
+
+    def test_n5_smoke(self, p):
+        basis = solve_basis(LAM5, p, N=6)
+        assert len(basis) == 120
+        z = tuple(p.q ** (-5.0 * i) for i in range(5))
+        for j in (0, 1, 37, 64, 119):
+            assert eigen_residual(basis[j], 1, z) < 1e-8
 
 
 class TestEvaluation:
