@@ -14,7 +14,9 @@ evaluation points in tests keep arguments well away from the cut.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,30 +88,14 @@ class ConnectionMatrix:
         }
 
 
-def _braid_coefficients(d: complex, zeta: complex, p: QParams
-                        ) -> tuple[complex, complex]:
-    """The pair (diagonal, off-diagonal) continuation coefficients for
-    crossing one wall, where d = eta_{i+1} - eta_i and zeta = z_i/z_{i+1}.
+def _theta_vanishes(x: complex, base: float) -> bool:
+    """Whether Theta_base(x) = 0, i.e. x lies on base^Z.
 
-    diag multiplies the same solution at the swapped point; off multiplies
-    the eta-swapped solution there.
+    Tests the argument, not |Theta|: near base = 1 every theta value is
+    below any fixed absolute tolerance.
     """
-    q, k = p.q, p.k
-    u = 1.0 / zeta
-    qd = _cpow(q, d)
-    qk = q ** k
-    for name, val in (("Theta_q(q^d)", theta(qd, q)),
-                      ("Theta_q(q^k u)", theta(qk * u, q))):
-        if abs(val) < _RESONANCE_TOL:
-            raise ResonanceError(f"{name} vanishes: resonant parameters")
-    diag = (theta(qk, q) / theta(qd, q)
-            * theta(qd * u, q) / theta(qk * u, q)
-            * _cpow(zeta, -d + k))
-    off = (_cpow(q, -k * d)
-           * theta(_cpow(q, -d + k), q) / theta(_cpow(q, -d), q)
-           * theta(u, q) / theta(qk * u, q)
-           * _cpow(zeta, k))
-    return diag, off
+    m = round(cmath.log(x).real / math.log(base))
+    return abs(1.0 - x * base ** -m) < _RESONANCE_TOL
 
 
 def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
@@ -117,6 +103,18 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
 
     phi(eta, z)       = M[0][0] phi(eta, sigma z) + M[0][1] phi(s_i eta, sigma z)
     phi(s_i eta, z)   = M[1][0] phi(eta, sigma z) + M[1][1] phi(s_i eta, sigma z)
+
+    With d = eta_{i+1} - eta_i, zeta = z_i/z_{i+1}, u = 1/zeta and
+    Theta = Theta_q, the entries for sign e = +1 (row 0) and e = -1 (row 1)
+    are
+
+        diag = Theta(q^k)/Theta(q^(ed)) Theta(q^(ed) u)/Theta(q^k u) zeta^(k-ed)
+        off  = q^(-ked) Theta(q^(k-ed))/Theta(q^(-ed)) Theta(u)/Theta(q^k u) zeta^k
+
+    so the matrix takes nine distinct theta values: Theta(q^k),
+    Theta(q^(+-d)), Theta(q^(+-d) u), Theta(q^k u), Theta(u) and
+    Theta(q^(k-+d)).  ResonanceError is raised when a denominator theta
+    vanishes.
     """
     n = s.n
     if not 1 <= i <= n - 1:
@@ -127,8 +125,23 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
         raise DomainError("z_i / z_{i+1} must be nonzero")
     eta = s.eta
     d = eta[i] - eta[i - 1]  # lambda_{w(i+1)} - lambda_{w(i)}
-    diag0, off0 = _braid_coefficients(d, zeta, p)
-    diag1, off1 = _braid_coefficients(-d, zeta, p)
+    q, k = p.q, p.k
+    u = 1.0 / zeta
+    qk = q ** k
+    qd, qmd = _cpow(q, d), _cpow(q, -d)
+    for name, x in (("Theta_q(q^d)", qd), ("Theta_q(q^k u)", qk * u),
+                    ("Theta_q(q^d)", qmd)):
+        if _theta_vanishes(x, q):
+            raise ResonanceError(f"{name} vanishes: resonant parameters")
+    th_k, th_d, th_md = theta(qk, q), theta(qd, q), theta(qmd, q)
+    th_u, th_ku = theta(u, q), theta(qk * u, q)
+    zeta_k = _cpow(zeta, k)
+    diag0 = th_k / th_d * theta(qd * u, q) / th_ku * _cpow(zeta, -d + k)
+    diag1 = th_k / th_md * theta(qmd * u, q) / th_ku * _cpow(zeta, d + k)
+    off0 = (_cpow(q, -k * d) * theta(_cpow(q, -d + k), q) / th_md
+            * th_u / th_ku * zeta_k)
+    off1 = (_cpow(q, k * d) * theta(_cpow(q, d + k), q) / th_d
+            * th_u / th_ku * zeta_k)
     return ConnectionMatrix(
         i=i, w=s.w, ratio=zeta,
         entries=[[diag0, off0], [off1, diag1]],
@@ -227,6 +240,32 @@ def boltzmann_r1(v: complex, xr: XRParams, n: int) -> complex:
             * g1(1.0 / z, x, r, n) / g1(z, x, r, n))
 
 
+def _bracket_vanishes(v: complex, xr: XRParams) -> bool:
+    """Whether [v] = 0: its theta argument x^(2v) lies on x^(2r Z)."""
+    return _theta_vanishes(_cpow(xr.x, 2.0 * v), xr.x ** (2.0 * xr.r))
+
+
+def _v_factors(v: complex, xr: XRParams, n: int) -> tuple:
+    """The mu-independent factors r_1(v), [v], [v-1], [1] of the weights."""
+    if _bracket_vanishes(v - 1.0, xr):
+        raise ResonanceError("bracket vanishes in a weight denominator")
+    return (boltzmann_r1(v, xr, n), bracket_v(v, xr), bracket_v(v - 1.0, xr),
+            bracket_v(1.0, xr))
+
+
+def _weights(mu_ij: complex, v: complex, xr: XRParams,
+             factors: tuple) -> BoltzmannWeights:
+    """The weights for mu_ij from the factors of _v_factors(v, xr, n)."""
+    if _bracket_vanishes(mu_ij, xr):
+        raise ResonanceError("bracket vanishes in a weight denominator")
+    r1, br_v, den1, br_1 = factors
+    den2 = bracket_v(mu_ij, xr)
+    w_cross = r1 * br_v * bracket_v(mu_ij - 1.0, xr) / (den1 * den2)
+    w_same = r1 * bracket_v(v - mu_ij, xr) * br_1 / (den1 * den2)
+    return BoltzmannWeights(mu_ij=mu_ij, v=v, r1=r1,
+                            w_cross=w_cross, w_same=w_same)
+
+
 def boltzmann_w(mu_ij: complex, v: complex, xr: XRParams,
                 n: int) -> BoltzmannWeights:
     """The two face weights sharing the r_1(v) prefactor:
@@ -234,21 +273,13 @@ def boltzmann_w(mu_ij: complex, v: complex, xr: XRParams,
     w_cross = r1 [v][mu_ij - 1] / ([v-1][mu_ij])
     w_same  = r1 [v - mu_ij][1] / ([v-1][mu_ij])
     """
-    br = lambda u: bracket_v(u, xr)
-    den1 = br(v - 1.0)
-    den2 = br(mu_ij)
-    if abs(den1) < _RESONANCE_TOL or abs(den2) < _RESONANCE_TOL:
-        raise ResonanceError("bracket vanishes in a weight denominator")
-    r1 = boltzmann_r1(v, xr, n)
-    w_cross = r1 * br(v) * br(mu_ij - 1.0) / (den1 * den2)
-    w_same = r1 * br(v - mu_ij) * br(1.0) / (den1 * den2)
-    return BoltzmannWeights(mu_ij=mu_ij, v=v, r1=r1,
-                            w_cross=w_cross, w_same=w_same)
+    return _weights(mu_ij, v, xr, _v_factors(v, xr, n))
 
 
 def boltzmann_exchange_matrix(mu_ij: complex, v: complex, xr: XRParams,
                               n: int) -> np.ndarray:
-    """The 2x2 exchange matrix at spectral separation v."""
-    wij = boltzmann_w(mu_ij, v, xr, n)
-    wji = boltzmann_w(-mu_ij, v, xr, n)
-    return wij.matrix(wji)
+    """The 2x2 exchange matrix at spectral separation v; both weight sets
+    share the v-dependent factors."""
+    factors = _v_factors(v, xr, n)
+    return _weights(mu_ij, v, xr, factors).matrix(
+        _weights(-mu_ij, v, xr, factors))

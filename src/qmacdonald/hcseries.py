@@ -30,7 +30,8 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
 from .operators import SpectralData, eigenvalue_c, macdonald_apply_numeric
-from .qcore import QParams, XRMode, _cpow, fq, qgamma, qpochhammer_inf, theta
+from .qcore import (QParams, XRMode, _cpow, _qq_inf, fq, qgamma,
+                    qpochhammer_inf, theta)
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
@@ -195,14 +196,15 @@ def leading_coefficient(s: SpectralData, p: QParams,
     n, q, k = s.n, p.q, p.k
     eta = s.eta
     out = complex(-1.0) ** (n * (n - 1) // 2)
+    gk = qgamma(1.0 - k, q) if mode is XRMode.A else qgamma(k, q)
     for i in range(n):
         for j in range(i + 1, n):
             d = eta[i] - eta[j]
             if mode is XRMode.A:
-                out *= (_cpow(q, d * (d + k) / 2.0) * qgamma(1.0 - k, q)
+                out *= (_cpow(q, d * (d + k) / 2.0) * gk
                         / (qgamma(d + 1.0, q) * qgamma(-d + 1.0 - k, q)))
             else:
-                out *= (_cpow(q, d * (d + 1.0 - k) / 2.0) * qgamma(k, q)
+                out *= (_cpow(q, d * (d + 1.0 - k) / 2.0) * gk
                         / (qgamma(d + 1.0, q) * qgamma(-d + k, q)))
     return out
 
@@ -274,7 +276,7 @@ def residue_integral_prop6(n_pow: int, lam12: complex, p: QParams) -> complex:
     l21 = -complex(lam12)
     pref = (_cpow(q, (1.0 - k) / 2.0 * n_pow)
             * theta(_cpow(q, l21 + k), q) / theta(q ** k, q)
-            * qpochhammer_inf(q ** k, q) / qpochhammer_inf(q, q))
+            * qpochhammer_inf(q ** k, q) / _qq_inf(q))
     expo = l21 + n_pow + k
     if expo.real <= 0.0:
         raise ConvergenceError("residue series for the one-point integral "
@@ -347,27 +349,31 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     arg = q ** (1.0 - k) * z1 / z2
     if abs(arg) >= 1.0:
         raise ZoneError("z1/z2 outside the convergence region")
-    b_half = q ** ((1.0 + k) / 2.0)
     c_half = q ** ((1.0 - k) / 2.0)
     # at the m-th pole the theta ratio and the z1/y Pochhammer ratio reduce,
     # via quasi-periodicity, to stable m=0 values times simple recurrences
     theta_base = theta(_cpow(q, l2 - l1 + k), q) / theta(q ** k, q)
-    poch_base = qpochhammer_inf(q ** k, q) / qpochhammer_inf(q, q)
+    poch_base = qpochhammer_inf(q ** k, q) / _qq_inf(q)
     shift = _cpow(q, l2 - l1)  # theta-ratio gain per unit pole index
     if abs(shift) * q ** k >= 1.0:
         raise ConvergenceError(
             "residue series diverges: requires Re(lam2 - lam1 + k) > 0")
+    # the y/z2 kernel at pole m is (xb q^m;q)_inf/(xc q^m;q)_inf: computed
+    # once at m=0, then peeled by one factor of each product per pole
+    xb = q ** ((1.0 + k) / 2.0) * c_half * z1 / z2
+    xc = c_half * c_half * z1 / z2
+    kern = qpochhammer_inf(xb, q) / qpochhammer_inf(xc, q)
     fm = complex(1.0)          # prod_{j<=m} q^k (1-q^(j-k))/(1-q^j)
+    qm = 1.0                   # q^m
     total = complex(0.0)
     for m in range(_MAX_RESIDUES):
-        ym = c_half * q ** m * z1
-        rest = (theta_base * shift ** m * poch_base * fm
-                * qpochhammer_inf(b_half * ym / z2, q)
-                / qpochhammer_inf(c_half * ym / z2, q))
+        rest = theta_base * shift ** m * poch_base * fm * kern
         total += rest
         if m > 4 and abs(rest) < p.eps * max(1.0, abs(total)):
             return total
         fm *= q ** k * (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1))
+        kern *= (1.0 - xc * qm) / (1.0 - xb * qm)
+        qm *= q
     raise ConvergenceError("residue series for the two-point integral "
                            "did not converge")
 

@@ -4,7 +4,10 @@ Infinite q-products, the q-Gamma and Theta functions, double (two-base)
 products, the bracket function, vertex contraction kernels and the basic
 q-hypergeometric series.  Everything here is a pure function of its
 arguments; all products/series are truncated deterministically with a
-first-order analytic tail correction.
+first-order analytic tail correction.  An infinite product's truncation
+length is computed from logs before its loop starts, so the term cap is
+checked without running to it, and (q;q)_inf is computed once per base q
+and shared by every theta and q-Gamma value in that base.
 
 Conventions: 0 < q < 1 throughout, complex powers use the principal
 branch, and theta functions always carry their base explicitly.
@@ -13,6 +16,8 @@ branch, and theta functions always carry their base explicitly.
 from __future__ import annotations
 
 import cmath
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,19 +97,34 @@ class XRParams:
 def qpochhammer_inf(z: complex, q: float, eps: float = DEFAULT_EPS) -> complex:
     """(z; q)_inf = prod_{i>=0} (1 - z q^i).
 
-    Truncated once |z q^i| < eps, then corrected by the first-order tail
-    exp(-z q^{i+1}/(1-q)) ~ prod of the remaining factors.
+    Keeps the factors with |z q^i| >= eps, whose number is known from
+    logs up front, then corrects by the first-order tail
+    exp(-z q^terms/(1-q)) ~ prod of the remaining factors.
     """
     if not abs(q) < 1.0:
         raise DomainError(f"|q| must be < 1 for (z;q)_inf, got q={q}")
+    az = abs(z)
+    if az < eps:
+        terms = 0
+    elif q == 0:
+        terms = 1
+    else:
+        # NaN or inf z fail this comparison too
+        terms = math.log(az / eps) / -math.log(abs(q)) + 1.0
+    if not terms < _MAX_TERMS:
+        raise ConvergenceError("(z;q)_inf did not truncate within the term cap")
     prod = complex(1.0)
     zq = complex(z)
-    for _ in range(_MAX_TERMS):
-        if abs(zq) < eps:
-            return prod * cmath.exp(-zq / (1.0 - q))
+    for _ in range(int(terms)):
         prod *= 1.0 - zq
         zq *= q
-    raise ConvergenceError("(z;q)_inf did not truncate within the term cap")
+    return prod * cmath.exp(-zq / (1.0 - q))
+
+
+@functools.lru_cache(maxsize=64)
+def _qq_inf(q: float) -> complex:
+    """(q;q)_inf, shared by every theta and q-Gamma value in base q."""
+    return qpochhammer_inf(q, q)
 
 
 def qgamma(a: complex, q: float) -> complex:
@@ -116,7 +136,7 @@ def qgamma(a: complex, q: float) -> complex:
     if m >= 0 and abs(1.0 - _cpow(q, a + m)) < _POLE_TOL:
         raise PoleError(f"Gamma_q pole at a ~ {-m}", location=-m)
     qa = _cpow(q, a)
-    return qpochhammer_inf(q, q) * _cpow(1.0 - q, 1.0 - a) / qpochhammer_inf(qa, q)
+    return _qq_inf(q) * _cpow(1.0 - q, 1.0 - a) / qpochhammer_inf(qa, q)
 
 
 def theta(z: complex, q: float) -> complex:
@@ -125,8 +145,7 @@ def theta(z: complex, q: float) -> complex:
         raise DomainError("Theta_q is not defined at z = 0")
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
-    return (qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q)
-            * qpochhammer_inf(q, q))
+    return qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q) * _qq_inf(q)
 
 
 def double_pochhammer(z: complex, p1: float, p2: float,

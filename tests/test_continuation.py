@@ -14,6 +14,25 @@ from qmacdonald import (QParams, ResonanceError, SpectralData, XRMode,
 
 LAM3 = (0.31, -0.11, -0.20)
 
+# (lam, w, i, z, q, k) and the 2x2 entries computed by the braid formula
+# as it stood before the nine-theta rewrite
+GOLDEN_BRAID = [
+    ((0.31, -0.11, -0.20), (0, 1, 2), 1, (1.0, 1.7, 2.9), 0.5, 0.4,
+     [[0.5925557346173933, 0.4074442653826079],
+      [0.04774609508584981, 0.9522539049141518]]),
+    ((0.2 + 0.15j, -0.35, 0.15 - 0.15j), (2, 0, 1), 2,
+     (0.8 * cmath.exp(0.3j), 1.5, 2.6 * cmath.exp(-0.2j)), 0.3, 0.7,
+     [[-0.00038304747770510645 + 0.045857752178204925j,
+       1.0003830474777093 - 0.04585775217820781j],
+      [0.30247280408983274 - 0.7159244710553245j,
+       0.6975271959101061 + 0.7159244710552972j]]),
+    ((0.42, -0.42), (1, 0), 1, (1.3 * cmath.exp(0.1j), 2.2), 0.8, 0.25,
+     [[-0.5255395413140375 - 1.542976118978598j,
+       1.525539541314038 + 1.5429761189786002j],
+      [-0.44321020775821657 - 0.448276001859264j,
+       1.4432102077582172 + 0.44827600185926764j]]),
+]
+
 
 class TestFqConnection:
     def test_generic_annulus_points(self, p):
@@ -80,6 +99,21 @@ class TestBraidMatrix:
         with pytest.raises(ResonanceError):
             braid_matrix(s, 1, (p.q ** (p.k - 1.0), 1.0), p)
 
+    def test_integer_gap_rejected_near_one(self):
+        # d = -1 puts q^d on the theta zero lattice; near q = 1 the test
+        # must still tell this from the tiny values of every other theta
+        p = QParams(q=0.9, k=0.4)
+        s = SpectralData.make((0.5, -0.5), p)
+        with pytest.raises(ResonanceError):
+            braid_matrix(s, 1, (1.0, 2.0), p)
+
+    @pytest.mark.parametrize("lam, w, i, z, q, k, entries", GOLDEN_BRAID)
+    def test_golden_entries(self, lam, w, i, z, q, k, entries):
+        s = SpectralData(n=len(lam), lam=lam, w=w, k=k)
+        M = braid_matrix(s, i, z, QParams(q=q, k=k)).as_array()
+        ref = np.array(entries, dtype=complex)
+        assert np.max(np.abs(M - ref) / np.abs(ref)) < 1e-13
+
 
 class TestBraidRelations:
     Z3 = (1.0 * cmath.exp(0.1j), 2.0 * cmath.exp(0.05j),
@@ -95,6 +129,16 @@ class TestBraidRelations:
         report = verify_braid_relations(s, p, self.Z3)
         assert report["double_crossing"] < 1e-8
         assert report["braid_relation"] < 1e-6
+
+    @pytest.mark.parametrize("q", (0.86, 0.9, 0.95))
+    def test_relations_near_one(self, q):
+        # near q = 1, |Theta_q| falls below 1e-10 far from its zeros, so
+        # only a test on the theta arguments can tell resonance apart
+        p = QParams(q=q, k=0.4)
+        report = verify_braid_relations(SpectralData.make(LAM3, p), p,
+                                        self.Z3)
+        assert report["double_crossing"] < 1e-8
+        assert report["braid_relation"] < 1e-8
 
     def test_action_is_permutation_block(self, p):
         s_list = [SpectralData(n=3, lam=LAM3, w=w, k=p.k)
@@ -134,6 +178,16 @@ class TestBoltzmannWeights:
                 m2 = boltzmann_exchange_matrix(mu, -v, xr, 2)
                 dev = np.max(np.abs(m2 @ m1 - np.eye(2)))
                 assert dev < 1e-8
+
+    def test_exchange_matrix_matches_weights(self, p):
+        # the shared v-dependent factors must not change a single bit
+        for mode in (XRMode.A, XRMode.B):
+            xr = XRParams.from_qparams(p, mode)
+            for mu, v in ((2.0, 0.37), (1.3 + 0.2j, -0.61)):
+                M = boltzmann_exchange_matrix(mu, v, xr, 2)
+                ref = boltzmann_w(mu, v, xr, 2).matrix(
+                    boltzmann_w(-mu, v, xr, 2))
+                assert np.array_equal(M, ref)
 
     def test_resonant_bracket_rejected(self):
         xr = XRParams(x=0.85, r=2.5)

@@ -286,6 +286,16 @@ class TestResidueOracles:
         ref = integral_rep_fq_reference(lam, z1, z2, p)
         assert abs(got - ref) < 1e-10 * abs(ref)
 
+    @pytest.mark.parametrize("q", (0.5, 0.9, 0.95))
+    def test_two_point_integral_across_q(self, q):
+        for k in (0.3, 0.6):
+            p = QParams(q=q, k=k)
+            for lam, z1 in (((0.1, -0.1), 0.2), ((-0.08, 0.08), 0.35 + 0.1j),
+                            ((0.0, 0.0), 0.3 - 0.2j)):
+                got = integral_rep_fq(lam, z1, 1.0, p)
+                ref = integral_rep_fq_reference(lam, z1, 1.0, p)
+                assert abs(got - ref) < 1e-11 * abs(ref)
+
     def test_two_point_z1_zero(self, p):
         lam = (0.15, -0.15)
         got = integral_rep_fq(lam, 0.0, 1.0, p)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmacdonald import (DomainError, PoleError, QParams, XRMode, XRParams,
-                        bracket_v, double_pochhammer, fq, g1, kernel_s,
-                        kernel_t, qbinomial_series, qgamma, qpochhammer_inf,
-                        theta)
+from qmacdonald import (ConvergenceError, DomainError, PoleError, QParams,
+                        XRMode, XRParams, bracket_v, double_pochhammer, fq,
+                        g1, kernel_s, kernel_t, qbinomial_series, qgamma,
+                        qpochhammer_inf, theta)
 
 
 def brute_pochhammer(z, q, terms=600):
@@ -43,6 +43,42 @@ class TestQPochhammer:
     def test_rejects_large_base(self):
         with pytest.raises(DomainError):
             qpochhammer_inf(0.3, 1.2)
+
+    def test_term_cap(self):
+        # about 315k factors would exceed the cap; raised before any loop
+        with pytest.raises(ConvergenceError):
+            qpochhammer_inf(0.5, 0.9999)
+
+
+class TestAgainstMpmath:
+    """qpochhammer_inf, theta and qgamma against mpmath at 30 digits."""
+
+    ZS = [r * cmath.exp(1j * phi) for r in (0.2, 1.0, 2.9)
+          for phi in (0.7, 2.0, -2.6)]
+    AS = (0.3, 1.7 + 0.4j, 2.5 - 0.8j, -0.6 + 0.3j)
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            yield mpmath
+
+    @staticmethod
+    def rel(got, ref):
+        return abs(got - complex(ref)) / abs(complex(ref))
+
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.9, 0.96))
+    def test_products_and_gamma(self, mp, q):
+        mq = mp.mpf(q)
+        qq = mp.qp(mq, mq)
+        for z in self.ZS:
+            mz = mp.mpc(z)
+            poch = mp.qp(mz, mq)
+            assert self.rel(qpochhammer_inf(z, q), poch) < 1e-13
+            ref = poch * mp.qp(mq / mz, mq) * qq
+            assert self.rel(theta(z, q), ref) < 1e-13
+        for a in self.AS:
+            assert self.rel(qgamma(a, q), mp.qgamma(mp.mpc(a), mq)) < 1e-13
 
 
 class TestQGamma:
