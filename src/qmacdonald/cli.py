@@ -72,7 +72,6 @@ class RunConfig:
     N: int | None = None
     points: list = field(default_factory=list)
     output_format: str = "json"
-    seed: int = 0
     tol: float = 1e-8
     mode: str = "A"
     i: int = 1
@@ -100,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "complex coordinates")
     ap.add_argument("--format", dest="output_format",
                     choices=["json", "csv"], default=None)
-    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--tol", type=float, default=None)
     ap.add_argument("--mode", choices=["A", "B"], default=None)
     ap.add_argument("--i", type=int, default=None,
@@ -118,8 +116,8 @@ def config_from_args(args) -> RunConfig:
             doc = json.load(fh)
         for key, attr in (("q", "q"), ("k", "k"), ("lambda", "lam"),
                           ("w", "w"), ("N", "N"), ("points", "points"),
-                          ("format", "output_format"), ("seed", "seed"),
-                          ("tol", "tol"), ("mode", "mode"), ("i", "i")):
+                          ("format", "output_format"), ("tol", "tol"),
+                          ("mode", "mode"), ("i", "i")):
             if key in doc:
                 setattr(cfg, attr, doc[key])
         if "command" in doc and doc["command"] != args.command:
@@ -144,8 +142,6 @@ def config_from_args(args) -> RunConfig:
         cfg.points = _parse_points(args.points)
     if args.output_format is not None:
         cfg.output_format = args.output_format
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.tol is not None:
         cfg.tol = args.tol
     if args.mode is not None:

@@ -47,10 +47,12 @@ def fq_connection(a: complex, b: complex, c: complex, z: complex,
     def half(a1, b1):
         # Gamma_q(b1-a1)/Gamma_q(b1) in pole-free product form: it must
         # degenerate to an exact zero for terminating b1
-        num = qpochhammer_inf(_cpow(q, b1), q, p.eps)
-        den = qpochhammer_inf(_cpow(q, b1 - a1), q, p.eps)
-        if abs(den) < _RESONANCE_TOL * max(1.0, abs(num)):
+        # (x;q)_inf = 0 on q^{0,-1,...}; for integer b - a one half is there
+        x = _cpow(q, b1 - a1)
+        if _theta_vanishes(x, q):
             raise PoleError("Gamma_q(b-a) pole in a connection coefficient")
+        num = qpochhammer_inf(_cpow(q, b1), q, p.eps)
+        den = qpochhammer_inf(x, q, p.eps)
         coeff = _cpow(1.0 - q, a1) * num / den
         if abs(coeff) == 0.0:
             return 0.0

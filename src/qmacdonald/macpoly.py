@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .errors import DomainError, ResonanceError
 from .hcseries import solve_coefficients
-from .operators import (LaurentPoly, SpectralData, dominance_ideal,
-                        eigenvalue_c, macdonald_apply_poly,
+from .operators import (LaurentPoly, SpectralData, _symmetrize,
+                        dominance_ideal, eigenvalue_c, macdonald_apply_poly,
                         monomial_symmetric)
 from .qcore import QParams, _cpow
 
@@ -78,11 +78,7 @@ def macdonald_poly(lam, n: int, p: QParams) -> LaurentPoly:
             raise ResonanceError(
                 f"eigenvalue collision between {lam} and {basis[i]}")
         coeffs[i] = sum(A[i][j] * coeffs[j] for j in range(i)) / div
-    out = LaurentPoly(n)
-    for mu, c in zip(basis, coeffs):
-        if abs(c) > 0.0:
-            out = out + monomial_symmetric(n, mu).scale(c)
-    return out
+    return _symmetrize(n, dict(zip(basis, coeffs)))
 
 
 def degeneration_check(m: int, p: QParams) -> float:

@@ -1,17 +1,17 @@
 """Macdonald difference operators D^m and their eigenvalues.
 
 Provides numeric (point-evaluation) application to black-box functions,
-coefficient-level application to symmetric Laurent polynomials via
-interpolation, the Weyl-invariant eigenvalues c^m, and the duality check
-relating D^(n-1)(q,t) to D^1 with inverted parameters.
+exact coefficient-level application to symmetric Laurent polynomials
+through the Vandermonde identity A_I = a_delta^{-1} T_{t,z_I} a_delta,
+the Weyl-invariant eigenvalues c^m, and the duality check relating
+D^(n-1)(q,t) to D^1 with inverted parameters.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, SingularConfigurationError
 from .qcore import QParams, _cpow, kernel_s, qpochhammer_inf
@@ -87,12 +87,14 @@ def eigenvalue_c(gamma, m: int, p: QParams) -> complex:
     if not 1 <= m <= n:
         raise DomainError(f"m must lie in 1..{n}, got {m}")
     q, t = p.q, p.t
-    qg = [_cpow(q, g) * t ** (i + 1) for i, g in enumerate(gamma)]
-    return sum(
-        # product over the selected index set
-        _prod(qg[i] for i in sel)
-        for sel in itertools.combinations(range(n), m)
-    )
+    return _elementary([_cpow(q, g) * t ** (i + 1)
+                        for i, g in enumerate(gamma)], m)
+
+
+def _elementary(xs, m: int) -> complex:
+    """e_m(xs), the m-th elementary symmetric polynomial of xs."""
+    return sum(_prod(xs[i] for i in sel)
+               for sel in itertools.combinations(range(len(xs)), m))
 
 
 def _prod(it):
@@ -327,7 +329,7 @@ class LaurentPoly:
                     return False
         return True
 
-    def max_abs_diff(self, other, tol_zero=0.0) -> float:
+    def max_abs_diff(self, other) -> float:
         keys = set(self.terms) | set(other.terms)
         return max((abs(self[e] - other[e]) for e in keys), default=0.0)
 
@@ -340,9 +342,15 @@ def monomial_symmetric(n: int, nu) -> LaurentPoly:
     nu = tuple(int(x) for x in nu)
     if len(nu) != n:
         raise DomainError("exponent vector length must equal n")
+    return _symmetrize(n, {nu: 1.0})
+
+
+def _symmetrize(n: int, coeffs) -> LaurentPoly:
+    """sum_nu c_nu m_nu over distinct weakly decreasing exponent vectors nu."""
     out = LaurentPoly(n)
-    for e in set(itertools.permutations(nu)):
-        out[e] = 1.0
+    for nu, c in coeffs.items():
+        for e in set(itertools.permutations(nu)):
+            out[e] = c
     return out
 
 
@@ -389,60 +397,62 @@ def dominance_ideal(mu) -> list[tuple[int, ...]]:
     return out
 
 
-def macdonald_apply_poly(P: LaurentPoly, m: int, p: QParams,
-                         seed: int = 7, max_retries: int = 3) -> LaurentPoly:
-    """Image D^m P of a symmetric Laurent polynomial, reconstructed exactly.
+def macdonald_apply_poly(P: LaurentPoly, m: int, p: QParams) -> LaurentPoly:
+    """Image D^m P of a symmetric Laurent polynomial, computed exactly.
 
-    The image is expanded over monomial symmetric functions supported on
-    the dominance ideals of P's exponent vectors, with coefficients found
-    by interpolation at generic sample points.
+    With delta = (n-1, ..., 0) and a_delta = prod_{i<j} (z_i - z_j)
+    = sum_w sgn(w) z^(w delta), the weights of D^m are t^m a_delta^{-1}
+    T_{t,z_I} a_delta (Macdonald, Symmetric Functions and Hall Polynomials,
+    2nd ed., ch. VI sec. 3), so a_delta D^m P = t^m sum_{|I|=m}
+    (T_{t,z_I} a_delta)(T_{q,z_I} P).  The coefficient of z^(nu+delta)
+    gives, with alpha = nu + delta - w delta,
+
+        Q_nu = t^m sum_w sgn(w) P[alpha] e_m(t^((w delta)_i) q^(alpha_i))
+               - sum_{w != 1} sgn(w) Q[sort(alpha)]
+
+    for each partition nu of the dominance ideals of P's exponents.  Each
+    Q on the right strictly dominates nu, so it is known, or zero, when nu
+    runs in decreasing lex order.  Negative exponents are shifted away:
+    D^m(e_n^s f) = q^(m s) e_n^s D^m f.
     """
     n = P.n
+    if not 1 <= m <= n:
+        raise DomainError(f"m must lie in 1..{n}, got {m}")
     if not P.terms:
         return LaurentPoly(n)
     if not P.is_symmetric():
         raise DomainError("macdonald_apply_poly requires a symmetric input")
-    # shift exponents to be nonnegative: D^m(e_n^s f) = q^(m s) e_n^s D^m f
     m0 = min(min(e) for e in P.terms)
     if m0 < 0:
         shifted = LaurentPoly(n, {tuple(x - m0 for x in e): c
                                   for e, c in P.terms.items()})
-        img = macdonald_apply_poly(shifted, m, p, seed=seed,
-                                   max_retries=max_retries)
+        img = macdonald_apply_poly(shifted, m, p)
         return LaurentPoly(n, {tuple(x + m0 for x in e): c * p.q ** (m * m0)
                                for e, c in img.terms.items()})
 
+    q, t = p.q, p.t
+    delta = tuple(range(n - 1, -1, -1))
+    # (sgn(w), w delta, t^(w delta)) for every permutation w
+    weyl = [((-1) ** sum(a < b for a, b in itertools.combinations(wd, 2)),
+             wd, [t ** d for d in wd])
+            for wd in itertools.permutations(delta)]
     support: set[tuple[int, ...]] = set()
-    for e in P.terms:
-        support.update(dominance_ideal(e))
-    basis = sorted(support, reverse=True)
-    k_dim = len(basis)
-    basis_polys = [monomial_symmetric(n, nu) for nu in basis]
-
-    rng = np.random.default_rng(seed)
-    for attempt in range(max_retries):
-        pts = []
-        for _ in range(k_dim):
-            moduli = 1.0 + rng.uniform(0, 1, n)
-            phases = np.exp(2j * np.pi * rng.uniform(0, 1, n))
-            pts.append(tuple(moduli * phases))
-        A = np.array([[bp.evaluate(z) for bp in basis_polys] for z in pts])
-        rhs = np.array([macdonald_apply_numeric(P.evaluate, m, z, p)
-                        for z in pts])
-        try:
-            coeffs = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        # held-out residual check
-        ztest = tuple((1.0 + rng.uniform(0, 1, n)) *
-                      np.exp(2j * np.pi * rng.uniform(0, 1, n)))
-        img = LaurentPoly(n)
-        for nu, c in zip(basis, coeffs):
-            if abs(c) > 1e-10 * max(1.0, float(np.max(np.abs(coeffs)))):
-                for e in set(itertools.permutations(nu)):
-                    img[e] = img[e] + c
-        direct = macdonald_apply_numeric(P.evaluate, m, ztest, p)
-        if abs(img.evaluate(ztest) - direct) <= 1e-8 * max(1.0, abs(direct)):
-            return img
-    raise DomainError("interpolation failed to reproduce D^m P "
-                      f"after {max_retries} attempts")
+    for mu in {_sorted_desc(e) for e in P.terms}:
+        support.update(dominance_ideal(mu))
+    Q: dict[tuple[int, ...], complex] = {}
+    for nu in sorted(support, reverse=True):
+        nd = [a + d for a, d in zip(nu, delta)]
+        image = complex(0.0)
+        below = complex(0.0)
+        for sign, wd, tw in weyl:
+            alpha = tuple(map(operator.sub, nd, wd))
+            if min(alpha) < 0:   # outside the support of P and of Q
+                continue
+            c = P.terms.get(alpha)
+            if c is not None:
+                image += sign * c * _elementary(
+                    [x * q ** a for x, a in zip(tw, alpha)], m)
+            if wd != delta:
+                below += sign * Q.get(_sorted_desc(alpha), 0.0)
+        Q[nu] = t ** m * image - below
+    return _symmetrize(n, Q)

@@ -38,10 +38,8 @@ class TestSolve:
         assert json.loads(out)["w"] == [1, 0]
 
     def test_determinism(self, capsys):
-        _, out1 = run_cli(capsys, "solve", "--lambda", "0.27,-0.27", "--N", "6",
-                          "--seed", "5")
-        _, out2 = run_cli(capsys, "solve", "--lambda", "0.27,-0.27", "--N", "6",
-                          "--seed", "5")
+        _, out1 = run_cli(capsys, "solve", "--lambda", "0.27,-0.27", "--N", "6")
+        _, out2 = run_cli(capsys, "solve", "--lambda", "0.27,-0.27", "--N", "6")
         assert out1 == out2
 
 
@@ -106,7 +104,8 @@ class TestConfigAndErrors:
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(
-            {"command": "macpoly", "lambda": [3, 0], "q": 0.5, "k": 0.4}))
+            {"command": "macpoly", "lambda": [3, 0], "q": 0.5, "k": 0.4,
+             "seed": 5}))  # a key without a field is ignored
         code, out = run_cli(capsys, "macpoly", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["n"] == 2

@@ -6,11 +6,12 @@ import itertools
 import numpy as np
 import pytest
 
-from qmacdonald import (QParams, ResonanceError, SpectralData, XRMode,
-                        XRParams, ZoneError, boltzmann_exchange_matrix,
-                        boltzmann_w, braid_action, braid_matrix, bracket_v,
-                        evaluate, fq_connection, g1, leading_coefficient,
-                        solve_coefficients, verify_braid_relations)
+from qmacdonald import (PoleError, QParams, ResonanceError, SpectralData,
+                        XRMode, XRParams, ZoneError,
+                        boltzmann_exchange_matrix, boltzmann_w, braid_action,
+                        braid_matrix, bracket_v, evaluate, fq_connection, g1,
+                        leading_coefficient, solve_coefficients,
+                        verify_braid_relations)
 
 LAM3 = (0.31, -0.11, -0.20)
 
@@ -49,6 +50,20 @@ class TestFqConnection:
         for b in (-2.0, -3.0):
             lhs, rhs = fq_connection(0.3, b, 1.2, 0.9, p)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    def test_near_one(self):
+        # |(q^(b-a);q)_inf| is below 1e-10 here (3.6e-11 at q = 0.93),
+        # yet b - a = 0.2 is not a pole
+        z = 0.97 * cmath.exp(0.3j)
+        for q in (0.93, 0.95):
+            lhs, rhs = fq_connection(0.2, 0.4, 1.3, z, QParams(q=q, k=0.4))
+            assert abs(lhs - rhs) < 1e-8 * abs(lhs)
+
+    def test_pole_guard(self):
+        p = QParams(q=0.9, k=0.4)
+        for a, b in ((0.3, 0.3), (0.3, 1.3), (1.3, 0.3)):
+            with pytest.raises(PoleError):
+                fq_connection(a, b, a + b, 0.95, p)
 
     def test_zone_guard(self, p):
         with pytest.raises(ZoneError):

@@ -129,6 +129,37 @@ class TestPolynomialApplication:
         img = macdonald_apply_poly(P, 2, p)
         assert img.is_symmetric()
 
+    def test_matches_numeric_action(self, p):
+        cases = [
+            monomial_symmetric(3, (3, 1, 0)).scale(0.7)
+            + monomial_symmetric(3, (2, 2, 1)).scale(0.3 - 0.4j)
+            + monomial_symmetric(3, (1, 0, 0)),
+            monomial_symmetric(4, (4, 2, 1, 0))
+            + monomial_symmetric(4, (2, 2, 0, 0)).scale(0.5 + 0.2j)
+            + monomial_symmetric(4, (1, 1, 1, 1)).scale(-1.1),
+            monomial_symmetric(5, (3, 2, 1, 0, 0))
+            + monomial_symmetric(5, (2, 2, 2, 0, 0)).scale(0.4 - 0.9j)
+            + monomial_symmetric(5, (1, 0, 0, 0, 0)).scale(2.0),
+            # negative exponents go through the Laurent shift
+            monomial_symmetric(3, (2, 0, -1)).scale(0.6 + 0.1j)
+            + monomial_symmetric(3, (1, -1, -1))
+            + LaurentPoly(3, {(0, 0, 0): 1.5}),
+        ]
+        for P in cases:
+            n = P.n
+            z = tuple((1.0 + 0.37 * j) * cmath.exp(0.9j * j)
+                      for j in range(n))
+            for m in range(1, n + 1):
+                got = macdonald_apply_poly(P, m, p).evaluate(z)
+                direct = macdonald_apply_numeric(P.evaluate, m, z, p)
+                assert abs(got - direct) < 1e-11 * abs(direct)
+
+    def test_order_range(self, p):
+        P = monomial_symmetric(3, (1, 0, 0))
+        for m in (0, 4):
+            with pytest.raises(DomainError):
+                macdonald_apply_poly(P, m, p)
+
     def test_negative_exponents(self, p):
         P = monomial_symmetric(2, (1, -1)) + LaurentPoly(2, {(0, 0): 2.0})
         img = macdonald_apply_poly(P, 1, p)
