@@ -35,13 +35,15 @@ def fq_connection(a: complex, b: complex, c: complex, z: complex,
 
     lhs: the |z|-series.  rhs: the theta-weighted combination of the two
     series in q^(c+1-a-b)/z.  z must lie in the annulus where both sides
-    converge.
+    converge, and off q^Z, where the theta denominator Theta_q(z) vanishes.
     """
     q = p.q
     z = complex(z)
-    zi = _cpow(q, c + 1.0 - a - b) / z
+    zi = _cpow(q, c + 1.0 - a - b) / z if z else math.inf
     if abs(z) >= 1.0 or abs(zi) >= 1.0:
         raise ZoneError("z outside the mutual convergence annulus")
+    if _theta_vanishes(z, q):
+        raise ZoneError("Theta_q(z) vanishes: z lies on q^Z")
     lhs = fq(a, b, c, z, q, p.eps)
 
     def half(a1, b1):

@@ -2,17 +2,18 @@
 
 Exact terminating two-variable cases from the hypergeometric series, a
 general-n triangular eigenvector construction over the monomial symmetric
-basis, and the degeneration cross-check identifying terminating series
-solutions with the two-variable polynomials.
+basis (one pass of the exact D^1 action builds its whole matrix), and the
+degeneration cross-check against terminating series solutions.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import DomainError, ResonanceError
 from .hcseries import solve_coefficients
-from .operators import (LaurentPoly, SpectralData, _symmetrize,
-                        dominance_ideal, eigenvalue_c, macdonald_apply_poly,
-                        monomial_symmetric)
+from .operators import (LaurentPoly, SpectralData, _action, _symmetrize,
+                        dominance_ideal, eigenvalue_c)
 from .qcore import QParams, _cpow
 
 _EIGEN_COLLISION_TOL = 1e-10
@@ -56,19 +57,17 @@ def macdonald_a1(m: int, p: QParams) -> LaurentPoly:
 def macdonald_poly(lam, n: int, p: QParams) -> LaurentPoly:
     """The Macdonald polynomial P_lam in n variables.
 
-    Constructed as the eigenvector of the first-order difference operator
-    that is triangular with respect to dominance order:
-    P = m_lam + sum over partitions mu strictly below lam of c_mu m_mu.
+    The eigenvector P = m_lam + sum_{mu < lam} c_mu m_mu of the matrix of
+    D^1 on the dominance ideal of lam, which is triangular; one pass of the
+    exact action over one-hot columns builds that whole matrix.
     """
     lam = as_partition(lam, n)
     basis = sorted(dominance_ideal(lam), reverse=True)
     if basis[0] != lam:
         raise DomainError("internal ordering error in the dominance ideal")
-    images = [macdonald_apply_poly(monomial_symmetric(n, mu), 1, p)
-              for mu in basis]
     dim = len(basis)
     # A[i][j] = coefficient of m_{basis[i]} in D^1 m_{basis[j]}
-    A = [[images[j][basis[i]] for j in range(dim)] for i in range(dim)]
+    A = list(_action(dict(zip(basis, np.eye(dim))), 1, p).values())
     gamma = tuple(reversed(lam))  # weakly increasing exponents
     e = eigenvalue_c(gamma, 1, p)
     coeffs = [complex(1.0)] + [complex(0.0)] * (dim - 1)

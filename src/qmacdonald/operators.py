@@ -2,7 +2,9 @@
 
 Provides numeric (point-evaluation) application to black-box functions,
 exact coefficient-level application to symmetric Laurent polynomials
-through the Vandermonde identity A_I = a_delta^{-1} T_{t,z_I} a_delta,
+through the Vandermonde identity A_I = a_delta^{-1} T_{t,z_I} a_delta
+(one back-substitution pass serves any number of inputs at once, so the
+whole matrix of D^m on a monomial symmetric basis comes from one pass),
 the Weyl-invariant eigenvalues c^m, and the duality check relating
 D^(n-1)(q,t) to D^1 with inverted parameters.
 """
@@ -12,6 +14,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, SingularConfigurationError
 from .qcore import QParams, _cpow, kernel_s, qpochhammer_inf
@@ -322,10 +326,14 @@ class LaurentPoly:
         return total
 
     def is_symmetric(self, tol: float = 1e-9) -> bool:
+        """Whether every member of each orbit of exponents lies within
+        tol * max(1, largest |coefficient|) of the orbit's sorted member."""
         scale = max((abs(c) for c in self.terms.values()), default=0.0)
-        for e, c in self.terms.items():
-            for se in set(itertools.permutations(e)):
-                if abs(self[se] - c) > tol * max(1.0, scale):
+        bound = tol * max(1.0, scale)
+        for mu in {_sorted_desc(e) for e in self.terms}:
+            c = self[mu]
+            for se in set(itertools.permutations(mu)):
+                if abs(self[se] - c) > bound:
                     return False
         return True
 
@@ -429,7 +437,23 @@ def macdonald_apply_poly(P: LaurentPoly, m: int, p: QParams) -> LaurentPoly:
         img = macdonald_apply_poly(shifted, m, p)
         return LaurentPoly(n, {tuple(x + m0 for x in e): c * p.q ** (m * m0)
                                for e, c in img.terms.items()})
+    columns = {mu: np.array([P[mu]])
+               for mu in {_sorted_desc(e) for e in P.terms}}
+    Q = _action(columns, m, p)
+    return _symmetrize(n, {nu: v[0] for nu, v in Q.items()})
 
+
+def _action(columns, m: int, p: QParams) -> dict:
+    """The recursion of macdonald_apply_poly for K symmetric inputs at once.
+
+    columns maps a partition mu to the length-K vector of the coefficients
+    of m_mu in the K inputs (nonnegative exponents).  Returns Q[nu], the
+    length-K vector of the coefficients of m_nu in their images under D^m,
+    for every nu of the union of the dominance ideals, in decreasing lex
+    order.
+    """
+    mu0, c0 = next(iter(columns.items()))
+    n, K = len(mu0), len(c0)
     q, t = p.q, p.t
     delta = tuple(range(n - 1, -1, -1))
     # (sgn(w), w delta, t^(w delta)) for every permutation w
@@ -437,22 +461,24 @@ def macdonald_apply_poly(P: LaurentPoly, m: int, p: QParams) -> LaurentPoly:
              wd, [t ** d for d in wd])
             for wd in itertools.permutations(delta)]
     support: set[tuple[int, ...]] = set()
-    for mu in {_sorted_desc(e) for e in P.terms}:
-        support.update(dominance_ideal(mu))
-    Q: dict[tuple[int, ...], complex] = {}
+    for mu in sorted(columns, reverse=True):
+        if mu not in support:   # else its ideal lies in one already taken
+            support.update(dominance_ideal(mu))
+    Q: dict[tuple[int, ...], np.ndarray] = {}
     for nu in sorted(support, reverse=True):
         nd = [a + d for a, d in zip(nu, delta)]
-        image = complex(0.0)
-        below = complex(0.0)
+        image = np.zeros(K, dtype=complex)
+        below = np.zeros(K, dtype=complex)
         for sign, wd, tw in weyl:
             alpha = tuple(map(operator.sub, nd, wd))
             if min(alpha) < 0:   # outside the support of P and of Q
                 continue
-            c = P.terms.get(alpha)
+            key = _sorted_desc(alpha)
+            c = columns.get(key)
             if c is not None:
-                image += sign * c * _elementary(
-                    [x * q ** a for x, a in zip(tw, alpha)], m)
-            if wd != delta:
-                below += sign * Q.get(_sorted_desc(alpha), 0.0)
+                image += c * (sign * _elementary(
+                    [x * q ** a for x, a in zip(tw, alpha)], m))
+            if wd != delta and key in Q:
+                below += sign * Q[key]
         Q[nu] = t ** m * image - below
-    return _symmetrize(n, Q)
+    return Q

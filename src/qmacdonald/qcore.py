@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -172,19 +173,21 @@ def g1(z: complex, x: float, r: float, n: int) -> complex:
     """The vertex contraction ratio g_1(z) of four double products.
 
     g_1(z) = {x^2 z}{x^(2r+2n-2) z} / ({x^(2r) z}{x^(2n) z}) with
-    {w} = (w; x^(2r), x^(2n))_inf.
+    {w} = (w; x^(2r), x^(2n))_inf, taken as two ratios of double products
+    so that their product does not underflow.  Near q = 1 the double
+    products themselves leave the normal float range; ConvergenceError is
+    raised there.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     p1 = x ** (2.0 * r)
     p2 = float(x) ** (2 * n)
-
-    def brace(w):
-        return double_pochhammer(w, p1, p2)
-
-    num = brace(x ** 2 * z) * brace(x ** (2.0 * r + 2 * n - 2) * z)
-    den = brace(x ** (2.0 * r) * z) * brace(float(x) ** (2 * n) * z)
-    return num / den
+    num1, num2, den1, den2 = (
+        double_pochhammer(w * z, p1, p2)
+        for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2))
+    if min(abs(num1), abs(num2), abs(den1), abs(den2)) < sys.float_info.min:
+        raise ConvergenceError("double products in g_1 underflow near q = 1")
+    return (num1 / den1) * (num2 / den2)
 
 
 def kernel_s(z: complex, p: QParams) -> complex:

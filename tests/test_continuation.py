@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qmacdonald import (PoleError, QParams, ResonanceError, SpectralData,
-                        XRMode, XRParams, ZoneError,
+from qmacdonald import (PoleError, QMacdonaldError, QParams, ResonanceError,
+                        SpectralData, XRMode, XRParams, ZoneError,
                         boltzmann_exchange_matrix, boltzmann_w, braid_action,
                         braid_matrix, bracket_v, evaluate, fq_connection, g1,
                         leading_coefficient, solve_coefficients,
@@ -64,6 +64,14 @@ class TestFqConnection:
         for a, b in ((0.3, 0.3), (0.3, 1.3), (1.3, 0.3)):
             with pytest.raises(PoleError):
                 fq_connection(a, b, a + b, 0.95, p)
+
+    def test_theta_zero_guard(self):
+        # Theta_q(z) divides each half and vanishes on q^Z; z = 0 has no zi
+        q = 0.95
+        p = QParams(q=q, k=0.4)
+        for z, c in ((q, 1.3), (q ** 2 + 0j, 1.8), (0.0, 1.3)):
+            with pytest.raises(ZoneError):
+                fq_connection(0.2, 0.4, c, z, p)
 
     def test_zone_guard(self, p):
         with pytest.raises(ZoneError):
@@ -193,6 +201,26 @@ class TestBoltzmannWeights:
                 m2 = boltzmann_exchange_matrix(mu, -v, xr, 2)
                 dev = np.max(np.abs(m2 @ m1 - np.eye(2)))
                 assert dev < 1e-8
+
+    @pytest.mark.parametrize("q, k, modes", [(0.92, 0.8, "A"),
+                                             (0.95, 0.5, "AB")])
+    def test_inversion_near_one(self, q, k, modes):
+        # each double product of g_1 lies below 1e-176 here, so the product
+        # of two of them underflows to 0
+        p = QParams(q=q, k=k)
+        for mode in modes:
+            xr = XRParams.from_qparams(p, XRMode(mode))
+            v = 0.37 * min(1.0, xr.r - 1.0)
+            fwd = boltzmann_exchange_matrix(1.3 + 0.2j, v, xr, 2)
+            rev = boltzmann_exchange_matrix(1.3 + 0.2j, -v, xr, 2)
+            assert np.max(np.abs(rev @ fwd - np.eye(2))) < 1e-12
+
+    def test_underflow_near_one_is_typed(self):
+        p = QParams(q=0.98, k=0.5)
+        for mode in (XRMode.A, XRMode.B):
+            xr = XRParams.from_qparams(p, mode)
+            with pytest.raises(QMacdonaldError):
+                boltzmann_exchange_matrix(1.3 + 0.2j, 0.37, xr, 2)
 
     def test_exchange_matrix_matches_weights(self, p):
         # the shared v-dependent factors must not change a single bit

@@ -160,12 +160,60 @@ class TestPolynomialApplication:
             with pytest.raises(DomainError):
                 macdonald_apply_poly(P, m, p)
 
+    def test_rejects_asymmetric_input(self, p):
+        with pytest.raises(DomainError):
+            macdonald_apply_poly(LaurentPoly(2, {(1, 0): 1.0}), 1, p)
+
     def test_negative_exponents(self, p):
         P = monomial_symmetric(2, (1, -1)) + LaurentPoly(2, {(0, 0): 2.0})
         img = macdonald_apply_poly(P, 1, p)
         z = (1.7, 0.6 + 0.3j)
         direct = macdonald_apply_numeric(P.evaluate, 1, z, p)
         assert abs(img.evaluate(z) - direct) < 1e-9 * max(1.0, abs(direct))
+
+    def test_combination_of_columns(self, p):
+        # the action on a combination equals the combination of the
+        # actions on its monomial symmetric parts
+        parts = {(4, 2, 1, 0): 0.7, (3, 3, 1, 0): -1.2 + 0.5j,
+                 (2, 2, 2, 1): 0.3j}
+        combo = LaurentPoly(4)
+        for mu, c in parts.items():
+            combo = combo + monomial_symmetric(4, mu).scale(c)
+        for m in range(1, 5):
+            img = macdonald_apply_poly(combo, m, p)
+            ref = LaurentPoly(4)
+            for mu, c in parts.items():
+                ref = ref + macdonald_apply_poly(
+                    monomial_symmetric(4, mu), m, p).scale(c)
+            scale = max(abs(c) for c in img.terms.values())
+            assert img.max_abs_diff(ref) < 1e-14 * scale
+
+
+class TestSymmetryCheck:
+    TOL = 1e-9
+
+    def test_monomial_symmetric_accepted(self):
+        parts = ((4, 2, 1, 0, 0), (3, 3, 1, 1, 0), (2, 2, 2, 2, 2),
+                 (5, 1, 0, 0, -2))
+        P = LaurentPoly(5)
+        for j, mu in enumerate(parts):
+            assert monomial_symmetric(5, mu).is_symmetric(self.TOL)
+            P = P + monomial_symmetric(5, mu).scale(0.4 + 0.3j * j)
+        assert P.is_symmetric(self.TOL)
+
+    def test_missing_member_rejected(self):
+        for e in ((2, 1, 0), (0, 2, 1)):   # the sorted member and another
+            P = monomial_symmetric(3, (2, 1, 0))
+            P[e] = 0.0
+            assert not P.is_symmetric(self.TOL)
+
+    def test_member_off_by_twice_tol_rejected(self):
+        for e in ((2, 1, 0), (1, 0, 2)):
+            P = monomial_symmetric(3, (2, 1, 0))
+            P[e] = 1.0 + 2 * self.TOL
+            assert not P.is_symmetric(self.TOL)
+            P[e] = 1.0 + 0.5 * self.TOL
+            assert P.is_symmetric(self.TOL)
 
 
 class TestDominance:
