@@ -12,7 +12,6 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 
 from qmacdonald.cli import RunConfig, cmd_verify
@@ -30,10 +29,10 @@ def main(argv=None):
     ok = True
     for q, k in GRID_QK:
         for n, lam in LAMBDAS.items():
-            out, code = cmd_verify(RunConfig(command="verify", q=q, k=k,
-                                             lam=lam, N=args.N, tol=args.tol))
+            doc, _, _, code = cmd_verify(RunConfig(
+                command="verify", q=q, k=k, lam=lam, N=args.N, tol=args.tol))
             ok &= code == 0
-            checks = json.loads(out)["checks"]
+            checks = doc["checks"]
             for kind, is_eigen in (("eigen", True), ("braid", False)):
                 worst = max(c["residual"] for c in checks
                             if c["name"].startswith("eigen_") == is_eigen)

@@ -14,44 +14,90 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .continuation import braid_matrix, verify_braid_relations
 from .errors import (ConvergenceError, DomainError, QMacdonaldError,
                      ResonanceError)
-from .hcseries import (_fmt, eigen_residual, evaluate, solve_basis,
+from .hcseries import (eigen_residual, evaluate, solve_basis,
                        solve_coefficients, solution_to_dict)
 from .macpoly import macdonald_a1, macdonald_poly
 from .operators import SpectralData
 from .qcore import QParams
 
 
-def _parse_lambda(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"could not parse --lambda: {exc}")
+def _real(v, text: bool) -> float:
+    x = float(v) if text else v
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(x)
 
 
-def _parse_w(text: str) -> tuple[int, ...]:
-    try:
-        w = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"could not parse --w: {exc}")
-    return tuple(i - 1 for i in w)  # 1-based on the command line
+def _int(v, text: bool) -> int:
+    x = int(v) if text else v
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return x
 
 
-def _parse_points(text: str) -> list[tuple[complex, ...]]:
-    points = []
-    for chunk in text.split(";"):
-        try:
-            points.append(tuple(complex(x) for x in chunk.split(",")))
-        except ValueError as exc:
-            raise DomainError(f"could not parse --points: {exc}")
-    return points
+def _tol(v, text: bool) -> float:
+    x = _real(v, text)
+    if x <= 0.0:
+        raise ValueError(f"expected a positive number, got {v!r}")
+    return x
+
+
+def _seq(item, sep=","):
+    """A list of items: flag text split at sep, or a JSON list."""
+    def parse(v, text: bool) -> tuple:
+        if text:
+            v = v.split(sep)
+        elif not isinstance(v, list):
+            raise TypeError(f"expected a list, got {v!r}")
+        return tuple(item(x, text) for x in v)
+    return parse
+
+
+def _perm(v, text: bool) -> tuple[int, ...]:
+    return tuple(i - 1 for i in _seq(_int)(v, text))  # 1-based for users
+
+
+def _coord(v, text: bool) -> complex:
+    """A complex coordinate: flag text such as 1+0.5j, or a JSON [re, im]."""
+    if text:
+        v = [complex(v).real, complex(v).imag]
+    re, im = _seq(_real)(v, False)
+    return complex(re, im)
+
+
+def _format(v, text: bool) -> str:
+    if v not in ("json", "csv"):
+        raise ValueError(f"expected json or csv, got {v!r}")
+    return v
+
+
+# config key (and flag name) -> (RunConfig attribute, parser, help).  The
+# parser reads the flag's text (text=True) or checks the config file's JSON
+# value (text=False); what it raises becomes a DomainError.
+_FIELDS = {
+    "q": ("q", _real, "base q in (0,1)"),
+    "k": ("k", _real, "t = q**k with k in (0,1)"),
+    "lambda": ("lam", _seq(_real), "comma-separated spectral vector (or "
+                                   "partition for macpoly)"),
+    "w": ("w", _perm, "1-based permutation, comma-separated"),
+    "N": ("N", _int, "series truncation degree"),
+    "points": ("points", _seq(_seq(_coord), ";"),
+               "semicolon-separated points, comma-separated complex "
+               "coordinates"),
+    "format": ("output_format", _format, "json (default) or csv"),
+    "tol": ("tol", _tol, "positive tolerance of verify"),
+    "i": ("i", _int, "wall index for connect (1-based)"),
+}
 
 
 def _default_point(n: int, q: float) -> tuple[complex, ...]:
@@ -59,7 +105,7 @@ def _default_point(n: int, q: float) -> tuple[complex, ...]:
 
 
 def _complex_doc(c: complex) -> dict:
-    return {"re": _fmt(c.real), "im": _fmt(c.imag)}
+    return {"re": float(c.real), "im": float(c.imag)}
 
 
 @dataclass
@@ -70,10 +116,9 @@ class RunConfig:
     lam: tuple = (0.27, -0.27)
     w: tuple | None = None
     N: int | None = None
-    points: list = field(default_factory=list)
+    points: tuple = ()
     output_format: str = "json"
     tol: float = 1e-8
-    mode: str = "A"
     i: int = 1
 
 
@@ -85,69 +130,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "system.")
     ap.add_argument("command",
                     choices=["eval", "solve", "macpoly", "connect", "verify"])
-    ap.add_argument("--q", type=float, default=None)
-    ap.add_argument("--k", type=float, default=None)
-    ap.add_argument("--lambda", dest="lam", type=str, default=None,
-                    help="comma-separated spectral vector (or partition "
-                         "for macpoly)")
-    ap.add_argument("--w", type=str, default=None,
-                    help="1-based permutation, comma-separated")
-    ap.add_argument("--N", type=int, default=None,
-                    help="series truncation degree")
-    ap.add_argument("--points", type=str, default=None,
-                    help="semicolon-separated points, comma-separated "
-                         "complex coordinates")
-    ap.add_argument("--format", dest="output_format",
-                    choices=["json", "csv"], default=None)
-    ap.add_argument("--tol", type=float, default=None)
-    ap.add_argument("--mode", choices=["A", "B"], default=None)
-    ap.add_argument("--i", type=int, default=None,
-                    help="wall index for connect (1-based)")
+    for key, (_, _, help_) in _FIELDS.items():
+        ap.add_argument(f"--{key}", help=help_)
     ap.add_argument("--config", type=str, default=None,
-                    help="JSON file providing the same fields; explicit "
-                         "flags override it")
+                    help="JSON object with the same fields; explicit flags "
+                         "override it")
     return ap
 
 
 def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
+    doc = {}
     if args.config is not None:
         with open(args.config) as fh:
             doc = json.load(fh)
-        for key, attr in (("q", "q"), ("k", "k"), ("lambda", "lam"),
-                          ("w", "w"), ("N", "N"), ("points", "points"),
-                          ("format", "output_format"), ("tol", "tol"),
-                          ("mode", "mode"), ("i", "i")):
-            if key in doc:
-                setattr(cfg, attr, doc[key])
-        if "command" in doc and doc["command"] != args.command:
+        if not isinstance(doc, dict):
+            raise DomainError("the config file must hold a JSON object")
+        if doc.get("command", args.command) != args.command:
             raise DomainError("config command disagrees with the "
                               "command-line command")
-        cfg.lam = tuple(cfg.lam)
-        if cfg.w is not None:
-            cfg.w = tuple(i - 1 for i in cfg.w)
-        cfg.points = [tuple(complex(c[0], c[1]) for c in pt)
-                      for pt in cfg.points]
-    if args.q is not None:
-        cfg.q = args.q
-    if args.k is not None:
-        cfg.k = args.k
-    if args.lam is not None:
-        cfg.lam = _parse_lambda(args.lam)
-    if args.w is not None:
-        cfg.w = _parse_w(args.w)
-    if args.N is not None:
-        cfg.N = args.N
-    if args.points is not None:
-        cfg.points = _parse_points(args.points)
-    if args.output_format is not None:
-        cfg.output_format = args.output_format
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.i is not None:
-        cfg.i = args.i
+    cfg = RunConfig(command=args.command)
+    for key, (attr, parse, _) in _FIELDS.items():
+        # the file first, so that an explicit flag overrides it
+        for value, text, where in (
+                (doc.get(key), False, f"config key {key!r}"),
+                (getattr(args, key), True, f"--{key}")):
+            if value is not None:
+                try:
+                    setattr(cfg, attr, parse(value, text))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise DomainError(f"could not parse {where}: {exc}")
     return cfg
 
 
@@ -157,25 +168,16 @@ def _make_solution(cfg: RunConfig):
     return p, s, solve_coefficients(s, p, N=cfg.N)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+# Each command returns (JSON document, CSV header, CSV rows, exit code);
+# main alone picks the output format.
 
 
 def cmd_solve(cfg: RunConfig):
     _, _, sol = _make_solution(cfg)
     doc = solution_to_dict(sol)
-    if cfg.output_format == "csv":
-        n = sol.n
-        header = [f"p{i + 1}" for i in range(n - 1)] + ["re", "im"]
-        rows = [list(e["p"]) + [format(e["re"], ".17g"),
-                                format(e["im"], ".17g")]
-                for e in doc["coeffs"]]
-        return _csv_text(header, rows), 0
-    return json.dumps(doc), 0
+    header = [f"p{i + 1}" for i in range(sol.n - 1)] + ["re", "im"]
+    rows = [list(e["p"]) + [e["re"], e["im"]] for e in doc["coeffs"]]
+    return doc, header, rows, 0
 
 
 def cmd_eval(cfg: RunConfig):
@@ -185,22 +187,19 @@ def cmd_eval(cfg: RunConfig):
     for z in points:
         res = evaluate(sol, z)
         results.append((z, res.value, res.tail_estimate))
-    if cfg.output_format == "csv":
-        header = ["point_index", "re", "im", "tail_estimate"]
-        rows = [[j, format(v.real, ".17g"), format(v.imag, ".17g"),
-                 format(tail, ".17g")]
-                for j, (_, v, tail) in enumerate(results)]
-        return _csv_text(header, rows), 0
     doc = {
         "n": s.n,
         "points": [
             {"z": [_complex_doc(c) for c in z],
              "value": _complex_doc(v),
-             "tail_estimate": _fmt(tail)}
+             "tail_estimate": float(tail)}
             for z, v, tail in results
         ],
     }
-    return json.dumps(doc), 0
+    header = ["point_index", "re", "im", "tail_estimate"]
+    rows = [[j, v.real, v.imag, tail]
+            for j, (_, v, tail) in enumerate(results)]
+    return doc, header, rows, 0
 
 
 def cmd_macpoly(cfg: RunConfig):
@@ -214,17 +213,13 @@ def cmd_macpoly(cfg: RunConfig):
     else:
         poly = macdonald_poly(parts, n, p)
     terms = sorted(poly.terms.items())
-    if cfg.output_format == "csv":
-        header = [f"exp{i + 1}" for i in range(n)] + ["re", "im"]
-        rows = [list(e) + [format(c.real, ".17g"), format(c.imag, ".17g")]
-                for e, c in terms]
-        return _csv_text(header, rows), 0
     doc = {
         "n": n,
-        "terms": [{"exp": list(e), "re": _fmt(c.real), "im": _fmt(c.imag)}
-                  for e, c in terms],
+        "terms": [{"exp": list(e), **_complex_doc(c)} for e, c in terms],
     }
-    return json.dumps(doc), 0
+    header = [f"exp{i + 1}" for i in range(n)] + ["re", "im"]
+    rows = [list(e) + [c.real, c.imag] for e, c in terms]
+    return doc, header, rows, 0
 
 
 def cmd_connect(cfg: RunConfig):
@@ -232,16 +227,10 @@ def cmd_connect(cfg: RunConfig):
     s = SpectralData.make(cfg.lam, p, w=cfg.w)
     z = cfg.points[0] if cfg.points else _default_point(s.n, p.q)
     cm = braid_matrix(s, cfg.i, z, p)
-    doc = cm.to_dict()
-    doc["ratio"] = _complex_doc(cm.ratio)
-    doc["entries"] = [[_complex_doc(e) for e in row] for row in cm.entries]
-    if cfg.output_format == "csv":
-        header = ["row", "col", "re", "im"]
-        rows = [[r, c, format(cm.entries[r][c].real, ".17g"),
-                 format(cm.entries[r][c].imag, ".17g")]
-                for r in range(2) for c in range(2)]
-        return _csv_text(header, rows), 0
-    return json.dumps(doc), 0
+    header = ["row", "col", "re", "im"]
+    rows = [[r, c, cm.entries[r][c].real, cm.entries[r][c].imag]
+            for r in range(2) for c in range(2)]
+    return cm.to_dict(), header, rows, 0
 
 
 def cmd_verify(cfg: RunConfig):
@@ -261,18 +250,16 @@ def cmd_verify(cfg: RunConfig):
     for name, r in report.items():
         checks.append((name, r))
     all_pass = all(r < cfg.tol for _, r in checks)
-    if cfg.output_format == "csv":
-        header = ["name", "residual", "tol", "pass"]
-        rows = [[name, format(r, ".17g"), format(cfg.tol, ".17g"),
-                 str(r < cfg.tol).lower()] for name, r in checks]
-        return _csv_text(header, rows), 0 if all_pass else 1
     doc = {
-        "checks": [{"name": name, "residual": _fmt(r),
-                    "tol": _fmt(cfg.tol), "pass": r < cfg.tol}
+        "checks": [{"name": name, "residual": float(r),
+                    "tol": cfg.tol, "pass": r < cfg.tol}
                    for name, r in checks],
         "all_pass": all_pass,
     }
-    return json.dumps(doc), 0 if all_pass else 1
+    header = ["name", "residual", "tol", "pass"]
+    rows = [[name, r, cfg.tol, str(r < cfg.tol).lower()]
+            for name, r in checks]
+    return doc, header, rows, 0 if all_pass else 1
 
 
 _DISPATCH = {
@@ -298,18 +285,21 @@ def _error_exit(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        out, code = _DISPATCH[cfg.command](cfg)
+        doc, header, rows, code = _DISPATCH[cfg.command](cfg)
     except QMacdonaldError as exc:
         return _error_exit(exc)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _error_exit(DomainError(str(exc)))
-    sys.stdout.write(out)
-    if not out.endswith("\n"):
-        sys.stdout.write("\n")
+    if cfg.output_format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(c, ".17g") if isinstance(c, float) else c
+                          for c in row] for row in rows)
+    else:
+        print(json.dumps(doc))
     return code
 
 

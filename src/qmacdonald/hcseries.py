@@ -393,22 +393,18 @@ def integral_rep_fq_reference(lam, z1: complex, z2: complex,
 # JSON serialization
 
 
-def _fmt(x: float) -> float:
-    return float(format(float(x), ".17g"))
-
-
 def solution_to_dict(sol: HCSolution) -> dict:
     return {
         "n": sol.n,
-        "q": _fmt(sol.params.q),
-        "k": _fmt(sol.params.k),
-        "lambda": [[_fmt(c.real), _fmt(c.imag)] for c in sol.spectral.lam],
+        "q": float(sol.params.q),
+        "k": float(sol.params.k),
+        "lambda": [[float(c.real), float(c.imag)] for c in sol.spectral.lam],
         "w": list(sol.spectral.w),
         "N": sol.max_degree,
-        "prefactor_exponent": [[_fmt(c.real), _fmt(c.imag)]
+        "prefactor_exponent": [[float(c.real), float(c.imag)]
                                for c in sol.prefactor_exponent],
         "coeffs": [
-            {"p": list(p), "re": _fmt(a.real), "im": _fmt(a.imag)}
+            {"p": list(p), "re": float(a.real), "im": float(a.imag)}
             for p, a in sorted(sol.table.coeffs.items())
         ],
         "leading_coefficient_modeA": _opt_complex(sol.leading_coefficient_modeA),
@@ -417,7 +413,7 @@ def solution_to_dict(sol: HCSolution) -> dict:
 
 
 def _opt_complex(c):
-    return None if c is None else [_fmt(c.real), _fmt(c.imag)]
+    return None if c is None else [float(c.real), float(c.imag)]
 
 
 def solution_from_dict(doc: dict) -> HCSolution:

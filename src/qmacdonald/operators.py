@@ -11,6 +11,7 @@ D^(n-1)(q,t) to D^1 with inverted parameters.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import operator
 from dataclasses import dataclass
@@ -49,9 +50,11 @@ class SpectralData:
             raise DomainError("lambda must have length n >= 2")
         if sorted(self.w) != list(range(self.n)):
             raise DomainError(f"w must be a permutation of 0..{self.n - 1}")
+        object.__setattr__(self, "lam", _as_complex_vector(self.lam))
+        if not all(cmath.isfinite(c) for c in self.lam):
+            raise DomainError(f"lambda must be finite, got {self.lam}")
         if abs(sum(self.lam)) > 1e-12:
             raise DomainError("sum(lambda) must vanish")
-        object.__setattr__(self, "lam", _as_complex_vector(self.lam))
         object.__setattr__(self, "w", tuple(int(i) for i in self.w))
 
     @classmethod

@@ -226,35 +226,36 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float,
         F_q(a,b,c,z) = sum_n prod_{j<n} [(1-q^(a+j))(1-q^(b+j))]
                                         / [(1-q^(1+j))(1-q^(c+j))] z^n.
 
-    Terminating cases (q^a or q^b a nonpositive q-integer) are summed
-    exactly; otherwise |z| < 1 is required.
+    Terminating cases (q^a or q^b a nonpositive q-integer q^(-m)) are
+    summed exactly to their last term z^m; otherwise |z| < 1 is required.
+    A pole (q^c = q^(-j)) before the last term raises PoleError.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
-    terminates = (_is_nonpositive_qinteger(a, q) is not None
-                  or _is_nonpositive_qinteger(b, q) is not None)
-    if abs(z) >= 1.0 and not terminates:
+    ends = [m for m in (_is_nonpositive_qinteger(a, q),
+                        _is_nonpositive_qinteger(b, q)) if m is not None]
+    last = min(ends) if ends else None
+    if last is None and abs(z) >= 1.0:
         raise DomainError(f"series diverges for |z| >= 1 (z={z})")
+    pole = _is_nonpositive_qinteger(c, q)
+    if pole is not None and (last is None or pole < last):
+        raise PoleError("F_q pole: c + j hits a nonpositive integer",
+                        location=pole)
     qa = _cpow(q, a)
     qb = _cpow(q, b)
     qc = _cpow(q, c)
     qj = 1.0  # q^j
     term = complex(1.0)
     total = complex(1.0)
-    for j in range(_MAX_TERMS):
-        na = 1.0 - qa * qj
-        nb = 1.0 - qb * qj
-        if abs(na) < 1e-12 or abs(nb) < 1e-12:
-            return total  # terminated exactly
-        dc = 1.0 - qc * qj
-        if abs(dc) < 1e-12:
-            raise PoleError("F_q pole: c + j hits a nonpositive integer",
-                            location=j)
-        term *= na * nb / ((1.0 - q * qj) * dc) * z
+    for _ in range(_MAX_TERMS if last is None else last):
+        term *= ((1.0 - qa * qj) * (1.0 - qb * qj)
+                 / ((1.0 - q * qj) * (1.0 - qc * qj)) * z)
         total += term
         qj *= q
-        if abs(z) < 1.0 and abs(term) < eps * max(1.0, abs(total)):
+        if last is None and abs(term) < eps * max(1.0, abs(total)):
             return total
+    if last is not None:
+        return total
     raise ConvergenceError("F_q did not converge within the term cap")
 
 

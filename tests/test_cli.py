@@ -1,16 +1,39 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from qmacdonald.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+# stdout and exit code of every subcommand in JSON and CSV, of the error
+# exits and of config files, recorded before the field-table refactor
+GOLDEN = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_config(capsys, tmp_path, command, doc, *argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return run_cli(capsys, command, "--config", str(cfg), *argv)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_output(capsys, tmp_path, case):
+    argv = list(case["argv"])
+    if "config" in case:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(case["config"]))
+        argv[argv.index("{config}")] = str(cfg)
+    assert run_cli(capsys, *argv) == (case["code"], case["stdout"])
 
 
 class TestSolve:
@@ -138,3 +161,58 @@ class TestConfigAndErrors:
     def test_bad_lambda_rejected(self, capsys):
         code, out = run_cli(capsys, "solve", "--lambda", "0.3,abc")
         assert code == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"q": "0.5"}, {"i": "1"}, {"tol": "1e-6"}, {"lambda": "0.3,-0.3"},
+        {"points": [[1]]}, {"points": [[[1, 0, 0]]]}, {"w": [2.0, 1]},
+        {"N": True}, {"format": "xml"}, {"tol": 0}, {"q": 10 ** 400},
+        5, [1, 2], "verify",
+    ])
+    def test_bad_config_is_a_domain_error(self, capsys, tmp_path, doc):
+        code, out = run_config(capsys, tmp_path, "verify", doc)
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1e-6"),
+        ("--tol", "inf"), ("--format", "xml"), ("--q", "abc"),
+        ("--N", "2.5"), ("--i", "x"), ("--lambda", "inf,-inf"),
+        ("--lambda", "nan,0"), ("--points", "inf,1"),
+    ])
+    def test_bad_flag_is_a_domain_error(self, capsys, flag, value):
+        code, out = run_cli(capsys, "verify", f"{flag}={value}")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("command", ["solve", "macpoly", "connect"])
+    def test_non_finite_lambda_exit(self, capsys, command):
+        code, out = run_cli(capsys, command, "--lambda=inf,-inf")
+        assert code == 2
+        assert "finite" in json.loads(out)["error"]["message"]
+
+    def test_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mode", "A"])
+        assert exc.value.code == 2
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScripts:
+    def test_verification_sweep(self, capsys):
+        assert _script("verification_sweep").main([]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 12
+        assert all(line.startswith("[ok ]") for line in lines)
+
+    def test_solve_and_serialize(self, capsys, tmp_path):
+        out = tmp_path / "solution.json"
+        assert _script("solve_and_serialize").main(["--out", str(out)]) == 0
+        assert "JSON round trip ok" in capsys.readouterr().out
+        assert json.loads(out.read_text())["n"] == 3

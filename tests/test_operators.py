@@ -26,6 +26,13 @@ class TestSpectralData:
         with pytest.raises(DomainError):
             SpectralData.make((0.3, -0.2), p)
 
+    @pytest.mark.parametrize("lam", [(float("nan"), 0.1),
+                                     (float("inf"), float("-inf")),
+                                     (complex(0.1, float("nan")), -0.1)])
+    def test_non_finite_lambda(self, p, lam):
+        with pytest.raises(DomainError):
+            SpectralData.make(lam, p)
+
     def test_swap(self, p):
         s = SpectralData.make((0.3, -0.1, -0.2), p)
         s2 = s.swap(1)

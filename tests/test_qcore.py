@@ -163,6 +163,34 @@ class TestG1:
                / (brace(x ** (2 * r) * z) * brace(float(x) ** (2 * n) * z)))
         assert abs(g1(z, x, r, n) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("q", [0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("mode", list(XRMode))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_mpmath(self, q, mode, n):
+        # independent oracle at 30 digits: for |w| < 1,
+        # log (w; p1, p2)_inf = -sum_m w^m / (m (1 - p1^m)(1 - p2^m)),
+        # which agrees with the row product prod_i (w p1^i; p2)_inf
+        mp = pytest.importorskip("mpmath")
+        xr = XRParams.from_qparams(QParams(q=q, k=0.4), mode)
+        z = 0.3 + 0.2j
+
+        with mp.workdps(30):
+            x, r, zz = mp.mpf(xr.x), mp.mpf(xr.r), mp.mpc(z)
+            p1, p2 = x ** (2 * r), x ** (2 * n)
+
+            def brace(w):
+                log, m, wm = mp.mpc(0), 1, w
+                while abs(wm) > mp.mpf("1e-32"):
+                    log -= wm / (m * (1 - p1 ** m) * (1 - p2 ** m))
+                    m, wm = m + 1, wm * w
+                return mp.exp(log)
+
+            num1, num2, den1, den2 = (
+                brace(w * zz) for w in (x ** 2, x ** (2 * r + 2 * n - 2),
+                                        p1, p2))
+            ref = complex(num1 * num2 / (den1 * den2))
+        assert abs(g1(z, xr.x, xr.r, n) - ref) <= 1e-11 * abs(ref)
+
 
 class TestKernels:
     def test_at_zero(self, p):
@@ -224,6 +252,25 @@ class TestFq:
     def test_divergence_guard(self):
         with pytest.raises(DomainError):
             fq(0.3, 0.7, 1.2, 1.5, 0.5)
+
+    def test_near_terminating_sums_exactly(self):
+        # q^a within the pole tolerance of q^-2: the guard lets |z| >= 1
+        # through, and the series is summed to z^2 like the exact case
+        a, b, c, z, q = -2.0, 0.3, 0.7, 2.0, 0.5
+        t1 = (1 - q ** a) * (1 - q ** b) / ((1 - q) * (1 - q ** c)) * z
+        t2 = (t1 * (1 - q ** (a + 1)) * (1 - q ** (b + 1))
+              / ((1 - q ** 2) * (1 - q ** (c + 1))) * z)
+        exact = 1.0 + t1 + t2
+        assert abs(fq(a, b, c, z, q) - exact) <= 1e-13 * abs(exact)
+        assert abs(fq(a + 1e-10, b, c, z, q) - exact) <= 1e-9 * abs(exact)
+
+    def test_pole_before_the_last_term(self):
+        with pytest.raises(PoleError):
+            fq(0.3, 0.7, -1.0, 0.5, 0.5)
+        with pytest.raises(PoleError):
+            fq(-3.0, 0.7, -2.0 + 1e-11, 2.0, 0.5)
+        # the series ends at z^2 before c + j reaches 0 at j = 3
+        assert cmath.isfinite(fq(-2.0, 0.3, -3.0, 2.0, 0.5))
 
     def test_transformation_formula(self):
         # gauge transform of the series: F(k, d+k, d+1, q^(1-k) z)
