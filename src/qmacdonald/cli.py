@@ -101,7 +101,11 @@ _FIELDS = {
 
 
 def _default_point(n: int, q: float) -> tuple[complex, ...]:
-    return tuple(complex(q ** (-3 * i)) for i in range(n))
+    try:
+        return tuple(complex(q ** (-3 * i)) for i in range(n))
+    except OverflowError:
+        raise DomainError(f"q = {q} is too small for the default points; "
+                          "give --points") from None
 
 
 def _complex_doc(c: complex) -> dict:

@@ -17,11 +17,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PoleError, ResonanceError, ZoneError
+from .errors import (ConvergenceError, DomainError, PoleError,
+                     ResonanceError, ZoneError)
 from .operators import SpectralData
 from .qcore import (QParams, XRParams, _cpow, bracket_v, fq, g1, qgamma,
                     qpochhammer_inf, theta)
@@ -96,10 +98,32 @@ def _theta_vanishes(x: complex, base: float) -> bool:
     """Whether Theta_base(x) = 0, i.e. x lies on base^Z.
 
     Tests the argument, not |Theta|: near base = 1 every theta value is
-    below any fixed absolute tolerance.
+    below any fixed absolute tolerance.  ZoneError when x lies so far from
+    1 that base^-m leaves the floating-point range.
     """
     m = round(cmath.log(x).real / math.log(base))
-    return abs(1.0 - x * base ** -m) < _RESONANCE_TOL
+    try:
+        return abs(1.0 - x * base ** -m) < _RESONANCE_TOL
+    except OverflowError:
+        raise ZoneError(f"theta argument {x} is outside the floating-point "
+                        "range") from None
+
+
+class _ThetaTable(dict):
+    """Theta_q values keyed by their argument, each computed once.
+
+    One table serves one call of braid_matrix, braid_action or
+    verify_braid_relations, so an entry is the value qcore.theta gives
+    for that argument, bit for bit.
+    """
+
+    def __init__(self, q: float):
+        super().__init__()
+        self.q = q
+
+    def __missing__(self, x):
+        value = self[x] = theta(x, self.q)
+        return value
 
 
 def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
@@ -117,9 +141,19 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
 
     so the matrix takes nine distinct theta values: Theta(q^k),
     Theta(q^(+-d)), Theta(q^(+-d) u), Theta(q^k u), Theta(u) and
-    Theta(q^(k-+d)).  ResonanceError is raised when a denominator theta
-    vanishes.
+    Theta(q^(k-+d)).  They come from a table of theta values keyed by
+    their argument, one per call, so every entry is bit-identical to the
+    formula evaluated with qcore.theta.  ResonanceError is raised when a
+    denominator theta vanishes, ConvergenceError when one underflows near
+    q = 1, and ZoneError when a theta argument is too far from 1 for
+    floating point.
     """
+    return _braid_matrix(s, i, z, p, _ThetaTable(p.q))
+
+
+def _braid_matrix(s: SpectralData, i: int, z, p: QParams,
+                  th: _ThetaTable) -> ConnectionMatrix:
+    """braid_matrix with its theta values taken from the table th."""
     n = s.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"i must lie in 1..{n - 1}")
@@ -137,14 +171,16 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
                     ("Theta_q(q^d)", qmd)):
         if _theta_vanishes(x, q):
             raise ResonanceError(f"{name} vanishes: resonant parameters")
-    th_k, th_d, th_md = theta(qk, q), theta(qd, q), theta(qmd, q)
-    th_u, th_ku = theta(u, q), theta(qk * u, q)
+    th_k, th_d, th_md = th[qk], th[qd], th[qmd]
+    th_u, th_ku = th[u], th[qk * u]
+    if min(abs(th_d), abs(th_md), abs(th_ku)) < sys.float_info.min:
+        raise ConvergenceError("theta denominators underflow near q = 1")
     zeta_k = _cpow(zeta, k)
-    diag0 = th_k / th_d * theta(qd * u, q) / th_ku * _cpow(zeta, -d + k)
-    diag1 = th_k / th_md * theta(qmd * u, q) / th_ku * _cpow(zeta, d + k)
-    off0 = (_cpow(q, -k * d) * theta(_cpow(q, -d + k), q) / th_md
+    diag0 = th_k / th_d * th[qd * u] / th_ku * _cpow(zeta, -d + k)
+    diag1 = th_k / th_md * th[qmd * u] / th_ku * _cpow(zeta, d + k)
+    off0 = (_cpow(q, -k * d) * th[_cpow(q, -d + k)] / th_md
             * th_u / th_ku * zeta_k)
-    off1 = (_cpow(q, k * d) * theta(_cpow(q, d + k), q) / th_d
+    off1 = (_cpow(q, k * d) * th[_cpow(q, d + k)] / th_d
             * th_u / th_ku * zeta_k)
     return ConnectionMatrix(
         i=i, w=s.w, ratio=zeta,
@@ -154,7 +190,17 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
 
 def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
     """The full n!-dimensional continuation matrix for wall i, on the basis
-    of solutions ordered as in s_list (a list of SpectralData sharing lam)."""
+    of solutions ordered as in s_list (a list of SpectralData sharing lam).
+
+    Its 2x2 blocks share one table of theta values, so each distinct theta
+    argument is computed once and every entry equals braid_matrix's, bit
+    for bit."""
+    return _braid_action(s_list, i, z, p, _ThetaTable(p.q))
+
+
+def _braid_action(s_list, i: int, z, p: QParams,
+                  th: _ThetaTable) -> np.ndarray:
+    """braid_action with its theta values taken from the table th."""
     dim = len(s_list)
     index = {sd.w: j for j, sd in enumerate(s_list)}
     M = np.zeros((dim, dim), dtype=complex)
@@ -164,7 +210,7 @@ def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
             continue
         sd_swap = sd.swap(i - 1)
         j2 = index[sd_swap.w]
-        cm = braid_matrix(sd, i, z, p)
+        cm = _braid_matrix(sd, i, z, p, th)
         M[j, j] = cm.entries[0][0]
         M[j, j2] = cm.entries[0][1]
         M[j2, j] = cm.entries[1][0]
@@ -179,18 +225,22 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
     For n=3 assembles the 6x6 matrices for the two walls along both
     reduced words of the longest element and compares the products; for
     any n checks that crossing wall 1 forth and back is the identity.
-    Returns a report with the max deviations.
+    Returns a report with the max deviations.  All the braid_action
+    matrices share one table of theta values: the points differ only by
+    transpositions, so their theta arguments repeat, and each is computed
+    once with entries bit-identical to braid_action's.
     """
     n = s.n
     z = tuple(complex(c) for c in z)
     basis = [SpectralData(n=n, lam=s.lam, w=w, k=s.k)
              for w in itertools.permutations(range(n))]
     report = {}
+    th = _ThetaTable(p.q)
 
     # double crossing: continue across wall 1 and back
-    M1 = braid_action(basis, 1, z, p)
+    M1 = _braid_action(basis, 1, z, p, th)
     zs = _swap_point(z, 1)
-    M1_back = braid_action(basis, 1, zs, p)
+    M1_back = _braid_action(basis, 1, zs, p, th)
     dim = len(basis)
     report["double_crossing"] = float(
         np.max(np.abs(M1 @ M1_back - np.eye(dim))))
@@ -201,7 +251,7 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
             pt = z
             total = np.eye(dim, dtype=complex)
             for i in walls:
-                total = total @ braid_action(basis, i, pt, p)
+                total = total @ _braid_action(basis, i, pt, p, th)
                 pt = _swap_point(pt, i)
             return total, pt
 

@@ -9,6 +9,11 @@ length is computed from logs before its loop starts, so the term cap is
 checked without running to it, and (q;q)_inf is computed once per base q
 and shared by every theta and q-Gamma value in that base.
 
+A double product (z; p1, p2)_inf takes its row count and the factor
+count of its top row from logs too, and multiplies its factors with
+numpy in rectangular blocks of rows, each capped at _BLOCK factors
+(64 KB of complex128), so its memory stays bounded as q -> 1.
+
 Conventions: 0 < q < 1 throughout, complex powers use the principal
 branch, and theta functions always carry their base explicitly.
 """
@@ -22,18 +27,28 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError, PoleError
 
 DEFAULT_EPS = 1e-14
 _POLE_TOL = 1e-10
 _MAX_TERMS = 200_000
+_BLOCK = 4096  # factors per block of a double product: 64 KB of complex128
 
 
 def _cpow(base: complex, expo: complex) -> complex:
-    """Principal-branch power, with 0**0 = 1."""
+    """Principal-branch power, with 0**0 = 1.
+
+    DomainError when the power leaves the floating-point range.
+    """
     if base == 0:
         return 1.0 if expo == 0 else 0.0
-    return cmath.exp(expo * cmath.log(base))
+    try:
+        return cmath.exp(expo * cmath.log(base))
+    except OverflowError:
+        raise DomainError(f"{base:.6g}**{expo:.6g} overflows the "
+                          "floating-point range") from None
 
 
 @dataclass(frozen=True)
@@ -104,22 +119,30 @@ def qpochhammer_inf(z: complex, q: float, eps: float = DEFAULT_EPS) -> complex:
     """
     if not abs(q) < 1.0:
         raise DomainError(f"|q| must be < 1 for (z;q)_inf, got q={q}")
-    az = abs(z)
+    terms = _terms(abs(z), q, eps)
+    prod = complex(1.0)
+    zq = complex(z)
+    for _ in range(terms):
+        prod *= 1.0 - zq
+        zq *= q
+    return prod * cmath.exp(-zq / (1.0 - q))
+
+
+def _terms(az: float, q: float, eps: float) -> int:
+    """The number of factors with |z q^i| >= eps in (z;q)_inf, |z| = az.
+
+    ConvergenceError at the term cap, and for NaN or inf az.
+    """
     if az < eps:
         terms = 0
     elif q == 0:
         terms = 1
     else:
-        # NaN or inf z fail this comparison too
+        # NaN or inf az fail this comparison too
         terms = math.log(az / eps) / -math.log(abs(q)) + 1.0
     if not terms < _MAX_TERMS:
-        raise ConvergenceError("(z;q)_inf did not truncate within the term cap")
-    prod = complex(1.0)
-    zq = complex(z)
-    for _ in range(int(terms)):
-        prod *= 1.0 - zq
-        zq *= q
-    return prod * cmath.exp(-zq / (1.0 - q))
+        raise ConvergenceError("q-product did not truncate within the cap")
+    return int(terms)
 
 
 @functools.lru_cache(maxsize=64)
@@ -136,37 +159,80 @@ def qgamma(a: complex, q: float) -> complex:
     m = round(-a.real)
     if m >= 0 and abs(1.0 - _cpow(q, a + m)) < _POLE_TOL:
         raise PoleError(f"Gamma_q pole at a ~ {-m}", location=-m)
-    qa = _cpow(q, a)
-    return _qq_inf(q) * _cpow(1.0 - q, 1.0 - a) / qpochhammer_inf(qa, q)
+    den = qpochhammer_inf(_cpow(q, a), q)
+    if abs(den) < sys.float_info.min:
+        raise ConvergenceError("(q^a;q)_inf in Gamma_q underflows near q = 1")
+    return _qq_inf(q) * _cpow(1.0 - q, 1.0 - a) / den
 
 
 def theta(z: complex, q: float) -> complex:
-    """Theta_q(z) = (z;q)_inf (q/z;q)_inf (q;q)_inf."""
+    """Theta_q(z) = (z;q)_inf (q/z;q)_inf (q;q)_inf.
+
+    ConvergenceError when the product leaves the floating-point range,
+    as it does for |z| or |q/z| far above 1.
+    """
     if z == 0:
         raise DomainError("Theta_q is not defined at z = 0")
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
-    return qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q) * _qq_inf(q)
+    value = qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q) * _qq_inf(q)
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"Theta_q({z}) is not finite in floating point")
+    return value
 
 
 def double_pochhammer(z: complex, p1: float, p2: float,
                       eps: float = DEFAULT_EPS) -> complex:
     """(z; p1, p2)_inf = prod_{i1,i2>=0} (1 - p1^i1 p2^i2 z).
 
-    Row-peeled along i1: each row is a single-base Pochhammer in p2; the
-    discarded rows are estimated by the first-order tail.
+    Keeps the rows i1 with |z p1^i1| >= eps and, in each row, the
+    factors with |z p1^i1 p2^i2| >= eps; both counts come from logs up
+    front.  The rows are multiplied in numpy blocks of at most _BLOCK
+    factors (64 KB): a block is a rectangle of its rows times the factor
+    count of its top row, and a row longer than _BLOCK is split along
+    i2.  Each row is corrected by its first-order tail
+    exp(-z p1^i1 p2^width/(1-p2)) past its block's width, and the
+    discarded rows by the corner tail exp(-z p1^rows/((1-p1)(1-p2))).
+    ConvergenceError at the term cap, for NaN or inf z, and when the
+    product is not finite.
     """
+    return _double_products((z,), p1, p2, eps)[0]
+
+
+def _double_products(zs, p1: float, p2: float,
+                     eps: float = DEFAULT_EPS) -> list:
+    """(z; p1, p2)_inf for each z in zs, computed as in double_pochhammer."""
     if not (abs(p1) < 1.0 and abs(p2) < 1.0):
         raise DomainError("both bases must have modulus < 1")
-    prod = complex(1.0)
-    zrow = complex(z)
-    for _ in range(_MAX_TERMS):
-        if abs(zrow) < eps:
-            # remaining rows: exp(-sum_{rows} zrow p1^j / (1-p2))
-            return prod * cmath.exp(-zrow / ((1.0 - p1) * (1.0 - p2)))
-        prod *= qpochhammer_inf(zrow, p2, eps)
-        zrow *= p1
-    raise ConvergenceError("(z;p1,p2)_inf did not truncate within the cap")
+    out = []
+    for z in zs:
+        z = complex(z)
+        rows = _terms(abs(z), p1, eps)
+        prod = complex(1.0)
+        tail = 0j
+        i = 0
+        while i < rows:
+            width = _terms(abs(z * p1 ** i), p2, eps)
+            # width is 0 when rounding puts the last row just below eps
+            height = min(rows - i, max(1, _BLOCK // max(width, 1)))
+            zrows = z * np.power(p1, np.arange(i, i + height))
+            for j in range(0, width, _BLOCK):
+                # einsum writes the outer product without the buffered
+                # copies of its operands that broadcasting makes
+                grid = np.einsum("i,j->ij", zrows, np.power(
+                    p2, np.arange(j, min(width, j + _BLOCK))))
+                np.subtract(1.0, grid, out=grid)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    prod *= complex(grid.prod())
+            tail += complex(zrows.sum()) * p2 ** width / (1.0 - p2)
+            i += height
+        tail += z * p1 ** rows / ((1.0 - p1) * (1.0 - p2))
+        value = prod * cmath.exp(-tail)
+        if not cmath.isfinite(value):
+            raise ConvergenceError("(z;p1,p2)_inf is not finite in floating "
+                                   "point")
+        out.append(value)
+    return out
 
 
 def g1(z: complex, x: float, r: float, n: int) -> complex:
@@ -174,17 +240,18 @@ def g1(z: complex, x: float, r: float, n: int) -> complex:
 
     g_1(z) = {x^2 z}{x^(2r+2n-2) z} / ({x^(2r) z}{x^(2n) z}) with
     {w} = (w; x^(2r), x^(2n))_inf, taken as two ratios of double products
-    so that their product does not underflow.  Near q = 1 the double
-    products themselves leave the normal float range; ConvergenceError is
-    raised there.
+    so that their product does not underflow.  The four products come
+    from one call of the blocked numpy products behind double_pochhammer,
+    so memory stays within a few 64 KB blocks at any q.  Near q = 1 the
+    double products themselves leave the normal float range;
+    ConvergenceError is raised there.
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     p1 = x ** (2.0 * r)
     p2 = float(x) ** (2 * n)
-    num1, num2, den1, den2 = (
-        double_pochhammer(w * z, p1, p2)
-        for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2))
+    num1, num2, den1, den2 = _double_products(
+        [w * z for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2)], p1, p2)
     if min(abs(num1), abs(num2), abs(den1), abs(den2)) < sys.float_info.min:
         raise ConvergenceError("double products in g_1 underflow near q = 1")
     return (num1 / den1) * (num2 / den2)

@@ -190,6 +190,26 @@ class TestConfigAndErrors:
         assert code == 2
         assert "finite" in json.loads(out)["error"]["message"]
 
+    @pytest.mark.parametrize("argv, code, error", [
+        # a theta argument at the edge of the float range
+        (("connect", "--points=1e308,1"), 2, "ZoneError"),
+        # Theta_q(1/zeta) overflows
+        (("connect", "--points=1e200,1"), 4, "ConvergenceError"),
+        # q^(-1e300) overflows in the eigenvalue
+        (("solve", "--lambda=1e300,-1e300"), 2, "DomainError"),
+        (("verify", "--lambda=1e300,-1e300"), 2, "DomainError"),
+        # (q^a;q)_inf and the theta denominators underflow near q = 1
+        (("solve", "--q", "0.999"), 4, "ConvergenceError"),
+        (("connect", "--q", "0.999"), 4, "ConvergenceError"),
+        # the default points q^(-3i) overflow
+        (("connect", "--q", "1e-300"), 2, "DomainError"),
+        (("verify", "--q", "1e-300"), 2, "DomainError"),
+    ])
+    def test_float_range_errors_are_typed(self, capsys, argv, code, error):
+        got, out = run_cli(capsys, *argv)
+        assert got == code
+        assert json.loads(out)["error"]["type"] == error
+
     def test_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mode", "A"])

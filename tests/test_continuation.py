@@ -6,12 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
-from qmacdonald import (PoleError, QMacdonaldError, QParams, ResonanceError,
-                        SpectralData, XRMode, XRParams, ZoneError,
-                        boltzmann_exchange_matrix, boltzmann_w, braid_action,
-                        braid_matrix, bracket_v, evaluate, fq_connection, g1,
-                        leading_coefficient, solve_coefficients,
-                        verify_braid_relations)
+from qmacdonald import (ConvergenceError, PoleError, QMacdonaldError,
+                        QParams, ResonanceError, SpectralData, XRMode,
+                        XRParams, ZoneError, boltzmann_exchange_matrix,
+                        boltzmann_w, braid_action, braid_matrix, bracket_v,
+                        evaluate, fq_connection, g1, leading_coefficient,
+                        solve_coefficients, theta, verify_braid_relations)
+from qmacdonald.qcore import _cpow
 
 LAM3 = (0.31, -0.11, -0.20)
 
@@ -122,6 +123,22 @@ class TestBraidMatrix:
         with pytest.raises(ResonanceError):
             braid_matrix(s, 1, (p.q ** (p.k - 1.0), 1.0), p)
 
+    def test_huge_ratio_is_typed(self, p):
+        # q^k / zeta is subnormal: base^-m in the lattice test overflows
+        s = SpectralData.make((0.27, -0.27), p)
+        with pytest.raises(ZoneError):
+            braid_matrix(s, 1, (1e308, 1.0), p)
+        # Theta_q(1/zeta) and its partners overflow
+        with pytest.raises(ConvergenceError):
+            braid_matrix(s, 1, (1e200, 1.0), p)
+
+    def test_underflow_near_one_is_typed(self):
+        # every theta denominator underflows to 0 at q = 0.999
+        p = QParams(q=0.999, k=0.4)
+        s = SpectralData.make((0.27, -0.27), p)
+        with pytest.raises(ConvergenceError):
+            braid_matrix(s, 1, (1.3, 1.0), p)
+
     def test_integer_gap_rejected_near_one(self):
         # d = -1 puts q^d on the theta zero lattice; near q = 1 the test
         # must still tell this from the tiny values of every other theta
@@ -136,6 +153,100 @@ class TestBraidMatrix:
         M = braid_matrix(s, i, z, QParams(q=q, k=k)).as_array()
         ref = np.array(entries, dtype=complex)
         assert np.max(np.abs(M - ref) / np.abs(ref)) < 1e-13
+
+
+def nine_theta_entries(s, i, z, p):
+    """The nine-theta formula of braid_matrix's docstring, each theta
+    computed afresh with qcore.theta, in the same order of operations."""
+    zeta = complex(z[i - 1]) / complex(z[i])
+    d = s.eta[i] - s.eta[i - 1]
+    q, k = p.q, p.k
+    u = 1.0 / zeta
+    qk, qd, qmd = q ** k, _cpow(q, d), _cpow(q, -d)
+    th_k, th_d, th_md = theta(qk, q), theta(qd, q), theta(qmd, q)
+    th_u, th_ku = theta(u, q), theta(qk * u, q)
+    zeta_k = _cpow(zeta, k)
+    diag0 = th_k / th_d * theta(qd * u, q) / th_ku * _cpow(zeta, -d + k)
+    diag1 = th_k / th_md * theta(qmd * u, q) / th_ku * _cpow(zeta, d + k)
+    off0 = (_cpow(q, -k * d) * theta(_cpow(q, -d + k), q) / th_md
+            * th_u / th_ku * zeta_k)
+    off1 = (_cpow(q, k * d) * theta(_cpow(q, d + k), q) / th_d
+            * th_u / th_ku * zeta_k)
+    return np.array([[diag0, off0], [off1, diag1]])
+
+
+def nine_theta_action(basis, i, z, p):
+    index = {sd.w: j for j, sd in enumerate(basis)}
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for j, sd in enumerate(basis):
+        j2 = index[sd.swap(i - 1).w]
+        if j2 > j:
+            M[np.ix_((j, j2), (j, j2))] = nine_theta_entries(sd, i, z, p)
+    return M
+
+
+def bits(a):
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+class TestThetaTable:
+    """Sharing one theta table per call must not change a single bit."""
+
+    CASES = [
+        (LAM3, (1.0 * cmath.exp(0.1j), 2.0 * cmath.exp(0.05j),
+                4.0 * cmath.exp(0.15j))),
+        (LAM3, (1.0, 1.7, 2.9)),
+        ((0.31, 0.1, -0.11, -0.30), (1.0, 1.9 * cmath.exp(0.1j),
+                                     3.7 * cmath.exp(-0.05j), 7.1)),
+        ((0.31, 0.1, -0.11, -0.30), (0.8, 1.3, 2.2, 4.0)),
+    ]
+
+    @pytest.fixture(params=CASES, ids=["n3-complex", "n3-real", "n4-complex",
+                                       "n4-real"])
+    def case(self, request, p):
+        lam, z = request.param
+        n = len(lam)
+        basis = [SpectralData(n=n, lam=lam, w=w, k=p.k)
+                 for w in itertools.permutations(range(n))]
+        return basis, z, p
+
+    def test_braid_matrix_and_action(self, case):
+        basis, z, p = case
+        for i in range(1, basis[0].n):
+            for sd in basis:
+                assert (bits(braid_matrix(sd, i, z, p).entries)
+                        == bits(nine_theta_entries(sd, i, z, p)))
+            assert (bits(braid_action(basis, i, z, p))
+                    == bits(nine_theta_action(basis, i, z, p)))
+
+    def test_verify_braid_relations(self, case):
+        basis, z, p = case
+        n, dim = basis[0].n, len(basis)
+        swap = lambda pt, i: pt[:i - 1] + (pt[i], pt[i - 1]) + pt[i + 1:]
+        z = tuple(complex(c) for c in z)
+        M1 = nine_theta_action(basis, 1, z, p)
+        M1_back = nine_theta_action(basis, 1, swap(z, 1), p)
+        ref = {"double_crossing": float(
+            np.max(np.abs(M1 @ M1_back - np.eye(dim))))}
+        if n == 3:
+            ends = []
+            for walls in ([1, 2, 1], [2, 1, 2]):
+                pt, total = z, np.eye(dim, dtype=complex)
+                for i in walls:
+                    total = total @ nine_theta_action(basis, i, pt, p)
+                    pt = swap(pt, i)
+                ends.append(total)
+            A, B = ends
+            scale = max(np.max(np.abs(A)), np.max(np.abs(B)))
+            ref["braid_relation"] = float(np.max(np.abs(A - B)) / scale)
+        s = basis[0]
+        assert verify_braid_relations(s, p, z) == ref
+
+    def test_no_state_between_calls(self, case):
+        basis, z, p = case
+        before = bits(braid_matrix(basis[1], 1, z, p).entries)
+        verify_braid_relations(basis[0], p, z)
+        assert bits(braid_matrix(basis[1], 1, z, p).entries) == before
 
 
 class TestBraidRelations:

@@ -64,6 +64,12 @@ class TestEigenvalue:
                 tuple(e + r for e, r in zip(s.eta, s.rho)), 2, p))
         assert max(abs(v - vals[0]) for v in vals) < 1e-13 * abs(vals[0])
 
+    def test_overflow_is_a_domain_error(self, p):
+        # q^(-1e300) leaves the floating-point range
+        s = SpectralData.make((1e300, -1e300), p)
+        with pytest.raises(DomainError):
+            eigenvalue_c(s.lam_plus_rho, 1, p)
+
 
 class TestNumericApplication:
     def test_constant_function_m1(self, p):

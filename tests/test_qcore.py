@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,11 @@ class TestQGamma:
                 qgamma(-float(m), 0.5)
             assert err.value.location == -m
 
+    def test_underflow_near_one_is_typed(self):
+        # (q^a;q)_inf underflows to 0 at q = 0.999
+        with pytest.raises(ConvergenceError):
+            qgamma(0.3, 0.999)
+
 
 class TestTheta:
     def test_zero_at_one(self):
@@ -127,6 +133,12 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(0.0, 0.5)
 
+    @pytest.mark.parametrize("z", (1e30, 1e-30, 1e30j))
+    def test_overflow_is_typed(self, z):
+        # the product overflows to inf and nan far from |z| = 1
+        with pytest.raises(ConvergenceError):
+            theta(z, 0.5)
+
 
 class TestDoublePochhammer:
     def test_zero_argument(self):
@@ -147,10 +159,65 @@ class TestDoublePochhammer:
         rhs = qpochhammer_inf(z, p2) * double_pochhammer(p1 * z, p1, p2)
         assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
+    @pytest.mark.parametrize("p1, p2, radii", [
+        (0.5, 0.5, (0.3, 0.98)), (0.75, 0.75 ** 0.4, (0.3, 0.98)),
+        (0.9, 0.9 ** 0.8, (0.3, 0.98)), (0.95, 0.95, (0.3, 0.98)),
+        # rows of 30k factors, split along i2; (-0.98; 0.999)_inf overflows
+        (0.1, 0.999, (0.3,)),
+    ])
+    def test_against_mpmath(self, p1, p2, radii):
+        # 30-digit oracle: log (w; p1, p2)_inf
+        # = -sum_m w^m / (m (1 - p1^m)(1 - p2^m)) for |w| < 1
+        mp = pytest.importorskip("mpmath")
+        for z in (r * cmath.exp(1j * phi) for r in radii
+                  for phi in (0.0, 1.1, math.pi)):
+            with mp.workdps(30):
+                w, mp1, mp2 = mp.mpc(z), mp.mpf(p1), mp.mpf(p2)
+                log, m, wm, p1m, p2m = mp.mpc(0), 1, w, mp1, mp2
+                while abs(wm) > mp.mpf("1e-32"):
+                    log -= wm / (m * (1 - p1m) * (1 - p2m))
+                    m, wm, p1m, p2m = m + 1, wm * w, p1m * mp1, p2m * mp2
+                ref = complex(mp.exp(log))
+            got = double_pochhammer(z, p1, p2)
+            assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("z", (math.nan, math.inf, complex(1.0, math.inf),
+                                   complex(math.nan, 0.5)))
+    def test_non_finite_argument(self, z):
+        with pytest.raises(ConvergenceError):
+            double_pochhammer(z, 0.5, 0.3)
+        with pytest.raises(ConvergenceError):
+            g1(z, 0.9, 2.0, 2)
+
+    def test_overflow_is_typed(self):
+        # a finite product of factors up to 1e30 leaves the float range;
+        # no NumPy overflow warning may escape on the way
+        with pytest.raises(ConvergenceError):
+            double_pochhammer(1e30, 0.5, 0.5)
+
+    def test_rejects_large_base(self):
+        with pytest.raises(DomainError):
+            double_pochhammer(0.3, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            g1(0.3, 1.2, 2.0, 2)
+
 
 class TestG1:
     def test_value_at_zero(self):
         assert abs(g1(0.0, 0.9, 2.0, 2) - 1.0) < 1e-13
+
+    def test_memory_is_bounded_near_one(self):
+        # about 200k factors per double product at q = 0.95; the blocks
+        # of at most 4096 factors keep the peak near 260 KB
+        xr = XRParams.from_qparams(QParams(q=0.95, k=0.5), XRMode.A)
+        g1(0.3 + 0.2j, xr.x, xr.r, 2)  # warm up lazy numpy state
+        tracemalloc.start()
+        try:
+            g1(0.3 + 0.2j, xr.x, xr.r, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_against_direct_products(self):
         x, r, n, z = 0.9, 2.0, 2, 0.1
