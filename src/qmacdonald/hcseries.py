@@ -11,17 +11,22 @@ with den(P) = c - sum_i t^(i+1) q^nu_i(P), nu = eta + rho + kappa(P) and
 kappa_i(P) = P_i - P_(i-1).  Each total degree is one vectorized step over
 a dense array on the simplex |p| <= N whose rows are basis elements: they
 differ only in q^(eta+rho).  Higher-order equations are verified
-numerically, not imposed.  Also holds the closed-form leading
-coefficients, numeric evaluation with a geometric tail estimate, JSON
-round-tripping, and the residue-summation oracles for the contour integrals.
+numerically, not imposed.  Evaluation takes one table of powers per ratio
+per call and sums in table order, so it is bit for bit the term-by-term
+sum; the table is in multi_indices order, so the top two strata that set
+the geometric tail estimate are found by position.  Also holds the
+closed-form leading coefficients, JSON round-tripping, and the
+residue-summation oracles for the contour integrals.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,7 +61,13 @@ class PowerTable:
         return self.coeffs[tuple(p)]
 
     def __setitem__(self, p, v):
-        self.coeffs[tuple(p)] = complex(v)
+        # a new key would break the multi_indices order evaluate relies on
+        p = tuple(p)
+        if p not in self.coeffs:
+            raise DomainError(f"multi-index {p} is not in the table of "
+                              f"{self.n_vars} variables with |p| <= "
+                              f"{self.max_degree}")
+        self.coeffs[p] = complex(v)
 
 
 def multi_indices(n_vars: int, max_total: int):
@@ -131,33 +142,47 @@ def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
     keys = list(multi_indices(n - 1, N))
     M = len(keys)
     index = np.array(keys).reshape(M, n - 1)
-    q_kappa = q ** np.diff(index, axis=1, prepend=0, append=0)  # q^kappa(P)
-    q_epr = np.array([[_cpow(q, e) for e in s.eta_plus_rho] for s in rows])
-    # checked up front: the error names the first row, then the first P
-    den = c - sum(t ** (i + 1) * q_epr[:, i, None] * q_kappa[:, i]
-                  for i in range(n))
-    small = np.argwhere(np.abs(den[:, 1:]) < 1e-10 * abs(c))
-    if len(small):
-        P = keys[small[0][1] + 1]
-        raise NondegeneracyError(f"nondegeneracy violated at p={P}",
-                                 multi_index=P)
-    offsets, weights = _stencil(n, t)
-    # q^nu_i(P-d) = q^nu_i(P) q^-kappa_i(d): the d part joins G_i
-    weights[1:] *= q ** -np.diff(offsets, axis=1, prepend=0, append=0).T
-    column = np.full((N + 1,) * (n - 1), M)  # multi-index -> column of a
-    column[tuple(index.T)] = np.arange(M)
-    a = np.zeros((len(rows), M + 1), dtype=complex)  # column M stays 0
-    a[:, 0] = 1.0
-    for D in range(1, N + 1):
-        blk = slice(math.comb(D + n - 2, n - 1), math.comb(D + n - 1, n - 1))
-        src = index[blk] - offsets[offsets.sum(axis=1) <= D, None]
-        src = np.where((src >= 0).all(axis=2),  # src[d, P]: column of P - d
-                       column[tuple(np.maximum(src, 0).T)].T, M)
-        # y[0] = sum_d Delta_d a(P-d); y[i+1] sums G_{i,d} q^-kappa_i(d) a(P-d)
-        y = sum(w[:, None, None] * a[:, cols]
-                for cols, w in zip(src, weights.T))
-        a[:, blk] = (t * sum(q_epr[:, i, None] * q_kappa[blk, i] * y[i + 1]
-                             for i in range(n)) - c * y[0]) / den[:, blk]
+    # overflow and 0 * inf in extreme q are caught below as non-finite
+    # coefficients, not as NumPy warnings
+    with np.errstate(all="ignore"):
+        # q^kappa(P)
+        q_kappa = q ** np.diff(index, axis=1, prepend=0, append=0)
+        q_epr = np.array([[_cpow(q, e) for e in s.eta_plus_rho]
+                          for s in rows])
+        # checked up front: the error names the first row, then the first P
+        den = c - sum(t ** (i + 1) * q_epr[:, i, None] * q_kappa[:, i]
+                      for i in range(n))
+        small = np.argwhere(np.abs(den[:, 1:]) < 1e-10 * abs(c))
+        if len(small):
+            P = keys[small[0][1] + 1]
+            raise NondegeneracyError(f"nondegeneracy violated at p={P}",
+                                     multi_index=P)
+        offsets, weights = _stencil(n, t)
+        # q^nu_i(P-d) = q^nu_i(P) q^-kappa_i(d): the d part joins G_i
+        weights[1:] *= q ** -np.diff(offsets, axis=1, prepend=0, append=0).T
+        column = np.full((N + 1,) * (n - 1), M)  # multi-index -> column of a
+        column[tuple(index.T)] = np.arange(M)
+        a = np.zeros((len(rows), M + 1), dtype=complex)  # column M stays 0
+        a[:, 0] = 1.0
+        for D in range(1, N + 1):
+            blk = slice(math.comb(D + n - 2, n - 1),
+                        math.comb(D + n - 1, n - 1))
+            src = index[blk] - offsets[offsets.sum(axis=1) <= D, None]
+            # src[d, P]: column of P - d
+            src = np.where((src >= 0).all(axis=2),
+                           column[tuple(np.maximum(src, 0).T)].T, M)
+            # y[0] = sum_d Delta_d a(P-d);
+            # y[i+1] sums G_{i,d} q^-kappa_i(d) a(P-d)
+            y = sum(w[:, None, None] * a[:, cols]
+                    for cols, w in zip(src, weights.T))
+            a[:, blk] = (t * sum(q_epr[:, i, None] * q_kappa[blk, i]
+                                 * y[i + 1] for i in range(n))
+                         - c * y[0]) / den[:, blk]
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        raise ConvergenceError(
+            f"series coefficient at p={keys[bad[0][1]]} is not finite at "
+            f"q = {q}, w = {rows[bad[0][0]].w}")
 
     def lead(s, mode):
         try:
@@ -222,11 +247,22 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     zone guard when the coefficients decay fast enough for the series to
     converge slightly beyond |z_i/z_{i+1}| = 1 (checkable a posteriori
     through the tail estimate).
+
+    Each ratio r_i gets one table of powers r_i ** j, j <= N, per call.
+    Every monomial is a(p) * r_1^p_1 * r_2^p_2 * ..., multiplied left to
+    right, and the sums run in table order, so value and tail are bit for
+    bit those of a term-by-term loop.  The table is in multi_indices
+    order, so the strata |p| = N and N-1 that set the tail are its last
+    entries.  DomainError at z_i = 0, the branch point of the prefactor;
+    ConvergenceError when the value or the tail is not finite.
     """
     z = tuple(complex(c) for c in z)
     n = sol.n
     if len(z) != n:
         raise DomainError(f"point must have {n} coordinates")
+    if 0 in z:
+        raise DomainError("the prefactor z^(eta+rho) has its branch point "
+                          "at a zero coordinate")
     ratios = [z[i] / z[i + 1] for i in range(n - 1)]
     rho_max = max(abs(r) for r in ratios)
     if rho_max >= max_ratio:
@@ -235,23 +271,36 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     pref = complex(1.0)
     for zi, e in zip(z, sol.prefactor_exponent):
         pref *= _cpow(zi, e)
+    N = sol.max_degree
+    coeffs = sol.table.coeffs
+    # stratum |p| = D holds C(D+n-2, n-2) entries, in multi_indices order
+    mid = len(coeffs) - math.comb(N + n - 2, n - 2)
+    start = mid - math.comb(N + n - 3, n - 2) if N else mid
     total = complex(0.0)
     top = 0.0
     prev = 0.0
-    N = sol.max_degree
-    for p, a in sol.table.coeffs.items():
-        mono = a
-        for r, pl in zip(ratios, p):
-            mono *= r ** pl
-        total += mono
-        if sum(p) == N:
+    try:  # a power or abs() past the float range raises OverflowError
+        monos = list(coeffs.values())
+        for r, column in zip(ratios, zip(*coeffs)):
+            powers = [r ** j for j in range(N + 1)]
+            monos = list(map(operator.mul, monos,
+                             map(powers.__getitem__, column)))
+        for mono in monos:  # not sum(): it compensates floats from 3.12
+            total += mono
+        for mono in monos[mid:]:
             top += abs(mono)
-        elif sum(p) == N - 1:
+        for mono in monos[start:mid]:
             prev += abs(mono)
-    # geometric tail from the observed decay of the top two strata
-    s = min(0.95, top / prev) if prev > 0 and top < prev else min(0.95, rho_max)
-    tail = abs(pref) * top * s / (1.0 - s)
-    return EvalResult(value=pref * total, tail_estimate=tail)
+        # geometric tail from the observed decay of the top two strata
+        s = (min(0.95, top / prev) if prev > 0 and top < prev
+             else min(0.95, rho_max))
+        tail = abs(pref) * top * s / (1.0 - s)
+    except OverflowError:
+        tail = math.inf
+    value = pref * total
+    if not (cmath.isfinite(value) and math.isfinite(tail)):
+        raise ConvergenceError(f"the series at {z} is not finite")
+    return EvalResult(value=value, tail_estimate=tail)
 
 
 def eigen_residual(sol: HCSolution, m: int, z) -> float:

@@ -319,12 +319,23 @@ class LaurentPoly:
         return LaurentPoly(self.n, {e: a * c for e, c in self.terms.items()})
 
     def evaluate(self, z) -> complex:
+        """The value at z.  Each coordinate gets one table of the powers
+        z_i ** e for the exponents e that occur; every monomial is
+        c * z_1^e_1 * z_2^e_2 * ..., multiplied left to right, and the sum
+        runs in term order, so the value is bit for bit that of a term-by-
+        term loop.  DomainError for a zero coordinate with a negative
+        exponent."""
         z = _as_complex_vector(z)
+        monos = list(self.terms.values())
+        for zi, column in zip(z, zip(*self.terms)):
+            if zi == 0 and min(column) < 0:
+                raise DomainError("a zero coordinate carries a negative "
+                                  "exponent")
+            powers = {e: zi ** e for e in set(column)}
+            monos = list(map(operator.mul, monos,
+                             map(powers.__getitem__, column)))
         total = complex(0.0)
-        for e, c in self.terms.items():
-            mono = c
-            for zi, ei in zip(z, e):
-                mono *= zi ** ei
+        for mono in monos:  # not sum(): it compensates floats from 3.12
             total += mono
         return total
 

@@ -210,6 +210,25 @@ class TestConfigAndErrors:
         assert got == code
         assert json.loads(out)["error"]["type"] == error
 
+    @pytest.mark.parametrize("argv, code, error", [
+        # the coefficients overflow at q = 1e-300
+        (("solve", "--lambda=0.3,-0.3", "--q", "1e-300", "--N", "3"), 4,
+         "ConvergenceError"),
+        (("eval", "--lambda=0.3,-0.3", "--q", "1e-300",
+          "--points=1,1e301"), 4, "ConvergenceError"),
+        # the branch point of the prefactor
+        (("eval", "--points=1,0"), 2, "DomainError"),
+        (("eval", "--points=0,1"), 2, "DomainError"),
+        (("verify", "--points=0,1"), 2, "DomainError"),
+    ])
+    def test_series_errors_are_typed(self, capsys, argv, code, error):
+        assert main(list(argv)) == code
+        out, err = capsys.readouterr()
+        # strict JSON: no NaN, and no NumPy warning on stderr
+        doc = json.loads(out, parse_constant=pytest.fail)
+        assert doc["error"]["type"] == error
+        assert "Warning" not in err
+
     def test_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mode", "A"])

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
-                        QParams, SpectralData, ZoneError, eigen_residual,
-                        evaluate, fq, integral_rep_fq, leading_coefficient,
-                        qgamma, residue_integral_prop6, solution_from_json,
-                        solution_to_json, solve_basis, solve_coefficients)
-from qmacdonald.hcseries import (integral_rep_fq_reference,
+                        PowerTable, QParams, SpectralData, ZoneError,
+                        eigen_residual, evaluate, fq, integral_rep_fq,
+                        leading_coefficient, qgamma, residue_integral_prop6,
+                        solution_from_json, solution_to_json, solve_basis,
+                        solve_coefficients)
+from qmacdonald.hcseries import (default_depth, solution_from_dict,
+                                 solution_to_dict, integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
+from qmacdonald.qcore import _cpow
 
 LAM2 = (0.27, -0.27)
 LAM3 = (0.31, -0.11, -0.20)
@@ -184,6 +187,137 @@ class TestEvaluation:
         r_lo = evaluate(lo, z)
         r_hi = evaluate(hi, z)
         assert abs(r_lo.value - r_hi.value) <= 10 * r_lo.tail_estimate
+
+
+
+def _evaluate_by_terms(sol, z, max_ratio=1.0):
+    """The term-by-term loop that evaluate's power tables replaced, kept
+    as the oracle the tables must match bit for bit."""
+    z = tuple(complex(c) for c in z)
+    n = sol.n
+    ratios = [z[i] / z[i + 1] for i in range(n - 1)]
+    rho_max = max(abs(r) for r in ratios)
+    assert rho_max < max_ratio
+    pref = complex(1.0)
+    for zi, e in zip(z, sol.prefactor_exponent):
+        pref *= _cpow(zi, e)
+    total = complex(0.0)
+    top = 0.0
+    prev = 0.0
+    N = sol.max_degree
+    for p, a in sol.table.coeffs.items():
+        mono = a
+        for r, pl in zip(ratios, p):
+            mono *= r ** pl
+        total += mono
+        if sum(p) == N:
+            top += abs(mono)
+        elif sum(p) == N - 1:
+            prev += abs(mono)
+    s = min(0.95, top / prev) if prev > 0 and top < prev else min(0.95, rho_max)
+    tail = abs(pref) * top * s / (1.0 - s)
+    return pref * total, tail
+
+
+def _zone_point(rng, n, largest):
+    """A complex point whose ratios z_i/z_(i+1) have moduli in
+    [0.2, largest], the last one equal to largest."""
+    mods = list(rng.uniform(0.2, largest, n - 1))
+    mods[-1] = largest
+    z = [complex(1.3, 0.4)]
+    for m in reversed(mods):
+        z.insert(0, z[0] * m * np.exp(1j * rng.uniform(-3, 3)))
+    return tuple(z)
+
+
+BIT_CASES = [(LAM2, (1, 0)), (LAM3, (2, 0, 1)),
+             ((0.31 + 0.05j, -0.05, -0.12 - 0.05j, -0.14), (1, 3, 0, 2)),
+             (LAM5, (4, 0, 3, 1, 2))]
+
+
+class TestEvaluationBits:
+    @pytest.mark.parametrize("lam,w", BIT_CASES,
+                             ids=[f"n{len(w)}" for _, w in BIT_CASES])
+    @pytest.mark.parametrize("depth", ["zero", "one", "typical"])
+    def test_equals_term_loop(self, p, rng, lam, w, depth):
+        n = len(lam)
+        N = {"zero": 0, "one": 1, "typical": default_depth(n)}[depth]
+        sol = solve_coefficients(SpectralData.make(lam, p, w=w), p, N=N)
+        for largest, max_ratio in [(0.35, 1.0), (0.8, 1.0), (0.95, 1.0),
+                                   (1.1, 1.2), (1.19, 1.2)]:
+            z = _zone_point(rng, n, largest)
+            assert tuple(evaluate(sol, z, max_ratio=max_ratio)) == \
+                _evaluate_by_terms(sol, z, max_ratio=max_ratio), z
+
+    def test_equals_term_loop_on_a_loaded_table(self, p):
+        # a table read back from JSON, with hand-set entries in both strata
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=5)
+        doc = solution_to_dict(sol)
+        back = solution_from_dict(doc)
+        back.table[(5, 0)] = 3.0 - 2.0j
+        back.table[(2, 2)] = -1.5e3
+        z = (0.4 + 0.3j, 1.0, 1.1 - 0.2j)
+        assert tuple(evaluate(back, z)) == _evaluate_by_terms(back, z)
+
+
+class TestEvaluationErrors:
+    @pytest.mark.parametrize("z", [(1.0, 0.0), (0.0, 1.0), (0j, 0j)])
+    def test_zero_coordinate(self, p, z):
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
+        with pytest.raises(DomainError):
+            evaluate(sol, z)
+
+    def test_zero_coordinate_in_eigen_residual(self, p):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
+        with pytest.raises(DomainError):
+            eigen_residual(sol, 1, (0.0, 1.0, 4.0))
+
+    @pytest.mark.parametrize("solve", [
+        lambda lam, p: solve_coefficients(SpectralData.make(lam, p), p, N=3),
+        lambda lam, p: solve_basis(lam, p, N=3)])
+    def test_non_finite_coefficients(self, solve):
+        # q^-kappa overflows and meets zeros in the recursion; RuntimeWarning
+        # is an error in this suite, so none may escape either
+        with pytest.raises(ConvergenceError):
+            solve(LAM2, QParams(q=1e-300, k=0.4))
+
+    def _sol(self, p, entries):
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=2)
+        for P, a in entries.items():
+            sol.table[P] = a
+        return sol
+
+    @pytest.mark.parametrize("entries,z,max_ratio", [
+        # a NaN coefficient
+        ({(1,): complex("nan")}, (0.5, 1.0), 1.0),
+        # the value overflows
+        ({(0,): 1e308, (1,): 1e308, (2,): 1e308}, (0.99, 1.0), 1.0),
+        # abs() of a top-stratum monomial overflows
+        ({(2,): complex(1.5e308, 1.5e308)}, (0.999, 1.0), 1.0),
+        # r ** 2 overflows under a loose zone guard
+        ({}, (1e200, 1.0), 1e300),
+    ])
+    def test_non_finite_series(self, p, entries, z, max_ratio):
+        with pytest.raises(ConvergenceError):
+            evaluate(self._sol(p, entries), z, max_ratio=max_ratio)
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("n_vars,N,key", [
+        (1, 3, (7,)), (2, 2, (1,)), (2, 2, (1, 2)), (2, 2, (-1, 1)),
+        (2, 2, (0, 0, 0))])
+    def test_rejects_keys_outside(self, n_vars, N, key):
+        table = PowerTable(n_vars, N)
+        with pytest.raises(DomainError):
+            table[key] = 5
+        assert len(table.coeffs) == len(PowerTable(n_vars, N).coeffs)
+
+    def test_from_dict_rejects_bad_index(self, p):
+        doc = solution_to_dict(
+            solve_coefficients(SpectralData.make(LAM2, p), p, N=3))
+        doc["coeffs"].append({"p": [7], "re": 1.0, "im": 0.0})
+        with pytest.raises(DomainError):
+            solution_from_dict(doc)
 
 
 class TestEigenEquations:

@@ -202,6 +202,42 @@ class TestPolynomialApplication:
             assert img.max_abs_diff(ref) < 1e-14 * scale
 
 
+
+def _evaluate_by_terms(poly, z):
+    """The term-by-term loop that LaurentPoly.evaluate's power tables
+    replaced, kept as the oracle they must match bit for bit."""
+    z = tuple(complex(c) for c in z)
+    total = complex(0.0)
+    for e, c in poly.terms.items():
+        mono = c
+        for zi, ei in zip(z, e):
+            mono *= zi ** ei
+        total += mono
+    return total
+
+
+class TestLaurentEvaluation:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equals_term_loop(self, rng, n):
+        for _ in range(10):
+            poly = LaurentPoly(n)
+            for _ in range(int(rng.integers(1, 60))):
+                e = tuple(int(x) for x in rng.integers(-3, 7, n))
+                poly[e] = complex(*rng.normal(size=2))
+            z = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert poly.evaluate(z) == _evaluate_by_terms(poly, z)
+
+    def test_empty(self):
+        assert LaurentPoly(3).evaluate((1.0, 2.0, 3.0)) == 0j
+
+    def test_zero_coordinate(self):
+        P = LaurentPoly(2, {(2, 0): 1.5, (1, 1): -2.0, (0, 3): 0.5j})
+        assert P.evaluate((0.0, 2.0)) == _evaluate_by_terms(P, (0.0, 2.0))
+        P[(-1, 2)] = 1.0
+        with pytest.raises(DomainError):
+            P.evaluate((0.0, 2.0))
+
+
 class TestSymmetryCheck:
     TOL = 1e-9
 
