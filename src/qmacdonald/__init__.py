@@ -17,7 +17,7 @@ from .operators import (LaurentPoly, SpectralData, dominance_ideal,
                         dominance_leq, duality_check, eigenvalue_c,
                         macdonald_apply_numeric, macdonald_apply_poly,
                         monomial_symmetric, staircase)
-from .hcseries import (HCSolution, PowerTable, eigen_residual, evaluate,
+from .hcseries import (HCSolution, eigen_residual, evaluate,
                        integral_rep_fq, leading_coefficient,
                        residue_integral_prop6, solve_basis,
                        solve_coefficients, solution_from_json,
@@ -41,7 +41,7 @@ __all__ = [
     "SpectralData", "LaurentPoly", "staircase", "eigenvalue_c",
     "macdonald_apply_numeric", "macdonald_apply_poly", "duality_check",
     "monomial_symmetric", "dominance_leq", "dominance_ideal",
-    "PowerTable", "HCSolution", "solve_coefficients", "solve_basis",
+    "HCSolution", "solve_coefficients", "solve_basis",
     "leading_coefficient",
     "evaluate", "eigen_residual", "residue_integral_prop6",
     "integral_rep_fq", "solution_to_json", "solution_from_json",

@@ -11,17 +11,21 @@ with den(P) = c - sum_i t^(i+1) q^nu_i(P), nu = eta + rho + kappa(P) and
 kappa_i(P) = P_i - P_(i-1).  Each total degree is one vectorized step over
 a dense array on the simplex |p| <= N whose rows are basis elements: they
 differ only in q^(eta+rho).  Higher-order equations are verified
-numerically, not imposed.  Evaluation takes one table of powers per ratio
-per call and sums in table order, so it is bit for bit the term-by-term
-sum; the table is in multi_indices order, so the top two strata that set
-the geometric tail estimate are found by position.  Also holds the
-closed-form leading coefficients, JSON round-tripping, and the
-residue-summation oracles for the contour integrals.
+numerically, not imposed.  A solution holds its coefficients as one
+tuple in multi_indices order, so position j is the j-th multi-index and
+nothing else knows the key layout.  Evaluation takes one table of powers
+per ratio per call, indexes it by the cached exponent columns of that
+order, and sums in that order, so it is bit for bit the term-by-term sum;
+the top two strata that set the geometric tail estimate are the last
+entries.  Also holds the closed-form leading coefficients, JSON
+round-tripping, and the residue-summation oracles for the contour
+integrals.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -46,30 +50,6 @@ def default_depth(n: int) -> int:
     return DEFAULT_DEPTH.get(n, 8)
 
 
-class PowerTable:
-    """Dense table of series coefficients indexed by p in Z_+^(n-1), |p| <= N."""
-
-    __slots__ = ("n_vars", "max_degree", "coeffs")
-
-    def __init__(self, n_vars: int, max_degree: int):
-        self.n_vars = n_vars
-        self.max_degree = max_degree
-        self.coeffs: dict[tuple[int, ...], complex] = {
-            p: 0.0 for p in multi_indices(n_vars, max_degree)}
-
-    def __getitem__(self, p):
-        return self.coeffs[tuple(p)]
-
-    def __setitem__(self, p, v):
-        # a new key would break the multi_indices order evaluate relies on
-        p = tuple(p)
-        if p not in self.coeffs:
-            raise DomainError(f"multi-index {p} is not in the table of "
-                              f"{self.n_vars} variables with |p| <= "
-                              f"{self.max_degree}")
-        self.coeffs[p] = complex(v)
-
-
 def multi_indices(n_vars: int, max_total: int):
     """All p in Z_+^(n_vars) with |p| <= max_total, by increasing |p|."""
     for total in range(max_total + 1):
@@ -84,23 +64,45 @@ def multi_indices(n_vars: int, max_total: int):
             yield tuple(p)
 
 
-@dataclass
+@functools.lru_cache(maxsize=64)
+def _columns(n_vars: int, max_total: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent columns of multi_indices(n_vars, max_total): column i
+    holds p_i of every multi-index, in table order."""
+    return tuple(zip(*multi_indices(n_vars, max_total)))
+
+
+def _check_depth(N) -> int:
+    if not isinstance(N, numbers.Integral) or N < 0:
+        raise DomainError(f"N must be a non-negative integer, got {N!r}")
+    return int(N)
+
+
+@dataclass(frozen=True)
 class HCSolution:
-    """A Harish Chandra solution: prefactor exponent, coefficient table, params."""
+    """A Harish Chandra solution: spectral data, params, the depth N and
+    the coefficients a(p), |p| <= N, as one tuple whose position j holds
+    a(p) for the j-th p of multi_indices(n-1, N).  DomainError when the
+    tuple does not have that table's C(N+n-1, n-1) entries; frozen, so
+    the check holds for the object's lifetime (dataclasses.replace makes
+    a checked copy)."""
 
     spectral: SpectralData
     params: QParams
-    table: PowerTable
+    max_degree: int
+    coeffs: tuple[complex, ...]
     leading_coefficient_modeA: complex
     leading_coefficient_modeB: complex
+
+    def __post_init__(self):
+        size = math.comb(self.max_degree + self.n - 1, self.n - 1)
+        if len(self.coeffs) != size:
+            raise DomainError(
+                f"{len(self.coeffs)} coefficients for a table of {size} "
+                f"(n = {self.n}, N = {self.max_degree})")
 
     @property
     def n(self) -> int:
         return self.spectral.n
-
-    @property
-    def max_degree(self) -> int:
-        return self.table.max_degree
 
     @property
     def prefactor_exponent(self) -> tuple[complex, ...]:
@@ -134,10 +136,7 @@ def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
     one coefficient array.  Only elementwise operations mix values, so a
     row does not depend on the rows solved with it."""
     n, q, t = rows[0].n, p.q, p.t
-    N = default_depth(n) if N is None else N
-    if not isinstance(N, numbers.Integral) or N < 0:
-        raise DomainError(f"N must be a non-negative integer, got {N!r}")
-    N = int(N)
+    N = _check_depth(default_depth(n) if N is None else N)
     c = eigenvalue_c(rows[0].lam_plus_rho, 1, p)
     keys = list(multi_indices(n - 1, N))
     M = len(keys)
@@ -190,12 +189,8 @@ def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
         except PoleError:  # non-generic lambda; the series is still defined
             return None
 
-    out = []
-    for s, coeffs in zip(rows, a[:, :M].tolist()):
-        table = PowerTable(n - 1, N)
-        table.coeffs.update(zip(keys, coeffs))
-        out.append(HCSolution(s, p, table, *(lead(s, m) for m in XRMode)))
-    return out
+    return [HCSolution(s, p, N, tuple(row), *(lead(s, m) for m in XRMode))
+            for s, row in zip(rows, a[:, :M].tolist())]
 
 
 def solve_coefficients(s: SpectralData, p: QParams, N: int | None = None
@@ -248,13 +243,14 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     converge slightly beyond |z_i/z_{i+1}| = 1 (checkable a posteriori
     through the tail estimate).
 
-    Each ratio r_i gets one table of powers r_i ** j, j <= N, per call.
+    Each ratio r_i gets one table of powers r_i ** j, j <= N, per call,
+    read through the cached exponent column p_i of multi_indices order.
     Every monomial is a(p) * r_1^p_1 * r_2^p_2 * ..., multiplied left to
-    right, and the sums run in table order, so value and tail are bit for
-    bit those of a term-by-term loop.  The table is in multi_indices
-    order, so the strata |p| = N and N-1 that set the tail are its last
-    entries.  DomainError at z_i = 0, the branch point of the prefactor;
-    ConvergenceError when the value or the tail is not finite.
+    right, and the sums run in coefficient order, so value and tail are
+    bit for bit those of a term-by-term loop.  The strata |p| = N and N-1
+    that set the tail are the last entries.  DomainError at z_i = 0, the
+    branch point of the prefactor; ConvergenceError when the value or the
+    tail is not finite.
     """
     z = tuple(complex(c) for c in z)
     n = sol.n
@@ -272,16 +268,15 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     for zi, e in zip(z, sol.prefactor_exponent):
         pref *= _cpow(zi, e)
     N = sol.max_degree
-    coeffs = sol.table.coeffs
+    monos = sol.coeffs
     # stratum |p| = D holds C(D+n-2, n-2) entries, in multi_indices order
-    mid = len(coeffs) - math.comb(N + n - 2, n - 2)
+    mid = len(monos) - math.comb(N + n - 2, n - 2)
     start = mid - math.comb(N + n - 3, n - 2) if N else mid
     total = complex(0.0)
     top = 0.0
     prev = 0.0
     try:  # a power or abs() past the float range raises OverflowError
-        monos = list(coeffs.values())
-        for r, column in zip(ratios, zip(*coeffs)):
+        for r, column in zip(ratios, _columns(n - 1, N)):
             powers = [r ** j for j in range(N + 1)]
             monos = list(map(operator.mul, monos,
                              map(powers.__getitem__, column)))
@@ -304,10 +299,14 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
 
 
 def eigen_residual(sol: HCSolution, m: int, z) -> float:
-    """|D^m phi - c^m phi| / |c^m phi| with phi the truncated series."""
+    """|D^m phi - c^m phi| / |c^m phi| with phi the truncated series.
+    DomainError when c^m phi(z) = 0, where the ratio is undefined."""
     phi = lambda zz: evaluate(sol, zz).value
     c = eigenvalue_c(sol.spectral.lam_plus_rho, m, sol.params)
     ref = c * phi(tuple(z))
+    if ref == 0:
+        raise DomainError(f"c^m phi vanishes at {tuple(z)}, so the relative "
+                          f"residual is undefined")
     lhs = macdonald_apply_numeric(phi, m, tuple(z), sol.params)
     return abs(lhs - ref) / abs(ref)
 
@@ -454,7 +453,8 @@ def solution_to_dict(sol: HCSolution) -> dict:
                                for c in sol.prefactor_exponent],
         "coeffs": [
             {"p": list(p), "re": float(a.real), "im": float(a.imag)}
-            for p, a in sorted(sol.table.coeffs.items())
+            for p, a in sorted(zip(multi_indices(sol.n - 1, sol.max_degree),
+                                   sol.coeffs))
         ],
         "leading_coefficient_modeA": _opt_complex(sol.leading_coefficient_modeA),
         "leading_coefficient_modeB": _opt_complex(sol.leading_coefficient_modeB),
@@ -466,17 +466,38 @@ def _opt_complex(c):
 
 
 def solution_from_dict(doc: dict) -> HCSolution:
-    p = QParams(q=doc["q"], k=doc["k"])
-    lam = tuple(complex(re, im) for re, im in doc["lambda"])
-    s = SpectralData(n=doc["n"], lam=lam, w=tuple(doc["w"]), k=p.k)
-    table = PowerTable(doc["n"] - 1, doc["N"])
-    for entry in doc["coeffs"]:
-        table[tuple(entry["p"])] = complex(entry["re"], entry["im"])
-    la = doc["leading_coefficient_modeA"]
-    la = None if la is None else complex(*la)
-    lb = doc["leading_coefficient_modeB"]
-    lb = None if lb is None else complex(*lb)
-    return HCSolution(spectral=s, params=p, table=table,
+    """The solution a solution_to_dict document describes.  Each entry of
+    "coeffs" goes to the position of its "p" in multi_indices order, and
+    every p of the table must occur exactly once.  DomainError for a
+    missing key, a value of the wrong type, or a "p" that is missing,
+    repeated or outside the table."""
+    try:
+        p = QParams(q=doc["q"], k=doc["k"])
+        lam = tuple(complex(re, im) for re, im in doc["lambda"])
+        s = SpectralData(n=doc["n"], lam=lam, w=tuple(doc["w"]), k=p.k)
+        N = _check_depth(doc["N"])
+        position = {key: j for j, key in enumerate(multi_indices(s.n - 1, N))}
+        coeffs = [None] * len(position)
+        for entry in doc["coeffs"]:
+            key = tuple(entry["p"])
+            j = position.get(key)
+            if j is None:
+                raise DomainError(f"multi-index {key} is not in the table of "
+                                  f"{s.n - 1} variables with |p| <= {N}")
+            if coeffs[j] is not None:
+                raise DomainError(f"multi-index {key} occurs twice")
+            coeffs[j] = complex(entry["re"], entry["im"])
+        la = doc["leading_coefficient_modeA"]
+        la = None if la is None else complex(*la)
+        lb = doc["leading_coefficient_modeB"]
+        lb = None if lb is None else complex(*lb)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed solution document: {exc!r}") from exc
+    missing = [key for key, j in position.items() if coeffs[j] is None]
+    if missing:
+        raise DomainError(f"{len(missing)} multi-indices have no coefficient, "
+                          f"the first {missing[0]}")
+    return HCSolution(spectral=s, params=p, max_degree=N, coeffs=tuple(coeffs),
                       leading_coefficient_modeA=la,
                       leading_coefficient_modeB=lb)
 

@@ -95,6 +95,6 @@ def degeneration_check(m: int, p: QParams) -> float:
     s = SpectralData.make(lam, p)
     sol = solve_coefficients(s, p, N=m)
     poly = LaurentPoly(2)
-    for (j,), a in sol.table.coeffs.items():
+    for j, a in enumerate(sol.coeffs):  # position j holds p = (j,) at n = 2
         poly[(j, m - j)] = a
     return poly.max_abs_diff(macdonald_a1(m, p))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularConfigurationError
+from .errors import ConvergenceError, DomainError, SingularConfigurationError
 from .qcore import QParams, _cpow, kernel_s, qpochhammer_inf
 
 _COINCIDENCE_TOL = 1e-10
@@ -201,6 +201,12 @@ def kernel_intertwiner_residual(z, y, p: QParams) -> float:
     return abs(lhs - rhs) / abs(lhs)
 
 
+def _weight(v, i: int, tt) -> complex:
+    """prod_{j != i} (tt v_i - v_j)/(v_i - v_j)."""
+    return _prod((tt * v[i] - v[j]) / (v[i] - v[j])
+                 for j in range(len(v)) if j != i)
+
+
 def conjugation_identity_residual(y, p: QParams, f=None) -> float:
     """Relative residual of the symmetric-kernel conjugation identity
 
@@ -229,16 +235,12 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
                            * qpochhammer_inf(t * v, q, p.eps)))
         return out
 
-    def weight(yy, i, tt):
-        return _prod((tt * yy[i] - yy[j]) / (yy[i] - yy[j])
-                     for j in range(n) if j != i)
-
     lhs = complex(0.0)
     rhs = complex(0.0)
     for i in range(n):
         ys = _qshift(y, i, q)
-        lhs += weight(ys, i, 1.0 / t) * delta(ys) * f(ys)
-        rhs += weight(y, i, t) * f(ys)
+        lhs += _weight(ys, i, 1.0 / t) * delta(ys) * f(ys)
+        rhs += _weight(y, i, t) * f(ys)
     rhs *= delta(y) * t ** (1 - n)
     return abs(lhs - rhs) / abs(lhs)
 
@@ -269,16 +271,12 @@ def gauge_transform_residual(z, p: QParams, f=None) -> float:
                         / qpochhammer_inf(q ** (1.0 - k) * u, q, p.eps))
         return out
 
-    def weight(zz, i, tt):
-        return _prod((tt * zz[i] - zz[j]) / (zz[i] - zz[j])
-                     for j in range(n) if j != i)
-
     lhs = complex(0.0)
     rhs = complex(0.0)
     for i in range(n):
         zs = _qshift(z, i, q)
-        lhs += weight(z, i, t) * gauge(zs) * f(zs)
-        rhs += weight(z, i, q / t) * f(zs)
+        lhs += _weight(z, i, t) * gauge(zs) * f(zs)
+        rhs += _weight(z, i, q / t) * f(zs)
     rhs *= gauge(z)
     return abs(lhs - rhs) / abs(lhs)
 
@@ -324,19 +322,25 @@ class LaurentPoly:
         c * z_1^e_1 * z_2^e_2 * ..., multiplied left to right, and the sum
         runs in term order, so the value is bit for bit that of a term-by-
         term loop.  DomainError for a zero coordinate with a negative
-        exponent."""
+        exponent; ConvergenceError when the value is not finite."""
         z = _as_complex_vector(z)
         monos = list(self.terms.values())
         for zi, column in zip(z, zip(*self.terms)):
             if zi == 0 and min(column) < 0:
                 raise DomainError("a zero coordinate carries a negative "
                                   "exponent")
-            powers = {e: zi ** e for e in set(column)}
+            try:  # a power past the float range raises OverflowError
+                powers = {e: zi ** e for e in set(column)}
+            except OverflowError:
+                raise ConvergenceError(
+                    f"the polynomial at {z} is not finite") from None
             monos = list(map(operator.mul, monos,
                              map(powers.__getitem__, column)))
         total = complex(0.0)
         for mono in monos:  # not sum(): it compensates floats from 3.12
             total += mono
+        if not cmath.isfinite(total):
+            raise ConvergenceError(f"the polynomial at {z} is not finite")
         return total
 
     def is_symmetric(self, tol: float = 1e-9) -> bool:

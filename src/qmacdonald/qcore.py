@@ -156,8 +156,8 @@ def qgamma(a: complex, q: float) -> complex:
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
     a = complex(a)
-    m = round(-a.real)
-    if m >= 0 and abs(1.0 - _cpow(q, a + m)) < _POLE_TOL:
+    m = _is_nonpositive_qinteger(a, q)
+    if m is not None:
         raise PoleError(f"Gamma_q pole at a ~ {-m}", location=-m)
     den = qpochhammer_inf(_cpow(q, a), q)
     if abs(den) < sys.float_info.min:

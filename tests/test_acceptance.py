@@ -79,7 +79,7 @@ def test_criterion_3_hypergeometric_equivalence():
     sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=30)
     term, worst = 1.0, 0.0
     for j in range(31):
-        worst = max(worst, abs(sol.table[(j,)] - term))
+        worst = max(worst, abs(sol.coeffs[j] - term))
         term *= ((1 - q ** (k + j)) * (1 - q ** (d + k + j))
                  / ((1 - q ** (1 + j)) * (1 - q ** (d + 1 + j)))
                  * q ** (1 - k))

@@ -1,6 +1,7 @@
 """Tests for the series solver, evaluation, leading coefficients,
 serialization and the residue-summation oracles."""
 
+import dataclasses
 import itertools
 import json
 
@@ -8,19 +9,32 @@ import numpy as np
 import pytest
 
 from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
-                        PowerTable, QParams, SpectralData, ZoneError,
+                        QParams, SpectralData, ZoneError,
                         eigen_residual, evaluate, fq, integral_rep_fq,
                         leading_coefficient, qgamma, residue_integral_prop6,
                         solution_from_json, solution_to_json, solve_basis,
                         solve_coefficients)
-from qmacdonald.hcseries import (default_depth, solution_from_dict,
-                                 solution_to_dict, integral_rep_fq_reference,
+from qmacdonald.hcseries import (default_depth, multi_indices,
+                                 solution_from_dict, solution_to_dict,
+                                 integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
 from qmacdonald.qcore import _cpow
 
 LAM2 = (0.27, -0.27)
 LAM3 = (0.31, -0.11, -0.20)
 LAM5 = (0.33, 0.11, -0.07, -0.15, -0.22)
+
+
+def _table(sol):
+    """The coefficients of sol keyed by multi-index."""
+    return dict(zip(multi_indices(sol.n - 1, sol.max_degree), sol.coeffs))
+
+
+def _with_entries(sol, entries):
+    """sol with the coefficients at the multi-indices of entries replaced."""
+    table = _table(sol)
+    table.update(entries)
+    return dataclasses.replace(sol, coeffs=tuple(table.values()))
 
 # (q, k, lambda, w, N) and entries (p, re, im) of the coefficient table
 # computed by the truncated-convolution solver that preceded the stencil
@@ -64,7 +78,7 @@ class TestSolver:
     def test_normalization(self, p):
         s = SpectralData.make(LAM2, p)
         sol = solve_coefficients(s, p, N=6)
-        assert sol.table[(0,)] == 1.0
+        assert _table(sol)[(0,)] == 1.0
 
     def test_n2_first_coefficient(self, p):
         q, t, k = p.q, p.t, p.k
@@ -73,18 +87,18 @@ class TestSolver:
         sol = solve_coefficients(s, p, N=2)
         ref = ((1 - q ** k) * (1 - q ** (d + k))
                / ((1 - q) * (1 - q ** (d + 1)))) * (q / t)
-        assert abs(sol.table[(1,)] - ref) < 1e-13
+        assert abs(_table(sol)[(1,)] - ref) < 1e-13
 
     def test_n2_matches_hypergeometric(self, p):
         # coefficients of F_q(k, d+k, d+1, (q/t) zeta) by term recurrence
         q, k = p.q, p.k
         d = LAM2[0] - LAM2[1]
         s = SpectralData.make(LAM2, p)
-        sol = solve_coefficients(s, p, N=30)
+        table = _table(solve_coefficients(s, p, N=30))
         term = 1.0
         worst = 0.0
         for j in range(31):
-            worst = max(worst, abs(sol.table[(j,)] - term))
+            worst = max(worst, abs(table[(j,)] - term))
             term *= ((1 - q ** (k + j)) * (1 - q ** (d + k + j))
                      / ((1 - q ** (1 + j)) * (1 - q ** (d + 1 + j)))
                      * q ** (1 - k))
@@ -123,12 +137,13 @@ class TestSolver:
     def test_golden_coefficients(self, case, entries):
         q, k, lam, w, N = case
         p = QParams(q=q, k=k)
-        sol = solve_coefficients(SpectralData.make(lam, p, w=w), p, N=N)
+        table = _table(solve_coefficients(SpectralData.make(lam, p, w=w), p,
+                                          N=N))
         scale = {}
-        for P, a in sol.table.coeffs.items():
+        for P, a in table.items():
             scale[sum(P)] = max(scale.get(sum(P), 0.0), abs(a))
         for P, re, im in entries:
-            err = abs(sol.table[P] - complex(re, im))
+            err = abs(table[P] - complex(re, im))
             assert err <= 1e-12 * scale[sum(P)], (P, err)
 
 
@@ -141,7 +156,7 @@ class TestBasis:
         assert [sol.spectral.w for sol in basis] == perms
         for sol, w in zip(basis, perms):
             one = solve_coefficients(SpectralData.make(lam, p, w=w), p, N=N)
-            assert sol.table.coeffs == one.table.coeffs
+            assert _table(sol) == _table(one)
             assert sol.leading_coefficient_modeA == one.leading_coefficient_modeA
             assert sol.leading_coefficient_modeB == one.leading_coefficient_modeB
 
@@ -205,7 +220,7 @@ def _evaluate_by_terms(sol, z, max_ratio=1.0):
     top = 0.0
     prev = 0.0
     N = sol.max_degree
-    for p, a in sol.table.coeffs.items():
+    for p, a in _table(sol).items():
         mono = a
         for r, pl in zip(ratios, p):
             mono *= r ** pl
@@ -253,9 +268,8 @@ class TestEvaluationBits:
         # a table read back from JSON, with hand-set entries in both strata
         sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=5)
         doc = solution_to_dict(sol)
-        back = solution_from_dict(doc)
-        back.table[(5, 0)] = 3.0 - 2.0j
-        back.table[(2, 2)] = -1.5e3
+        back = _with_entries(solution_from_dict(doc),
+                             {(5, 0): 3.0 - 2.0j, (2, 2): -1.5e3})
         z = (0.4 + 0.3j, 1.0, 1.1 - 0.2j)
         assert tuple(evaluate(back, z)) == _evaluate_by_terms(back, z)
 
@@ -283,9 +297,14 @@ class TestEvaluationErrors:
 
     def _sol(self, p, entries):
         sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=2)
-        for P, a in entries.items():
-            sol.table[P] = a
-        return sol
+        return _with_entries(sol, entries)
+
+    def test_zero_value_in_eigen_residual(self, p):
+        # every coefficient 0: the relative residual divides by nothing
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=3)
+        zero = dataclasses.replace(sol, coeffs=(0j,) * len(sol.coeffs))
+        with pytest.raises(DomainError):
+            eigen_residual(zero, 1, (1.0, 8.0))
 
     @pytest.mark.parametrize("entries,z,max_ratio", [
         # a NaN coefficient
@@ -302,22 +321,94 @@ class TestEvaluationErrors:
             evaluate(self._sol(p, entries), z, max_ratio=max_ratio)
 
 
-class TestPowerTable:
+class TestCoefficientLayout:
+    def _doc(self, p, n=2, N=3):
+        lam = LAM2 if n == 2 else LAM3
+        return solution_to_dict(
+            solve_coefficients(SpectralData.make(lam, p), p, N=N))
+
+    @pytest.mark.parametrize("delta", [-1, 1, "empty"])
+    def test_length_guard(self, p, delta):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
+        coeffs = (() if delta == "empty" else
+                  sol.coeffs[:-1] if delta < 0 else sol.coeffs + (0j,))
+        with pytest.raises(DomainError):
+            dataclasses.replace(sol, coeffs=coeffs)
+
+    def test_fields_are_frozen(self, p):
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.coeffs = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.max_degree = 2
+
     @pytest.mark.parametrize("n_vars,N,key", [
         (1, 3, (7,)), (2, 2, (1,)), (2, 2, (1, 2)), (2, 2, (-1, 1)),
         (2, 2, (0, 0, 0))])
-    def test_rejects_keys_outside(self, n_vars, N, key):
-        table = PowerTable(n_vars, N)
-        with pytest.raises(DomainError):
-            table[key] = 5
-        assert len(table.coeffs) == len(PowerTable(n_vars, N).coeffs)
-
-    def test_from_dict_rejects_bad_index(self, p):
-        doc = solution_to_dict(
-            solve_coefficients(SpectralData.make(LAM2, p), p, N=3))
-        doc["coeffs"].append({"p": [7], "re": 1.0, "im": 0.0})
+    def test_rejects_keys_outside(self, p, n_vars, N, key):
+        doc = self._doc(p, n=n_vars + 1, N=N)
+        doc["coeffs"].append({"p": list(key), "re": 5.0, "im": 0.0})
         with pytest.raises(DomainError):
             solution_from_dict(doc)
+
+    def test_from_dict_rejects_bad_index(self, p):
+        for bad in ([[1]], 1, None, "1", [1.5]):
+            doc = self._doc(p)
+            doc["coeffs"][1]["p"] = bad
+            with pytest.raises(DomainError):
+                solution_from_dict(doc)
+
+    @pytest.mark.parametrize("edit", ["missing", "duplicate", "empty"])
+    def test_every_index_exactly_once(self, p, edit):
+        doc = self._doc(p, n=3)
+        if edit == "missing":
+            del doc["coeffs"][4]
+        elif edit == "duplicate":
+            doc["coeffs"][4] = dict(doc["coeffs"][5], re=2.0)
+        else:
+            doc["coeffs"] = []
+        with pytest.raises(DomainError):
+            solution_from_dict(doc)
+
+    @staticmethod
+    def _edit(doc, key, value=None):
+        """Delete doc[key], or set it to value; "coeffs.x" is field x of
+        the third entry."""
+        if key.startswith("coeffs."):
+            doc, key = doc["coeffs"][2], key.split(".")[1]
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+
+    @pytest.mark.parametrize("key", [
+        "n", "q", "k", "lambda", "w", "N", "coeffs",
+        "leading_coefficient_modeA", "leading_coefficient_modeB",
+        "coeffs.p", "coeffs.re", "coeffs.im"])
+    def test_rejects_missing_key(self, p, key):
+        doc = self._doc(p)
+        self._edit(doc, key)
+        with pytest.raises(DomainError):
+            solution_from_dict(doc)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", "2"), ("N", "3"), ("N", 2.5), ("N", -1), ("q", "0.5"),
+        ("lambda", [0.27, -0.27]), ("w", 1), ("coeffs", 3),
+        ("coeffs", [[0, 1.0, 0.0]]), ("leading_coefficient_modeA", "ab"),
+        ("coeffs.re", "1.0"), ("coeffs.im", [0.0])])
+    def test_rejects_wrong_type(self, p, key, value):
+        doc = self._doc(p)
+        self._edit(doc, key, value)
+        with pytest.raises(DomainError):
+            solution_from_dict(doc)
+
+    def test_positions_follow_multi_indices(self, p):
+        # the document lists p sorted, which is not multi_indices order
+        # from n = 3 on; each entry must land at its own position
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=3)
+        doc = solution_to_dict(sol)
+        doc["coeffs"].reverse()
+        assert solution_from_dict(doc).coeffs == sol.coeffs
 
 
 class TestEigenEquations:
@@ -383,7 +474,7 @@ class TestSerialization:
         text = solution_to_json(sol)
         back = solution_from_json(text)
         assert solution_to_json(back) == text
-        assert back.table.coeffs == sol.table.coeffs
+        assert _table(back) == _table(sol)
 
     def test_schema_fields(self, p):
         s = SpectralData.make(LAM2, p)

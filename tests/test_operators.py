@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qmacdonald import (DomainError, LaurentPoly, QParams,
+from qmacdonald import (ConvergenceError, DomainError, LaurentPoly, QParams,
                         SingularConfigurationError, SpectralData,
                         dominance_ideal, dominance_leq, eigenvalue_c,
                         macdonald_apply_numeric, macdonald_apply_poly,
@@ -236,6 +236,18 @@ class TestLaurentEvaluation:
         P[(-1, 2)] = 1.0
         with pytest.raises(DomainError):
             P.evaluate((0.0, 2.0))
+
+    @pytest.mark.parametrize("terms,z", [
+        # a power past the float range
+        ({(200, 0): 1.0}, (1e10, 1.0)),
+        # finite powers whose product overflows
+        ({(1, 1): 1e200}, (1e100, 1e100)),
+        # a NaN coefficient
+        ({(1, 0): complex("nan")}, (1.0, 1.0)),
+    ])
+    def test_non_finite_value(self, terms, z):
+        with pytest.raises(ConvergenceError):
+            LaurentPoly(2, terms).evaluate(z)
 
 
 class TestSymmetryCheck:
