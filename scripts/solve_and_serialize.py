@@ -2,7 +2,7 @@
 """Solve a series basis element, evaluate it, and round-trip it as JSON.
 
 Demonstrates the programmatic workflow: build the spectral data, run the
-coefficient recursion, evaluate with a tail estimate, attach the
+coefficient recursion, evaluate with a tail estimate, compute the
 leading-coefficient normalizations, and serialize/deserialize the whole
 solution.
 
@@ -14,8 +14,9 @@ import argparse
 import json
 import sys
 
-from qmacdonald import (QParams, SpectralData, evaluate, solution_from_json,
-                        solution_to_json, solve_coefficients)
+from qmacdonald import (QParams, SpectralData, evaluate, leading_coefficient,
+                        solution_from_json, solution_to_json,
+                        solve_coefficients)
 
 
 def main(argv=None):
@@ -32,8 +33,8 @@ def main(argv=None):
     res = evaluate(sol, z)
     print(f"value at z={z}: {res.value:.17g}")
     print(f"tail estimate : {res.tail_estimate:.3e}")
-    print(f"lead (mode A) : {sol.leading_coefficient_modeA}")
-    print(f"lead (mode B) : {sol.leading_coefficient_modeB}")
+    print(f"lead (mode A) : {leading_coefficient(s, p, 'A')}")
+    print(f"lead (mode B) : {leading_coefficient(s, p, 'B')}")
 
     text = solution_to_json(sol)
     back = solution_from_json(text)

@@ -17,9 +17,10 @@ nothing else knows the key layout.  Evaluation takes one table of powers
 per ratio per call, indexes it by the cached exponent columns of that
 order, and sums in that order, so it is bit for bit the term-by-term sum;
 the top two strata that set the geometric tail estimate are the last
-entries.  Also holds the closed-form leading coefficients, JSON
-round-tripping, and the residue-summation oracles for the contour
-integrals.
+entries.  A solution holds only what the solver computes; the
+closed-form leading coefficients are computed where they are asked for,
+as the JSON writer does.  Also holds JSON round-tripping and the
+residue-summation oracles for the contour integrals.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
 from .operators import SpectralData, eigenvalue_c, macdonald_apply_numeric
-from .qcore import (QParams, XRMode, _cpow, _qq_inf, fq, qgamma,
+from .qcore import (QParams, XRMode, _cpow, _qq_inf, _xr_mode, fq, qgamma,
                     qpochhammer_inf, theta)
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
@@ -84,14 +85,13 @@ class HCSolution:
     a(p) for the j-th p of multi_indices(n-1, N).  DomainError when the
     tuple does not have that table's C(N+n-1, n-1) entries; frozen, so
     the check holds for the object's lifetime (dataclasses.replace makes
-    a checked copy)."""
+    a checked copy).  The normalizations of modes A and B are not stored:
+    call leading_coefficient(sol.spectral, sol.params, mode)."""
 
     spectral: SpectralData
     params: QParams
     max_degree: int
     coeffs: tuple[complex, ...]
-    leading_coefficient_modeA: complex
-    leading_coefficient_modeB: complex
 
     def __post_init__(self):
         size = math.comb(self.max_degree + self.n - 1, self.n - 1)
@@ -182,14 +182,7 @@ def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
         raise ConvergenceError(
             f"series coefficient at p={keys[bad[0][1]]} is not finite at "
             f"q = {q}, w = {rows[bad[0][0]].w}")
-
-    def lead(s, mode):
-        try:
-            return leading_coefficient(s, p, mode)
-        except PoleError:  # non-generic lambda; the series is still defined
-            return None
-
-    return [HCSolution(s, p, N, tuple(row), *(lead(s, m) for m in XRMode))
+    return [HCSolution(s, p, N, tuple(row))
             for s, row in zip(rows, a[:, :M].tolist())]
 
 
@@ -212,7 +205,7 @@ def leading_coefficient(s: SpectralData, p: QParams,
                         mode: XRMode = XRMode.A) -> complex:
     """Closed-form leading asymptotic coefficient of the matrix-element
     normalization, as a product over positive roots of Gamma_q ratios."""
-    mode = XRMode(mode) if not isinstance(mode, XRMode) else mode
+    mode = _xr_mode(mode)
     n, q, k = s.n, p.q, p.k
     eta = s.eta
     out = complex(-1.0) ** (n * (n - 1) // 2)
@@ -442,6 +435,9 @@ def integral_rep_fq_reference(lam, z1: complex, z2: complex,
 
 
 def solution_to_dict(sol: HCSolution) -> dict:
+    """The JSON document of sol.  "prefactor_exponent" and the two
+    "leading_coefficient_mode*" keys are derived output, written but never
+    read back; a leading coefficient at a Gamma_q pole is null."""
     return {
         "n": sol.n,
         "q": float(sol.params.q),
@@ -456,21 +452,27 @@ def solution_to_dict(sol: HCSolution) -> dict:
             for p, a in sorted(zip(multi_indices(sol.n - 1, sol.max_degree),
                                    sol.coeffs))
         ],
-        "leading_coefficient_modeA": _opt_complex(sol.leading_coefficient_modeA),
-        "leading_coefficient_modeB": _opt_complex(sol.leading_coefficient_modeB),
+        "leading_coefficient_modeA": _lead_doc(sol, XRMode.A),
+        "leading_coefficient_modeB": _lead_doc(sol, XRMode.B),
     }
 
 
-def _opt_complex(c):
-    return None if c is None else [float(c.real), float(c.imag)]
+def _lead_doc(sol: HCSolution, mode: XRMode):
+    try:
+        c = leading_coefficient(sol.spectral, sol.params, mode)
+    except PoleError:  # non-generic lambda; the series is still defined
+        return None
+    return [float(c.real), float(c.imag)]
 
 
 def solution_from_dict(doc: dict) -> HCSolution:
     """The solution a solution_to_dict document describes.  Each entry of
     "coeffs" goes to the position of its "p" in multi_indices order, and
     every p of the table must occur exactly once.  DomainError for a
-    missing key, a value of the wrong type, or a "p" that is missing,
-    repeated or outside the table."""
+    missing key, a value of the wrong type, a "p" that is missing,
+    repeated or outside the table, or a(0) other than exactly 1.  The
+    derived keys "prefactor_exponent" and "leading_coefficient_mode*" are
+    not read."""
     try:
         p = QParams(q=doc["q"], k=doc["k"])
         lam = tuple(complex(re, im) for re, im in doc["lambda"])
@@ -487,19 +489,16 @@ def solution_from_dict(doc: dict) -> HCSolution:
             if coeffs[j] is not None:
                 raise DomainError(f"multi-index {key} occurs twice")
             coeffs[j] = complex(entry["re"], entry["im"])
-        la = doc["leading_coefficient_modeA"]
-        la = None if la is None else complex(*la)
-        lb = doc["leading_coefficient_modeB"]
-        lb = None if lb is None else complex(*lb)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed solution document: {exc!r}") from exc
     missing = [key for key, j in position.items() if coeffs[j] is None]
     if missing:
         raise DomainError(f"{len(missing)} multi-indices have no coefficient, "
                           f"the first {missing[0]}")
-    return HCSolution(spectral=s, params=p, max_degree=N, coeffs=tuple(coeffs),
-                      leading_coefficient_modeA=la,
-                      leading_coefficient_modeB=lb)
+    if coeffs[0] != 1:
+        raise DomainError(f"a(0) must be 1, the solver's normalization, "
+                          f"got {coeffs[0]}")
+    return HCSolution(spectral=s, params=p, max_degree=N, coeffs=tuple(coeffs))
 
 
 def solution_to_json(sol: HCSolution) -> str:

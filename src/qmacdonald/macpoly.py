@@ -8,6 +8,8 @@ degeneration cross-check against terminating series solutions.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DomainError, ResonanceError
@@ -19,9 +21,17 @@ from .qcore import QParams, _cpow
 _EIGEN_COLLISION_TOL = 1e-10
 
 
+def _integer(x, what: str) -> int:
+    """x as an int; DomainError unless it is a Python or NumPy integer."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {x!r}") from None
+
+
 def as_partition(parts, n: int) -> tuple[int, ...]:
     """Validate and pad a weakly decreasing nonnegative integer vector."""
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(_integer(x, "a partition part") for x in parts)
     if len(parts) > n:
         raise DomainError(f"partition has more than {n} parts")
     if any(x < 0 for x in parts):
@@ -38,6 +48,7 @@ def macdonald_a1(m: int, p: QParams) -> LaurentPoly:
     z1^j z2^(m-j); the series terminates after m+1 terms and the result
     is a symmetric polynomial.
     """
+    m = _integer(m, "the degree m")
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
     q, t, k = p.q, p.t, p.k
@@ -88,6 +99,7 @@ def degeneration_check(m: int, p: QParams) -> float:
     two-variable series after degree m; stripping the monomial prefactor
     turns z2^m (z1/z2)^j into z1^j z2^(m-j).
     """
+    m = _integer(m, "the degree m")
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
     k = p.k

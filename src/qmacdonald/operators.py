@@ -150,14 +150,19 @@ def duality_check(sol_eval, z, p: QParams) -> float:
 
     The right-hand side is the first-order operator with both parameters
     inverted: weight ((1/t) z_i - z_j), shift by 1/q, overall factor 1/t.
+    DomainError when f(z) = 0, where the ratio is undefined.
     """
     z = _as_complex_vector(z)
     n = len(z)
     t = p.t
+    ref = sol_eval(z)
+    if ref == 0:
+        raise DomainError(f"f vanishes at {z}, so the relative residual is "
+                          f"undefined")
     lhs = macdonald_apply_raw(sol_eval, n - 1, z, p.q, t)
     rhs = t ** (n * (n + 1) / 2.0) * macdonald_apply_raw(
         sol_eval, 1, z, 1.0 / p.q, 1.0 / t)
-    return abs(lhs - rhs) / abs(sol_eval(z))
+    return abs(lhs - rhs) / abs(ref)
 
 
 # ---------------------------------------------------------------------------

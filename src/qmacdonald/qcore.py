@@ -83,6 +83,14 @@ class XRMode(Enum):
     B = "B"  # r = 1/k
 
 
+def _xr_mode(mode) -> XRMode:
+    """mode as an XRMode, from a member or its value "A" or "B"."""
+    try:
+        return XRMode(mode)
+    except ValueError:
+        raise DomainError(f"mode must be 'A' or 'B', got {mode!r}") from None
+
+
 @dataclass(frozen=True)
 class XRParams:
     """The (x, r) view of the base parameters, q = x**(2r)."""
@@ -103,6 +111,7 @@ class XRParams:
 
     @classmethod
     def from_qparams(cls, p: QParams, mode: XRMode = XRMode.A) -> "XRParams":
+        mode = _xr_mode(mode)
         r = 1.0 / (1.0 - p.k) if mode is XRMode.A else 1.0 / p.k
         x = p.q ** (1.0 / (2.0 * r))
         xr = cls(x=x, r=r, mode=mode)

@@ -198,12 +198,15 @@ class TestConfigAndErrors:
         # q^(-1e300) overflows in the eigenvalue
         (("solve", "--lambda=1e300,-1e300"), 2, "DomainError"),
         (("verify", "--lambda=1e300,-1e300"), 2, "DomainError"),
-        # (q^a;q)_inf and the theta denominators underflow near q = 1
+        # (q^a;q)_inf in the written leading coefficients and the theta
+        # denominators underflow near q = 1
         (("solve", "--q", "0.999"), 4, "ConvergenceError"),
         (("connect", "--q", "0.999"), 4, "ConvergenceError"),
         # the default points q^(-3i) overflow
         (("connect", "--q", "1e-300"), 2, "DomainError"),
         (("verify", "--q", "1e-300"), 2, "DomainError"),
+        # the theta denominators of the braid check underflow near q = 1
+        (("verify", "--q", "0.999"), 4, "ConvergenceError"),
     ])
     def test_float_range_errors_are_typed(self, capsys, argv, code, error):
         got, out = run_cli(capsys, *argv)
@@ -228,6 +231,12 @@ class TestConfigAndErrors:
         doc = json.loads(out, parse_constant=pytest.fail)
         assert doc["error"]["type"] == error
         assert "Warning" not in err
+
+    def test_eval_needs_no_leading_coefficient(self, capsys):
+        # Gamma_q underflows at q = 0.999, but eval never normalizes
+        code, out = run_cli(capsys, "eval", "--q", "0.999", "--N", "4")
+        assert code == 0
+        assert json.loads(out)["points"][0]["value"]["re"] > 0
 
     def test_mode_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

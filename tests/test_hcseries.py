@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
-                        QParams, SpectralData, ZoneError,
+                        QParams, SpectralData, XRMode, ZoneError,
                         eigen_residual, evaluate, fq, integral_rep_fq,
                         leading_coefficient, qgamma, residue_integral_prop6,
                         solution_from_json, solution_to_json, solve_basis,
@@ -157,8 +157,6 @@ class TestBasis:
         for sol, w in zip(basis, perms):
             one = solve_coefficients(SpectralData.make(lam, p, w=w), p, N=N)
             assert _table(sol) == _table(one)
-            assert sol.leading_coefficient_modeA == one.leading_coefficient_modeA
-            assert sol.leading_coefficient_modeB == one.leading_coefficient_modeB
 
     def test_n5_smoke(self, p):
         basis = solve_basis(LAM5, p, N=6)
@@ -383,7 +381,6 @@ class TestCoefficientLayout:
 
     @pytest.mark.parametrize("key", [
         "n", "q", "k", "lambda", "w", "N", "coeffs",
-        "leading_coefficient_modeA", "leading_coefficient_modeB",
         "coeffs.p", "coeffs.re", "coeffs.im"])
     def test_rejects_missing_key(self, p, key):
         doc = self._doc(p)
@@ -394,11 +391,34 @@ class TestCoefficientLayout:
     @pytest.mark.parametrize("key,value", [
         ("n", "2"), ("N", "3"), ("N", 2.5), ("N", -1), ("q", "0.5"),
         ("lambda", [0.27, -0.27]), ("w", 1), ("coeffs", 3),
-        ("coeffs", [[0, 1.0, 0.0]]), ("leading_coefficient_modeA", "ab"),
+        ("coeffs", [[0, 1.0, 0.0]]), ("k", "0.4"),
         ("coeffs.re", "1.0"), ("coeffs.im", [0.0])])
     def test_rejects_wrong_type(self, p, key, value):
         doc = self._doc(p)
         self._edit(doc, key, value)
+        with pytest.raises(DomainError):
+            solution_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [None, "ab", [1.0], "missing"])
+    def test_derived_keys_are_not_read(self, p, value):
+        # the leading coefficients are derived output, like
+        # prefactor_exponent: a document loads whatever they hold, and
+        # writing it back derives them again
+        doc = self._doc(p, n=3)
+        canonical = json.dumps(doc)
+        for key in ("leading_coefficient_modeA", "leading_coefficient_modeB",
+                    "prefactor_exponent"):
+            if value == "missing":
+                del doc[key]
+            else:
+                doc[key] = value
+        assert solution_to_json(solution_from_dict(doc)) == canonical
+
+    @pytest.mark.parametrize("field,value", [("re", 5.0), ("im", 1e-3)])
+    def test_rejects_a0_other_than_one(self, p, field, value):
+        doc = self._doc(p, n=3, N=6)
+        assert doc["coeffs"][0] == {"p": [0, 0], "re": 1.0, "im": 0.0}
+        doc["coeffs"][0][field] = value
         with pytest.raises(DomainError):
             solution_from_dict(doc)
 
@@ -462,9 +482,36 @@ class TestLeadingCoefficient:
         # lambda_12 + k = 1 is a Gamma_q pole of the mode-A coefficient
         p = QParams(q=0.5, k=0.4)
         s = SpectralData.make((0.3, -0.3), p)
-        sol = solve_coefficients(s, p, N=2)
-        assert sol.leading_coefficient_modeA is None
-        assert sol.leading_coefficient_modeB is not None
+        doc = solution_to_dict(solve_coefficients(s, p, N=2))
+        assert doc["leading_coefficient_modeA"] is None
+        assert doc["leading_coefficient_modeB"] is not None
+
+    def test_written_keys_are_leading_coefficient(self, p):
+        # every solution of the n = 3 basis, bit for bit
+        for sol in solve_basis(LAM3, p, N=2):
+            doc = solution_to_dict(sol)
+            for mode in ("A", "B"):
+                c = leading_coefficient(sol.spectral, sol.params, mode)
+                assert doc[f"leading_coefficient_mode{mode}"] == [c.real,
+                                                                  c.imag]
+
+    def test_mode_from_string(self, p):
+        s = SpectralData.make(LAM2, p)
+        for mode in XRMode:
+            assert (leading_coefficient(s, p, mode.value)
+                    == leading_coefficient(s, p, mode))
+        with pytest.raises(DomainError):
+            leading_coefficient(s, p, "C")
+
+    def test_solves_where_gamma_q_underflows(self):
+        # at q = 0.999 Gamma_q underflows in the leading coefficient, which
+        # the solver does not compute; the series itself is accurate
+        p = QParams(q=0.999, k=0.4)
+        s = SpectralData.make(LAM2, p)
+        with pytest.raises(ConvergenceError):
+            leading_coefficient(s, p, "A")
+        sol = solve_coefficients(s, p, N=24)
+        assert eigen_residual(sol, 1, (1.0, 20.0)) < 1e-12
 
 
 class TestSerialization:

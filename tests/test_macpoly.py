@@ -170,6 +170,11 @@ class TestPartition:
         with pytest.raises(DomainError):
             as_partition((2, 1, 1), 2)
 
+    def test_rejects_non_integer_parts(self):
+        with pytest.raises(DomainError):
+            as_partition((1.5,), 2)
+        assert as_partition((np.int64(2), 1), 3) == (2, 1, 0)
+
 
 class TestTwoVariablePolynomials:
     def test_golden_data(self, p):
@@ -237,3 +242,10 @@ class TestDegeneration:
     def test_rejects_negative(self, p):
         with pytest.raises(DomainError):
             degeneration_check(-1, p)
+
+    def test_rejects_non_integer_degree(self, p):
+        with pytest.raises(DomainError):
+            macdonald_a1(2.5, p)
+        with pytest.raises(DomainError):
+            degeneration_check(2.5, p)
+        assert macdonald_a1(np.int64(3), p).terms == macdonald_a1(3, p).terms

@@ -8,9 +8,9 @@ import pytest
 
 from qmacdonald import (ConvergenceError, DomainError, LaurentPoly, QParams,
                         SingularConfigurationError, SpectralData,
-                        dominance_ideal, dominance_leq, eigenvalue_c,
-                        macdonald_apply_numeric, macdonald_apply_poly,
-                        monomial_symmetric, staircase)
+                        dominance_ideal, dominance_leq, duality_check,
+                        eigenvalue_c, macdonald_apply_numeric,
+                        macdonald_apply_poly, monomial_symmetric, staircase)
 from qmacdonald.operators import (conjugation_identity_residual,
                                   gauge_transform_residual,
                                   kernel_intertwiner_residual)
@@ -299,6 +299,10 @@ class TestOperatorIdentities:
     def test_kernel_intertwiner(self, p):
         assert kernel_intertwiner_residual(self.Z3, self.Y2, p) < 1e-9
         assert kernel_intertwiner_residual(self.Z4, self.Y3, p) < 1e-9
+
+    def test_duality_rejects_vanishing_function(self, p):
+        with pytest.raises(DomainError):
+            duality_check(lambda z: 0j, (1.0, 3.0), p)
 
     def test_conjugation_identity(self, p):
         assert conjugation_identity_residual(self.Y2, p) < 1e-9

@@ -1,6 +1,8 @@
 """The public names of the package: a removal or rename must be a
 deliberate edit of this list."""
 
+import dataclasses
+
 import qmacdonald
 
 PUBLIC_API = [
@@ -31,3 +33,10 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in PUBLIC_API:
         assert getattr(qmacdonald, name) is not None, name
+
+
+def test_solution_fields_are_pinned():
+    # a solution holds what the solver computes; the leading coefficients
+    # are derived from spectral and params where they are needed
+    assert [f.name for f in dataclasses.fields(qmacdonald.HCSolution)] == [
+        "spectral", "params", "max_degree", "coeffs"]

@@ -378,3 +378,13 @@ class TestParams:
             assert abs(xr.q - p.q) < 1e-13
         assert abs(XRParams.from_qparams(p, XRMode.A).r - 1.0 / 0.6) < 1e-13
         assert abs(XRParams.from_qparams(p, XRMode.B).r - 1.0 / 0.4) < 1e-13
+
+    @pytest.mark.parametrize("mode", list(XRMode))
+    def test_xr_mode_from_string(self, mode):
+        p = QParams(q=0.5, k=0.4)
+        assert (XRParams.from_qparams(p, mode.value)
+                == XRParams.from_qparams(p, mode))
+
+    def test_xr_rejects_unknown_mode(self):
+        with pytest.raises(DomainError):
+            XRParams.from_qparams(QParams(q=0.5, k=0.4), "C")
