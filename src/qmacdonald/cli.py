@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -126,7 +127,10 @@ class RunConfig:
     i: int = 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args does
+    not change it."""
     ap = argparse.ArgumentParser(
         prog="qmacdonald",
         description="Series solutions, continuation matrices and "

@@ -208,8 +208,7 @@ def _braid_action(s_list, i: int, z, p: QParams,
     for j, sd in enumerate(s_list):
         if j in done:
             continue
-        sd_swap = sd.swap(i - 1)
-        j2 = index[sd_swap.w]
+        j2 = index[_swap(sd.w, i)]
         cm = _braid_matrix(sd, i, z, p, th)
         M[j, j] = cm.entries[0][0]
         M[j, j2] = cm.entries[0][1]
@@ -228,7 +227,10 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
     Returns a report with the max deviations.  All the braid_action
     matrices share one table of theta values: the points differ only by
     transpositions, so their theta arguments repeat, and each is computed
-    once with entries bit-identical to braid_action's.
+    once with entries bit-identical to braid_action's.  The wall-1 matrix
+    M1 at z, the first factor of the double crossing, is also the first
+    factor of the sigma1 sigma2 sigma1 path, so seven matrices serve the
+    eight factors.
     """
     n = s.n
     z = tuple(complex(c) for c in z)
@@ -239,34 +241,34 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
 
     # double crossing: continue across wall 1 and back
     M1 = _braid_action(basis, 1, z, p, th)
-    zs = _swap_point(z, 1)
-    M1_back = _braid_action(basis, 1, zs, p, th)
+    M1_back = _braid_action(basis, 1, _swap(z, 1), p, th)
     dim = len(basis)
     report["double_crossing"] = float(
         np.max(np.abs(M1 @ M1_back - np.eye(dim))))
 
     if n == 3:
         # sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 along consistent points
-        def path(walls):
-            pt = z
-            total = np.eye(dim, dtype=complex)
-            for i in walls:
+        def path(walls, first):
+            total, pt = first, _swap(z, walls[0])
+            for i in walls[1:]:
                 total = total @ _braid_action(basis, i, pt, p, th)
-                pt = _swap_point(pt, i)
+                pt = _swap(pt, i)
             return total, pt
 
-        A, ptA = path([1, 2, 1])
-        B, ptB = path([2, 1, 2])
+        A, ptA = path([1, 2, 1], M1)
+        B, ptB = path([2, 1, 2], _braid_action(basis, 2, z, p, th))
         assert ptA == ptB
         scale = max(np.max(np.abs(A)), np.max(np.abs(B)))
         report["braid_relation"] = float(np.max(np.abs(A - B)) / scale)
     return report
 
 
-def _swap_point(z, i: int):
-    z = list(z)
-    z[i - 1], z[i] = z[i], z[i - 1]
-    return tuple(z)
+def _swap(v, i: int) -> tuple:
+    """v with entries i and i+1 exchanged (1-based i): a point after
+    crossing wall i, or the Weyl element of the partner row."""
+    v = list(v)
+    v[i - 1], v[i] = v[i], v[i - 1]
+    return tuple(v)
 
 
 @dataclass

@@ -10,17 +10,23 @@ the series coefficients then obey
 with den(P) = c - sum_i t^(i+1) q^nu_i(P), nu = eta + rho + kappa(P) and
 kappa_i(P) = P_i - P_(i-1).  Each total degree is one vectorized step over
 a dense array on the simplex |p| <= N whose rows are basis elements: they
-differ only in q^(eta+rho).  Higher-order equations are verified
-numerically, not imposed.  A solution holds its coefficients as one
-tuple in multi_indices order, so position j is the j-th multi-index and
-nothing else knows the key layout.  Evaluation takes one table of powers
-per ratio per call, indexes it by the cached exponent columns of that
-order, and sums in that order, so it is bit for bit the term-by-term sum;
-the top two strata that set the geometric tail estimate are the last
-entries.  A solution holds only what the solver computes; the
-closed-form leading coefficients are computed where they are asked for,
-as the JSON writer does.  Also holds JSON round-tripping and the
-residue-summation oracles for the contour integrals.
+differ only in q^(eta+rho).  What does not change with the degree is set
+up once per solve: a gather table src[d, P] holds the column of P - d for
+every offset and multi-index, and degree D reads the prefix of offsets
+with |d| <= D (the stencil is sorted by |d|) at the columns of its
+stratum, so the degree loop does arithmetic only.  Higher-order
+equations are verified numerically, not imposed.
+
+A solution holds its coefficients as one tuple in multi_indices order, so
+position j is the j-th multi-index and nothing else knows the key layout.
+Evaluation takes one table of powers per ratio per call, indexes it by the
+cached exponent columns of that order, and sums in that order, so it is
+bit for bit the term-by-term sum; the top two strata that set the
+geometric tail estimate are the last entries.  A solution holds only what
+the solver computes; the closed-form leading coefficients are computed
+where they are asked for, as the JSON writer does.  Also holds JSON
+round-tripping and the residue-summation oracles for the contour
+integrals.
 """
 
 from __future__ import annotations
@@ -134,13 +140,22 @@ def _stencil(n: int, t: float):
 def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
     """Solve the basis elements rows (one lambda, several w) as the rows of
     one coefficient array.  Only elementwise operations mix values, so a
-    row does not depend on the rows solved with it."""
+    row does not depend on the rows solved with it.
+
+    Set-up runs once per solve.  The gather table src[d, P] holds the
+    column of P - d for every stencil offset d with |d| <= N and every P,
+    or M, a column of zeros, where P - d leaves the table; the products
+    q^(eta+rho)_i q^kappa_i(P) are taken for every row and P.  Degree D
+    reads the first reach[D] offsets, those with |d| <= D (a prefix, as
+    _stencil sorts by |d|), at the columns of its stratum, so the degree
+    loop does arithmetic only.  It keeps the order of the operations:
+    each sum starts at 0 and adds the offsets in stencil order, which
+    fixes even the sign of a zero coefficient."""
     n, q, t = rows[0].n, p.q, p.t
     N = _check_depth(default_depth(n) if N is None else N)
     c = eigenvalue_c(rows[0].lam_plus_rho, 1, p)
-    keys = list(multi_indices(n - 1, N))
-    M = len(keys)
-    index = np.array(keys).reshape(M, n - 1)
+    index = np.array(_columns(n - 1, N)).T  # row j: the j-th multi-index
+    M = len(index)
     # overflow and 0 * inf in extreme q are caught below as non-finite
     # coefficients, not as NumPy warnings
     with np.errstate(all="ignore"):
@@ -153,35 +168,47 @@ def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
                       for i in range(n))
         small = np.argwhere(np.abs(den[:, 1:]) < 1e-10 * abs(c))
         if len(small):
-            P = keys[small[0][1] + 1]
+            P = tuple(index[small[0][1] + 1].tolist())
             raise NondegeneracyError(f"nondegeneracy violated at p={P}",
                                      multi_index=P)
         offsets, weights = _stencil(n, t)
         # q^nu_i(P-d) = q^nu_i(P) q^-kappa_i(d): the d part joins G_i
         weights[1:] *= q ** -np.diff(offsets, axis=1, prepend=0, append=0).T
+        # reach[D]: the number of offsets with |d| <= D
+        reach = np.searchsorted(offsets.sum(axis=1), np.arange(N + 1),
+                                side="right")
+        offsets = offsets[:reach[N]]
         column = np.full((N + 1,) * (n - 1), M)  # multi-index -> column of a
         column[tuple(index.T)] = np.arange(M)
+        # src[d, P]: the column of P - d, or M where P - d leaves the
+        # table; one coordinate at a time, as a row-major position in column
+        inside = np.ones((len(offsets), M), dtype=bool)
+        flat = np.zeros((len(offsets), M), dtype=np.int64)
+        for l in range(n - 1):
+            x = index[:, l] - offsets[:, l, None]
+            inside &= x >= 0
+            flat = flat * (N + 1) + np.maximum(x, 0)
+        src = np.where(inside, column.ravel()[flat], M)
+        weight = weights.T[:, :, None, None]  # weight[d]: column d
+        # q_nu[i, r, P] = q^(eta+rho)_i q^kappa_i(P) of row r
+        q_nu = q_epr.T[:, :, None] * q_kappa.T[:, None, :]
         a = np.zeros((len(rows), M + 1), dtype=complex)  # column M stays 0
         a[:, 0] = 1.0
         for D in range(1, N + 1):
             blk = slice(math.comb(D + n - 2, n - 1),
                         math.comb(D + n - 1, n - 1))
-            src = index[blk] - offsets[offsets.sum(axis=1) <= D, None]
-            # src[d, P]: column of P - d
-            src = np.where((src >= 0).all(axis=2),
-                           column[tuple(np.maximum(src, 0).T)].T, M)
             # y[0] = sum_d Delta_d a(P-d);
             # y[i+1] sums G_{i,d} q^-kappa_i(d) a(P-d)
-            y = sum(w[:, None, None] * a[:, cols]
-                    for cols, w in zip(src, weights.T))
-            a[:, blk] = (t * sum(q_epr[:, i, None] * q_kappa[blk, i]
-                                 * y[i + 1] for i in range(n))
+            y = sum(wd * a[:, cols]
+                    for wd, cols in zip(weight, src[:reach[D], blk]))
+            a[:, blk] = (t * sum(qn * yi for qn, yi in zip(q_nu[:, :, blk],
+                                                           y[1:]))
                          - c * y[0]) / den[:, blk]
     bad = np.argwhere(~np.isfinite(a))
     if len(bad):
         raise ConvergenceError(
-            f"series coefficient at p={keys[bad[0][1]]} is not finite at "
-            f"q = {q}, w = {rows[bad[0][0]].w}")
+            f"series coefficient at p={tuple(index[bad[0][1]].tolist())} is "
+            f"not finite at q = {q}, w = {rows[bad[0][0]].w}")
     return [HCSolution(s, p, N, tuple(row))
             for s, row in zip(rows, a[:, :M].tolist())]
 

@@ -12,6 +12,7 @@ D^(n-1)(q,t) to D^1 with inverted parameters.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -37,7 +38,9 @@ def staircase(n: int) -> tuple[float, ...]:
 class SpectralData:
     """Spectral vector lambda (sum zero), Weyl element w and derived data.
 
-    w is a permutation of 0..n-1 acting by eta_i = lambda[w[i]].
+    w is a permutation of 0..n-1 acting by eta_i = lambda[w[i]].  The
+    instance is frozen, so eta, rho, eta_plus_rho and lam_plus_rho are
+    computed once, on first use.
     """
 
     n: int
@@ -64,19 +67,19 @@ class SpectralData:
             w = tuple(range(n))
         return cls(n=n, lam=tuple(lam), w=tuple(w), k=p.k)
 
-    @property
+    @functools.cached_property
     def eta(self) -> tuple[complex, ...]:
         return tuple(self.lam[self.w[i]] for i in range(self.n))
 
-    @property
+    @functools.cached_property
     def rho(self) -> tuple[float, ...]:
         return tuple(self.k * d for d in staircase(self.n))
 
-    @property
+    @functools.cached_property
     def eta_plus_rho(self) -> tuple[complex, ...]:
         return tuple(e + r for e, r in zip(self.eta, self.rho))
 
-    @property
+    @functools.cached_property
     def lam_plus_rho(self) -> tuple[complex, ...]:
         return tuple(l + r for l, r in zip(self.lam, self.rho))
 

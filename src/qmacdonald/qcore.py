@@ -93,7 +93,8 @@ def _xr_mode(mode) -> XRMode:
 
 @dataclass(frozen=True)
 class XRParams:
-    """The (x, r) view of the base parameters, q = x**(2r)."""
+    """The (x, r) view of the base parameters, q = x**(2r).  mode is
+    stored as an XRMode, given as a member or as "A" or "B"."""
 
     x: float
     r: float
@@ -104,6 +105,7 @@ class XRParams:
             raise DomainError(f"x must lie in (0,1), got {self.x}")
         if not self.r > 1.0:
             raise DomainError(f"r must exceed 1, got {self.r}")
+        object.__setattr__(self, "mode", _xr_mode(self.mode))
 
     @property
     def q(self) -> float:

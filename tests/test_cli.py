@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qmacdonald.cli import main
+from qmacdonald.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 # stdout and exit code of every subcommand in JSON and CSV, of the error
@@ -26,14 +26,34 @@ def run_config(capsys, tmp_path, command, doc, *argv):
     return run_cli(capsys, command, "--config", str(cfg), *argv)
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
-def test_golden_output(capsys, tmp_path, case):
+def run_golden(capsys, tmp_path, case):
     argv = list(case["argv"])
     if "config" in case:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(case["config"]))
         argv[argv.index("{config}")] = str(cfg)
-    assert run_cli(capsys, *argv) == (case["code"], case["stdout"])
+    return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_output(capsys, tmp_path, case):
+    assert run_golden(capsys, tmp_path, case) == (case["code"], case["stdout"])
+
+
+def test_golden_output_after_exit_and_config(capsys, tmp_path):
+    # the parser is built once per process, so neither a parse that ends
+    # in SystemExit nor a --config run may leave state behind
+    assert build_parser() is build_parser()
+    config_case = next(c for c in GOLDEN
+                       if "config" in c and c["argv"][0] == "verify")
+    for case in GOLDEN:
+        for argv in (["verify", "--mode", "A"], ["solve", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        capsys.readouterr()
+        run_golden(capsys, tmp_path, config_case)
+        assert (run_golden(capsys, tmp_path, case)
+                == (case["code"], case["stdout"])), case["argv"]
 
 
 class TestSolve:

@@ -242,6 +242,41 @@ class TestThetaTable:
         s = basis[0]
         assert verify_braid_relations(s, p, z) == ref
 
+    @pytest.mark.parametrize("lam,z,q,k", [
+        (LAM3, (1.0 * cmath.exp(0.1j), 2.0 * cmath.exp(0.05j),
+                4.0 * cmath.exp(0.15j)), 0.5, 0.4),
+        (LAM3, (1.0, 1.7, 2.9), 0.5, 0.4),
+        ((0.2 + 0.15j, -0.35, 0.15 - 0.15j),
+         (0.8 * cmath.exp(0.3j), 1.5, 2.6 * cmath.exp(-0.2j)), 0.3, 0.7),
+        ((0.4, -0.05, -0.35), (0.05 * cmath.exp(0.05j),
+                               1.0 * cmath.exp(0.1j), 20.0 * cmath.exp(0.15j)),
+         0.7, 0.25),
+    ])
+    def test_report_equals_fresh_braid_actions(self, lam, z, q, k):
+        # the report reuses M1 and one theta table; the reference builds
+        # all eight matrices by separate braid_action calls and starts
+        # each path from the identity
+        p = QParams(q=q, k=k)
+        basis = [SpectralData(n=3, lam=lam, w=w, k=k)
+                 for w in itertools.permutations(range(3))]
+        swap = lambda pt, i: pt[:i - 1] + (pt[i], pt[i - 1]) + pt[i + 1:]
+        z = tuple(complex(c) for c in z)
+        M1 = braid_action(basis, 1, z, p)
+        M1_back = braid_action(basis, 1, swap(z, 1), p)
+        ref = {"double_crossing": float(
+            np.max(np.abs(M1 @ M1_back - np.eye(6))))}
+        ends = []
+        for walls in ([1, 2, 1], [2, 1, 2]):
+            pt, total = z, np.eye(6, dtype=complex)
+            for i in walls:
+                total = total @ braid_action(basis, i, pt, p)
+                pt = swap(pt, i)
+            ends.append(total)
+        A, B = ends
+        scale = max(np.max(np.abs(A)), np.max(np.abs(B)))
+        ref["braid_relation"] = float(np.max(np.abs(A - B)) / scale)
+        assert repr(verify_braid_relations(basis[0], p, z)) == repr(ref)
+
     def test_no_state_between_calls(self, case):
         basis, z, p = case
         before = bits(braid_matrix(basis[1], 1, z, p).entries)

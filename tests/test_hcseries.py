@@ -4,6 +4,7 @@ serialization and the residue-summation oracles."""
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
                         leading_coefficient, qgamma, residue_integral_prop6,
                         solution_from_json, solution_to_json, solve_basis,
                         solve_coefficients)
-from qmacdonald.hcseries import (default_depth, multi_indices,
+from qmacdonald.hcseries import (_stencil, default_depth, multi_indices,
                                  solution_from_dict, solution_to_dict,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
+from qmacdonald.operators import eigenvalue_c
 from qmacdonald.qcore import _cpow
 
 LAM2 = (0.27, -0.27)
@@ -164,6 +166,110 @@ class TestBasis:
         z = tuple(p.q ** (-5.0 * i) for i in range(5))
         for j in (0, 1, 37, 64, 119):
             assert eigen_residual(basis[j], 1, z) < 1e-8
+
+
+def _solve_by_degree(rows, p, N):
+    """The solver as it stood before its gather table was built once per
+    solve: every degree D recomputes the columns of P - d for its stratum.
+    Kept as the oracle the solver must match bit for bit, signed zeros
+    included, and raising the same errors.  Returns the coefficient tuple
+    of each row."""
+    n, q, t = rows[0].n, p.q, p.t
+    c = eigenvalue_c(rows[0].lam_plus_rho, 1, p)
+    keys = list(multi_indices(n - 1, N))
+    M = len(keys)
+    index = np.array(keys).reshape(M, n - 1)
+    with np.errstate(all="ignore"):
+        q_kappa = q ** np.diff(index, axis=1, prepend=0, append=0)
+        q_epr = np.array([[_cpow(q, e) for e in s.eta_plus_rho]
+                          for s in rows])
+        den = c - sum(t ** (i + 1) * q_epr[:, i, None] * q_kappa[:, i]
+                      for i in range(n))
+        small = np.argwhere(np.abs(den[:, 1:]) < 1e-10 * abs(c))
+        if len(small):
+            P = keys[small[0][1] + 1]
+            raise NondegeneracyError(f"nondegeneracy violated at p={P}",
+                                     multi_index=P)
+        offsets, weights = _stencil(n, t)
+        weights[1:] *= q ** -np.diff(offsets, axis=1, prepend=0, append=0).T
+        column = np.full((N + 1,) * (n - 1), M)
+        column[tuple(index.T)] = np.arange(M)
+        a = np.zeros((len(rows), M + 1), dtype=complex)
+        a[:, 0] = 1.0
+        for D in range(1, N + 1):
+            blk = slice(math.comb(D + n - 2, n - 1),
+                        math.comb(D + n - 1, n - 1))
+            src = index[blk] - offsets[offsets.sum(axis=1) <= D, None]
+            src = np.where((src >= 0).all(axis=2),
+                           column[tuple(np.maximum(src, 0).T)].T, M)
+            y = sum(w[:, None, None] * a[:, cols]
+                    for cols, w in zip(src, weights.T))
+            a[:, blk] = (t * sum(q_epr[:, i, None] * q_kappa[blk, i]
+                                 * y[i + 1] for i in range(n))
+                         - c * y[0]) / den[:, blk]
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        raise ConvergenceError(
+            f"series coefficient at p={keys[bad[0][1]]} is not finite at "
+            f"q = {q}, w = {rows[bad[0][0]].w}")
+    return [tuple(row) for row in a[:, :M].tolist()]
+
+
+SOLVE_LAMS = {2: LAM2, 3: LAM3,
+              4: (0.31 + 0.05j, -0.05, -0.12 - 0.05j, -0.14), 5: LAM5}
+
+
+def _first_difference(rows, ref):
+    """(row, position, value, reference) of the first coefficient whose
+    repr differs from the reference, or None; one small failure message
+    in place of a diff of two long strings."""
+    assert [len(row) for row in rows] == [len(row) for row in ref]
+    for r, (row, want) in enumerate(zip(rows, ref)):
+        for j, (a, b) in enumerate(zip(row, want)):
+            if repr(a) != repr(b):
+                return r, j, a, b
+    return None
+
+
+class TestSolverBits:
+    """The solver against its per-degree form, by repr: -0.0 == 0.0, but
+    the golden CSV prints -0."""
+
+    @pytest.mark.parametrize("q,k", [(0.5, 0.4), (0.9, 0.7), (0.2, 0.15)])
+    @pytest.mark.parametrize("n,N", [(n, N) for n in (2, 3, 4, 5)
+                                     for N in (0, 1, default_depth(n))]
+                             + [(2, 96)])
+    def test_equals_degree_loop(self, q, k, n, N):
+        p = QParams(q=q, k=k)
+        basis = solve_basis(SOLVE_LAMS[n], p, N=N)
+        ref = _solve_by_degree([sol.spectral for sol in basis], p, N)
+        assert _first_difference([sol.coeffs for sol in basis], ref) is None
+        one = solve_coefficients(basis[-1].spectral, p, N=N)
+        assert _first_difference([one.coeffs], ref[-1:]) is None
+
+    @pytest.mark.parametrize("lam", [(-0.5, 0.5), (-0.5, 0.0, 0.5)])
+    def test_same_nondegeneracy_error(self, p, lam):
+        rows = [SpectralData.make(lam, p, w=w)
+                for w in itertools.permutations(range(len(lam)))]
+        with pytest.raises(NondegeneracyError) as ref:
+            _solve_by_degree(rows, p, 4)
+        with pytest.raises(NondegeneracyError) as exc:
+            solve_basis(lam, p, N=4)
+        assert str(exc.value) == str(ref.value)
+        assert repr(exc.value.multi_index) == repr(ref.value.multi_index)
+
+    @pytest.mark.parametrize("lam,q,k", [(LAM2, 1e-300, 0.4),
+                                         (LAM3, 1e-300, 0.1),
+                                         (LAM3, 1e-100, 0.4)])
+    def test_same_convergence_error(self, lam, q, k):
+        p = QParams(q=q, k=k)
+        rows = [SpectralData.make(lam, p, w=w)
+                for w in itertools.permutations(range(len(lam)))]
+        with pytest.raises(ConvergenceError) as ref:
+            _solve_by_degree(rows, p, 3)
+        with pytest.raises(ConvergenceError) as exc:
+            solve_basis(lam, p, N=3)
+        assert str(exc.value) == str(ref.value)
 
 
 class TestEvaluation:

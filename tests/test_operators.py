@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -37,6 +38,23 @@ class TestSpectralData:
         s = SpectralData.make((0.3, -0.1, -0.2), p)
         s2 = s.swap(1)
         assert s2.eta == (0.3, -0.2, -0.1)
+
+    def test_cached_properties_equal_formulas(self, p):
+        # each derived tuple is computed once per instance; it must be the
+        # formula's value, also on the instances swap builds
+        lam = (0.31 + 0.05j, -0.05, -0.12 - 0.05j, -0.14)
+        s = SpectralData.make(lam, p, w=(1, 3, 0, 2))
+        for sd in [s] + [s.swap(i) for i in range(3)] + [s.swap(0).swap(2)]:
+            n, k = sd.n, sd.k
+            rho = tuple(k * d for d in staircase(n))
+            eta = tuple(sd.lam[sd.w[i]] for i in range(n))
+            for _ in range(2):  # the computed value, then the cached one
+                assert sd.rho == rho
+                assert sd.eta == eta
+                assert sd.eta_plus_rho == tuple(map(operator.add, eta, rho))
+                assert sd.lam_plus_rho == tuple(map(operator.add, sd.lam,
+                                                    rho))
+        assert s.swap(1).eta == (s.eta[0], s.eta[2], s.eta[1], s.eta[3])
 
 
 class TestEigenvalue:

@@ -388,3 +388,10 @@ class TestParams:
     def test_xr_rejects_unknown_mode(self):
         with pytest.raises(DomainError):
             XRParams.from_qparams(QParams(q=0.5, k=0.4), "C")
+
+    def test_xr_constructor_converts_mode(self):
+        xr = XRParams(0.5, 2.0, mode="B")
+        assert xr.mode is XRMode.B
+        assert xr == XRParams(0.5, 2.0, mode=XRMode.B)
+        with pytest.raises(DomainError):
+            XRParams(0.5, 2.0, mode="C")
