@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .continuation import braid_matrix, verify_braid_relations
 from .errors import (ConvergenceError, DomainError, QMacdonaldError,
                      ResonanceError)
-from .hcseries import (eigen_residual, evaluate, solve_basis,
+from .hcseries import (_basis_eigen_residuals, evaluate, solve_basis,
                        solve_coefficients, solution_to_dict)
 from .macpoly import macdonald_a1, macdonald_poly
 from .operators import SpectralData
@@ -246,10 +246,10 @@ def cmd_verify(cfg: RunConfig):
     n = len(cfg.lam)
     z = cfg.points[0] if cfg.points else _default_point(n, p.q)
     checks = []
-    for sol in solve_basis(cfg.lam, p, N=cfg.N):
+    basis = solve_basis(cfg.lam, p, N=cfg.N)
+    for sol, residuals in zip(basis, _basis_eigen_residuals(basis, z)):
         w = sol.spectral.w
-        for m in range(1, n + 1):
-            r = eigen_residual(sol, m, z)
+        for m, r in enumerate(residuals, 1):
             checks.append((f"eigen_w{''.join(str(i + 1) for i in w)}_m{m}",
                            r))
     s0 = SpectralData.make(cfg.lam, p)

@@ -10,6 +10,12 @@ means the zone series for the permuted ordering, evaluated after swapping
 the i-th and (i+1)-th coordinates.  All ratio powers and theta arguments
 are evaluated at the concrete ratio z_i/z_{i+1} with principal branches;
 evaluation points in tests keep arguments well away from the cut.
+
+A braid computation first forms every crossing it needs, with its
+checks and its nine theta arguments, then computes all those theta
+values in one batch (qcore._thetas) and assembles the matrices from
+that table.  The entries are bit for bit those of qcore.theta, and an
+error is the one the crossings taken one at a time would raise first.
 """
 
 from __future__ import annotations
@@ -19,14 +25,15 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ConvergenceError, DomainError, PoleError,
                      ResonanceError, ZoneError)
 from .operators import SpectralData
-from .qcore import (QParams, XRParams, _cpow, bracket_v, fq, g1, qgamma,
-                    qpochhammer_inf, theta)
+from .qcore import (QParams, XRParams, _cpow, _thetas, bracket_v, fq, g1,
+                    qgamma, qpochhammer_inf, theta)
 
 _RESONANCE_TOL = 1e-10
 
@@ -114,7 +121,10 @@ class _ThetaTable(dict):
 
     One table serves one call of braid_matrix, braid_action or
     verify_braid_relations, so an entry is the value qcore.theta gives
-    for that argument, bit for bit.
+    for that argument, bit for bit.  The table of a call is filled with
+    all its arguments in one batch by qcore._thetas; an argument the batch
+    leaves out, because theta rejects it, is computed by theta when it is
+    looked up, and raises there as it would without the batch.
     """
 
     def __init__(self, q: float):
@@ -124,6 +134,18 @@ class _ThetaTable(dict):
     def __missing__(self, x):
         value = self[x] = theta(x, self.q)
         return value
+
+
+class _Crossing(NamedTuple):
+    """What braid_matrix computes before its theta values: zeta =
+    z_i/z_{i+1}, d = eta_{i+1} - eta_i and the nine theta arguments, in
+    the order the entries look them up."""
+
+    s: SpectralData
+    i: int
+    zeta: complex
+    d: complex
+    args: tuple
 
 
 def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
@@ -142,18 +164,18 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
     so the matrix takes nine distinct theta values: Theta(q^k),
     Theta(q^(+-d)), Theta(q^(+-d) u), Theta(q^k u), Theta(u) and
     Theta(q^(k-+d)).  They come from a table of theta values keyed by
-    their argument, one per call, so every entry is bit-identical to the
-    formula evaluated with qcore.theta.  ResonanceError is raised when a
-    denominator theta vanishes, ConvergenceError when one underflows near
-    q = 1, and ZoneError when a theta argument is too far from 1 for
-    floating point.
+    their argument and filled in one batch, so every entry is
+    bit-identical to the formula evaluated with qcore.theta.
+    ResonanceError is raised when a denominator theta vanishes,
+    ConvergenceError when one underflows near q = 1, and ZoneError when a
+    theta argument is too far from 1 for floating point.
     """
-    return _braid_matrix(s, i, z, p, _ThetaTable(p.q))
+    return next(_assembled([((), _crossing(s, i, z, p))], p))[1]
 
 
-def _braid_matrix(s: SpectralData, i: int, z, p: QParams,
-                  th: _ThetaTable) -> ConnectionMatrix:
-    """braid_matrix with its theta values taken from the table th."""
+def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
+    """The checks of braid_matrix that come before its theta values, and
+    the arguments of those values."""
     n = s.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"i must lie in 1..{n - 1}")
@@ -171,19 +193,49 @@ def _braid_matrix(s: SpectralData, i: int, z, p: QParams,
                     ("Theta_q(q^d)", qmd)):
         if _theta_vanishes(x, q):
             raise ResonanceError(f"{name} vanishes: resonant parameters")
+    return _Crossing(s, i, zeta, d, (qk, qd, qmd, u, qk * u, qd * u, qmd * u,
+                                     _cpow(q, -d + k), _cpow(q, d + k)))
+
+
+def _assembled(items, p: QParams):
+    """(key, braid matrix) for each (key, crossing) of items, the theta
+    values of all of them from one table filled in one batch.
+
+    items may raise as it runs.  It is run up to that error first, the
+    matrices before the error are yielded, and then the error is raised:
+    the error the crossings taken one at a time would raise first.
+    """
+    done, error = [], None
+    try:
+        for item in items:
+            done.append(item)
+    except Exception as exc:  # raised again after the matrices before it
+        error = exc
+    th = _ThetaTable(p.q)
+    # of equal arguments the first is the key, as the lookups make it
+    th.update(_thetas([x for _, c in done for x in c.args], p.q))
+    for key, c in done:
+        yield key, _braid_entries(c, p, th)
+    if error is not None:
+        raise error
+
+
+def _braid_entries(c: _Crossing, p: QParams,
+                   th: _ThetaTable) -> ConnectionMatrix:
+    """The braid matrix of the crossing c, its theta values from th."""
+    zeta, d, q, k = c.zeta, c.d, p.q, p.k
+    qk, qd, qmd, u, qku, qdu, qmdu, qkmd, qkpd = c.args
     th_k, th_d, th_md = th[qk], th[qd], th[qmd]
-    th_u, th_ku = th[u], th[qk * u]
+    th_u, th_ku = th[u], th[qku]
     if min(abs(th_d), abs(th_md), abs(th_ku)) < sys.float_info.min:
         raise ConvergenceError("theta denominators underflow near q = 1")
     zeta_k = _cpow(zeta, k)
-    diag0 = th_k / th_d * th[qd * u] / th_ku * _cpow(zeta, -d + k)
-    diag1 = th_k / th_md * th[qmd * u] / th_ku * _cpow(zeta, d + k)
-    off0 = (_cpow(q, -k * d) * th[_cpow(q, -d + k)] / th_md
-            * th_u / th_ku * zeta_k)
-    off1 = (_cpow(q, k * d) * th[_cpow(q, d + k)] / th_d
-            * th_u / th_ku * zeta_k)
+    diag0 = th_k / th_d * th[qdu] / th_ku * _cpow(zeta, -d + k)
+    diag1 = th_k / th_md * th[qmdu] / th_ku * _cpow(zeta, d + k)
+    off0 = _cpow(q, -k * d) * th[qkmd] / th_md * th_u / th_ku * zeta_k
+    off1 = _cpow(q, k * d) * th[qkpd] / th_d * th_u / th_ku * zeta_k
     return ConnectionMatrix(
-        i=i, w=s.w, ratio=zeta,
+        i=c.i, w=c.s.w, ratio=zeta,
         entries=[[diag0, off0], [off1, diag1]],
     )
 
@@ -192,30 +244,33 @@ def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
     """The full n!-dimensional continuation matrix for wall i, on the basis
     of solutions ordered as in s_list (a list of SpectralData sharing lam).
 
-    Its 2x2 blocks share one table of theta values, so each distinct theta
-    argument is computed once and every entry equals braid_matrix's, bit
-    for bit."""
-    return _braid_action(s_list, i, z, p, _ThetaTable(p.q))
+    Its 2x2 blocks share one table of theta values, filled in one batch,
+    so each distinct theta argument is computed once and every entry
+    equals braid_matrix's, bit for bit."""
+    return _braid_actions(s_list, [(i, z)], p)[0]
 
 
-def _braid_action(s_list, i: int, z, p: QParams,
-                  th: _ThetaTable) -> np.ndarray:
-    """braid_action with its theta values taken from the table th."""
+def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
+    """braid_action(s_list, i, z, p) for each (i, z) of walls, in order,
+    with one theta table for all their blocks."""
     dim = len(s_list)
     index = {sd.w: j for j, sd in enumerate(s_list)}
-    M = np.zeros((dim, dim), dtype=complex)
-    done = set()
-    for j, sd in enumerate(s_list):
-        if j in done:
-            continue
-        j2 = index[_swap(sd.w, i)]
-        cm = _braid_matrix(sd, i, z, p, th)
-        M[j, j] = cm.entries[0][0]
-        M[j, j2] = cm.entries[0][1]
-        M[j2, j] = cm.entries[1][0]
-        M[j2, j2] = cm.entries[1][1]
-        done.update((j, j2))
-    return M
+
+    def blocks():  # ((matrix, row, partner row), crossing) per 2x2 block
+        for m, (i, z) in enumerate(walls):
+            done = set()
+            for j, sd in enumerate(s_list):
+                if j not in done:
+                    j2 = index[_swap(sd.w, i)]
+                    yield (m, j, j2), _crossing(sd, i, z, p)
+                    done.update((j, j2))
+
+    out = [np.zeros((dim, dim), dtype=complex) for _ in walls]
+    for (m, j, j2), cm in _assembled(blocks(), p):
+        M = out[m]
+        M[j, j], M[j, j2] = cm.entries[0]
+        M[j2, j], M[j2, j2] = cm.entries[1]
+    return out
 
 
 def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
@@ -225,42 +280,46 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
     reduced words of the longest element and compares the products; for
     any n checks that crossing wall 1 forth and back is the identity.
     Returns a report with the max deviations.  All the braid_action
-    matrices share one table of theta values: the points differ only by
-    transpositions, so their theta arguments repeat, and each is computed
-    once with entries bit-identical to braid_action's.  The wall-1 matrix
-    M1 at z, the first factor of the double crossing, is also the first
-    factor of the sigma1 sigma2 sigma1 path, so seven matrices serve the
-    eight factors.
+    matrices share one table of theta values, filled in one batch: the
+    points differ only by transpositions, so their theta arguments
+    repeat, and each is computed once with entries bit-identical to
+    braid_action's.  The wall-1 matrix M1 at z, the first factor of the
+    double crossing, is also the first factor of the sigma1 sigma2 sigma1
+    path, so seven matrices serve the eight factors.
     """
     n = s.n
     z = tuple(complex(c) for c in z)
     basis = [SpectralData(n=n, lam=s.lam, w=w, k=s.k)
              for w in itertools.permutations(range(n))]
     report = {}
-    th = _ThetaTable(p.q)
-
-    # double crossing: continue across wall 1 and back
-    M1 = _braid_action(basis, 1, z, p, th)
-    M1_back = _braid_action(basis, 1, _swap(z, 1), p, th)
-    dim = len(basis)
-    report["double_crossing"] = float(
-        np.max(np.abs(M1 @ M1_back - np.eye(dim))))
-
+    # double crossing: continue across wall 1 and back; for n = 3,
+    # sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 along consistent points
+    walls, _ = _path(z, [1, 1])
     if n == 3:
-        # sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2 along consistent points
-        def path(walls, first):
-            total, pt = first, _swap(z, walls[0])
-            for i in walls[1:]:
-                total = total @ _braid_action(basis, i, pt, p, th)
-                pt = _swap(pt, i)
-            return total, pt
-
-        A, ptA = path([1, 2, 1], M1)
-        B, ptB = path([2, 1, 2], _braid_action(basis, 2, z, p, th))
-        assert ptA == ptB
+        path_a, end_a = _path(z, [1, 2, 1])
+        path_b, end_b = _path(z, [2, 1, 2])
+        assert end_a == end_b
+        walls += path_a[1:] + path_b  # path A starts with M1
+    mats = _braid_actions(basis, walls, p)
+    M1, M1_back = mats[:2]
+    report["double_crossing"] = float(
+        np.max(np.abs(M1 @ M1_back - np.eye(len(basis)))))
+    if n == 3:
+        A = M1 @ mats[2] @ mats[3]
+        B = mats[4] @ mats[5] @ mats[6]
         scale = max(np.max(np.abs(A)), np.max(np.abs(B)))
         report["braid_relation"] = float(np.max(np.abs(A - B)) / scale)
     return report
+
+
+def _path(z, walls) -> tuple[list, tuple]:
+    """The (wall, point) of each crossing along walls from z, and the
+    point it ends at."""
+    steps = []
+    for i in walls:
+        steps.append((i, z))
+        z = _swap(z, i)
+    return steps, z
 
 
 def _swap(v, i: int) -> tuple:

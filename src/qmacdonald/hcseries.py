@@ -27,6 +27,18 @@ the solver computes; the closed-form leading coefficients are computed
 where they are asked for, as the JSON writer does.  Also holds JSON
 round-tripping and the residue-summation oracles for the contour
 integrals.
+
+The eigen-equations of `verify` evaluate all n! basis elements at the
+2^n points of the q-shift cube of z, the points with z_I -> q z_I for
+every subset I, which are the points every D^m needs.  That is one numpy
+pass over (points, rows, monomials), with the same ratios, power lists,
+prefactors and order of operations as evaluate, so its values are bit
+for bit evaluate's.  Its complex products are written as float ufuncs,
+(ar br - ai bi, ar bi + ai br): CPython rounds each product, while
+numpy's complex multiply may fuse a multiply-add on CPUs with FMA.
+evaluate itself keeps its loop over terms: it is the one-point path,
+faster than the numpy pass for one row at one point, and the reference
+the pass is tested against.
 """
 
 from __future__ import annotations
@@ -261,7 +273,7 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     on the magnitude of the top-degree stratum.  max_ratio loosens the
     zone guard when the coefficients decay fast enough for the series to
     converge slightly beyond |z_i/z_{i+1}| = 1 (checkable a posteriori
-    through the tail estimate).
+    through the tail estimate); it must be finite and positive.
 
     Each ratio r_i gets one table of powers r_i ** j, j <= N, per call,
     read through the cached exponent column p_i of multi_indices order.
@@ -269,34 +281,20 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     right, and the sums run in coefficient order, so value and tail are
     bit for bit those of a term-by-term loop.  The strata |p| = N and N-1
     that set the tail are the last entries.  DomainError at z_i = 0, the
-    branch point of the prefactor; ConvergenceError when the value or the
-    tail is not finite.
+    branch point of the prefactor; ZoneError unless the largest ratio
+    modulus is below max_ratio, which NaN is not; ConvergenceError when
+    the value or the tail is not finite.
     """
-    z = tuple(complex(c) for c in z)
-    n = sol.n
-    if len(z) != n:
-        raise DomainError(f"point must have {n} coordinates")
-    if 0 in z:
-        raise DomainError("the prefactor z^(eta+rho) has its branch point "
-                          "at a zero coordinate")
-    ratios = [z[i] / z[i + 1] for i in range(n - 1)]
-    rho_max = max(abs(r) for r in ratios)
-    if rho_max >= max_ratio:
-        raise ZoneError(
-            f"point outside the zone: max ratio {rho_max} >= {max_ratio}")
-    pref = complex(1.0)
-    for zi, e in zip(z, sol.prefactor_exponent):
-        pref *= _cpow(zi, e)
+    z, ratios, rho_max = _zone_point(z, sol.n, max_ratio)
+    pref = _prefactor(z, sol.prefactor_exponent)
     N = sol.max_degree
     monos = sol.coeffs
-    # stratum |p| = D holds C(D+n-2, n-2) entries, in multi_indices order
-    mid = len(monos) - math.comb(N + n - 2, n - 2)
-    start = mid - math.comb(N + n - 3, n - 2) if N else mid
+    start, mid = _top_strata(sol.n, N)
     total = complex(0.0)
     top = 0.0
     prev = 0.0
     try:  # a power or abs() past the float range raises OverflowError
-        for r, column in zip(ratios, _columns(n - 1, N)):
+        for r, column in zip(ratios, _columns(sol.n - 1, N)):
             powers = [r ** j for j in range(N + 1)]
             monos = list(map(operator.mul, monos,
                              map(powers.__getitem__, column)))
@@ -306,10 +304,7 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
             top += abs(mono)
         for mono in monos[start:mid]:
             prev += abs(mono)
-        # geometric tail from the observed decay of the top two strata
-        s = (min(0.95, top / prev) if prev > 0 and top < prev
-             else min(0.95, rho_max))
-        tail = abs(pref) * top * s / (1.0 - s)
+        tail = _tail(pref, top, prev, rho_max)
     except OverflowError:
         tail = math.inf
     value = pref * total
@@ -318,10 +313,59 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     return EvalResult(value=value, tail_estimate=tail)
 
 
+def _zone_point(z, n: int, max_ratio: float):
+    """z as a tuple of complex, its ratios z_i/z_{i+1} and their largest
+    modulus, after evaluate's checks of the point and of max_ratio."""
+    if not 0.0 < max_ratio < math.inf:
+        raise DomainError(f"max_ratio must be finite and positive, got "
+                          f"{max_ratio}")
+    z = tuple(complex(c) for c in z)
+    if len(z) != n:
+        raise DomainError(f"point must have {n} coordinates")
+    if 0 in z:
+        raise DomainError("the prefactor z^(eta+rho) has its branch point "
+                          "at a zero coordinate")
+    ratios = [z[i] / z[i + 1] for i in range(n - 1)]
+    rho_max = max(abs(r) for r in ratios)
+    if not rho_max < max_ratio:  # a NaN rho_max fails it too
+        raise ZoneError(
+            f"point outside the zone: max ratio {rho_max} >= {max_ratio}")
+    return z, ratios, rho_max
+
+
+def _prefactor(z, exponent) -> complex:
+    """z^(eta+rho), multiplied left to right."""
+    pref = complex(1.0)
+    for zi, e in zip(z, exponent):
+        pref *= _cpow(zi, e)
+    return pref
+
+
+def _top_strata(n: int, N: int) -> tuple[int, int]:
+    """The positions start, mid in multi_indices(n - 1, N) order where the
+    strata |p| = N - 1 and |p| = N begin; both are mid at N = 0."""
+    # stratum |p| = D holds C(D+n-2, n-2) entries
+    mid = math.comb(N + n - 1, n - 1) - math.comb(N + n - 2, n - 2)
+    return (mid - math.comb(N + n - 3, n - 2) if N else mid), mid
+
+
+def _tail(pref: complex, top: float, prev: float, rho_max: float) -> float:
+    """The geometric tail from the observed decay of the top two strata,
+    top and prev the sums of their monomials' moduli."""
+    s = (min(0.95, top / prev) if prev > 0 and top < prev
+         else min(0.95, rho_max))
+    return abs(pref) * top * s / (1.0 - s)
+
+
 def eigen_residual(sol: HCSolution, m: int, z) -> float:
     """|D^m phi - c^m phi| / |c^m phi| with phi the truncated series.
-    DomainError when c^m phi(z) = 0, where the ratio is undefined."""
-    phi = lambda zz: evaluate(sol, zz).value
+    DomainError when c^m phi(z) = 0, where the ratio is undefined, and
+    for an m that is not an integer in 1..n."""
+    return _eigen_residual(sol, m, z, lambda zz: evaluate(sol, zz).value)
+
+
+def _eigen_residual(sol: HCSolution, m: int, z, phi) -> float:
+    """eigen_residual with the values of the series taken from phi."""
     c = eigenvalue_c(sol.spectral.lam_plus_rho, m, sol.params)
     ref = c * phi(tuple(z))
     if ref == 0:
@@ -329,6 +373,96 @@ def eigen_residual(sol: HCSolution, m: int, z) -> float:
                           f"residual is undefined")
     lhs = macdonald_apply_numeric(phi, m, tuple(z), sol.params)
     return abs(lhs - ref) / abs(ref)
+
+
+def _basis_eigen_residuals(sols, z) -> list[list[float]]:
+    """[[eigen_residual(sol, m, z) for m in 1..n] for sol in sols], bit
+    for bit, with the error those calls in that order raise first.  sols
+    share n, N and params, as the solutions of solve_basis do.
+
+    D^m evaluates the series at the points z with z_I -> q z_I, |I| = m.
+    _cube_values evaluates every row at all 2^n of them, the q-shift cube,
+    at once; the residuals then run eigen_residual's arithmetic on those
+    values.  A (row, point) left out of the cube, because evaluate raises
+    there, falls through to evaluate when it is looked up, and raises as
+    it would without the cube.
+    """
+    out = []
+    for sol, values in zip(sols, _cube_values(sols, z)):
+        def phi(zz, sol=sol, values=values):
+            value = values.get(zz)
+            return evaluate(sol, zz).value if value is None else value
+        out.append([_eigen_residual(sol, m, z, phi)
+                    for m in range(1, sol.n + 1)])
+    return out
+
+
+_BATCH = 1 << 17  # entries of one (points, rows, monomials) array: 1 MB
+
+
+def _cube_values(sols, z) -> list[dict]:
+    """For each row of sols, {point: evaluate(sol, point).value} over the
+    q-shift cube of z, bit for bit, without the (row, point) where
+    evaluate raises.
+
+    The ratios, their power lists and the prefactors are taken in Python
+    as evaluate takes them.  The monomials of every row at every point
+    are then formed in one numpy pass, left to right over the ratios, and
+    summed in coefficient order from a leading zero by np.add.accumulate;
+    moduli are np.hypot, as abs() is.  Each complex product is written as
+    float ufuncs, (ar br - ai bi, ar bi + ai br): numpy's own complex
+    multiply may fuse a multiply-add, where CPython rounds each product,
+    so only the split form is bit for bit CPython's.  Points go in chunks
+    of at most _BATCH entries per array.
+    """
+    n, N, q = sols[0].n, sols[0].max_degree, sols[0].params.q
+    values = [{} for _ in sols]
+    points = []  # (point, rho_max, power lists) inside the zone
+    for shift in itertools.product((False, True), repeat=len(z)):
+        try:  # D^m shifts as q * complex(z_i)
+            pt, ratios, rho_max = _zone_point(
+                [q * complex(c) if s else c for c, s in zip(z, shift)], n,
+                1.0)
+            powers = [[r ** j for j in range(N + 1)] for r in ratios]
+        except Exception:  # evaluate raises it again for each row
+            continue
+        points.append((pt, rho_max, powers))
+    coeffs = np.array([sol.coeffs for sol in sols], dtype=complex)
+    columns = np.array(_columns(n - 1, N))
+    start, mid = _top_strata(n, N)
+    step = max(1, _BATCH // coeffs.size)
+    for lo in range(0, len(points), step):
+        chunk = points[lo:lo + step]
+        power = np.array([pw for _, _, pw in chunk], dtype=complex)
+        re, im = coeffs.real[None], coeffs.imag[None]
+        # overflow and inf * 0 become non-finite values, checked below
+        with np.errstate(all="ignore"):
+            for l, column in enumerate(columns):
+                g = power[:, l, column][:, None, :]
+                re, im = re * g.real - im * g.imag, re * g.imag + im * g.real
+            modulus = np.hypot(re[..., start:], im[..., start:])
+            sums = [_running_sum(x).tolist()
+                    for x in (re, im, modulus[..., mid - start:],
+                              modulus[..., :mid - start])]
+        for (pt, rho_max, _), *row_sums in zip(chunk, *sums):
+            for sol, table, total_re, total_im, top, prev in zip(
+                    sols, values, *row_sums):
+                try:
+                    pref = _prefactor(pt, sol.prefactor_exponent)
+                    tail = _tail(pref, top, prev, rho_max)
+                except (DomainError, OverflowError):
+                    continue
+                value = pref * complex(total_re, total_im)
+                if cmath.isfinite(value) and math.isfinite(tail):
+                    table[pt] = value
+    return values
+
+
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """The sums over the last axis of x, each a Python loop from 0.0."""
+    zero = np.zeros(x.shape[:-1] + (1,))
+    return np.add.accumulate(np.concatenate([zero, x], axis=-1),
+                             axis=-1)[..., -1]
 
 
 # ---------------------------------------------------------------------------

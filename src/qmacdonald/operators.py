@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -90,12 +91,17 @@ class SpectralData:
         return SpectralData(n=self.n, lam=self.lam, w=tuple(w), k=self.k)
 
 
+def _check_order(m, n: int) -> None:
+    """DomainError unless the operator order m is an integer in 1..n."""
+    if not (isinstance(m, numbers.Integral) and 1 <= m <= n):
+        raise DomainError(f"m must be an integer in 1..{n}, got {m!r}")
+
+
 def eigenvalue_c(gamma, m: int, p: QParams) -> complex:
     """c^m_gamma = sum_{i1<...<im} prod_s q^(gamma_{i_s}) t^(i_s), i_s 1-based."""
     gamma = _as_complex_vector(gamma)
     n = len(gamma)
-    if not 1 <= m <= n:
-        raise DomainError(f"m must lie in 1..{n}, got {m}")
+    _check_order(m, n)
     q, t = p.q, p.t
     return _elementary([_cpow(q, g) * t ** (i + 1)
                         for i, g in enumerate(gamma)], m)
@@ -122,8 +128,7 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
     """
     z = _as_complex_vector(z)
     n = len(z)
-    if not 1 <= m <= n:
-        raise DomainError(f"m must lie in 1..{n}, got {m}")
+    _check_order(m, n)
     scale = max(abs(c) for c in z)
     for i in range(n):
         for j in range(i + 1, n):
@@ -450,8 +455,7 @@ def macdonald_apply_poly(P: LaurentPoly, m: int, p: QParams) -> LaurentPoly:
     D^m(e_n^s f) = q^(m s) e_n^s D^m f.
     """
     n = P.n
-    if not 1 <= m <= n:
-        raise DomainError(f"m must lie in 1..{n}, got {m}")
+    _check_order(m, n)
     if not P.terms:
         return LaurentPoly(n)
     if not P.is_symmetric():

@@ -5,9 +5,20 @@ products, the bracket function, vertex contraction kernels and the basic
 q-hypergeometric series.  Everything here is a pure function of its
 arguments; all products/series are truncated deterministically with a
 first-order analytic tail correction.  An infinite product's truncation
-length is computed from logs before its loop starts, so the term cap is
+length is computed from logs before it is formed, so the term cap is
 checked without running to it, and (q;q)_inf is computed once per base q
 and shared by every theta and q-Gamma value in that base.
+
+Every (z;q)_inf comes from one kernel, _qpochhammers, which takes a
+batch of arguments as the columns of one array: z q^i and the running
+product of the factors 1 - z q^i are each one np.multiply.accumulate
+down its rows, and each column reads the row of its own truncation
+length.  accumulate multiplies row by row with the scalar complex
+product, the formula CPython uses, so a batch is bit for bit the
+one-at-a-time loop; numpy's elementwise complex multiply may fuse a
+multiply-add on CPUs with FMA and is not.  qpochhammer_inf is the kernel
+with one column, theta with two, and _thetas computes the theta values a
+braid computation needs in one call.
 
 A double product (z; p1, p2)_inf takes its row count and the factor
 count of its top row from logs too, and multiplies its factors with
@@ -130,13 +141,57 @@ def qpochhammer_inf(z: complex, q: float, eps: float = DEFAULT_EPS) -> complex:
     """
     if not abs(q) < 1.0:
         raise DomainError(f"|q| must be < 1 for (z;q)_inf, got q={q}")
-    terms = _terms(abs(z), q, eps)
-    prod = complex(1.0)
-    zq = complex(z)
-    for _ in range(terms):
-        prod *= 1.0 - zq
-        zq *= q
-    return prod * cmath.exp(-zq / (1.0 - q))
+    return _qpochhammers((z,), q, eps)[0]
+
+
+def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
+    """(z; q)_inf for each z in zs, |q| < 1, each bit for bit the loop
+
+        prod = 1; zq = z
+        repeat _terms(|z|, q, eps) times: prod *= 1 - zq; zq *= q
+        return prod * exp(-zq/(1-q))
+
+    The zs are the columns of one array: np.multiply.accumulate down its
+    rows takes zq = z q^i, and a second one the running product of the
+    factors 1 - zq; column j reads the row of its own truncation length,
+    and the tail stays in Python.  accumulate multiplies each row by the
+    one before it with the scalar complex product, as CPython does, so no
+    fused multiply-add changes a bit.  Rows go in blocks of at most
+    _BLOCK * 4 entries (256 KB of complex128 per array), so memory stays
+    bounded as q -> 1.  ConvergenceError at the term cap, for the first z
+    that reaches it.
+    """
+    terms = [_terms(abs(z), q, eps) for z in zs]
+    last = max(terms, default=0)
+    terms, cols = np.array(terms, dtype=np.int64), np.arange(len(terms))
+    height = max(1, 4 * _BLOCK // max(1, len(terms)))
+    zq_row = np.array(zs, dtype=complex)
+    prod_row = np.ones(len(terms), dtype=complex)
+    zq_at, prod_at = zq_row, prod_row  # z q^terms and its product
+    # overflow and inf * 0 in a product are caught as non-finite values by
+    # the callers, not as NumPy warnings
+    with np.errstate(all="ignore"):
+        for top in range(0, last, height):
+            # rows top..top+rows of zq and of the running product
+            rows = min(height, last - top)
+            zq = np.empty((rows + 1, len(terms)), dtype=complex)
+            zq[0], zq[1:] = zq_row, q
+            np.multiply.accumulate(zq, axis=0, out=zq)
+            prod = np.empty_like(zq)
+            prod[0] = prod_row
+            np.subtract(1.0, zq[:-1], out=prod[1:])
+            np.multiply.accumulate(prod, axis=0, out=prod)
+            if rows == last:  # one block: every column reads from it
+                zq_at, prod_at = zq[terms, cols], prod[terms, cols]
+            else:
+                if top == 0:
+                    zq_at, prod_at = zq_row.copy(), prod_row.copy()
+                here = np.flatnonzero((terms > top) & (terms <= top + rows))
+                zq_at[here] = zq[terms[here] - top, here]
+                prod_at[here] = prod[terms[here] - top, here]
+            zq_row, prod_row = zq[-1], prod[-1]
+    return [p * cmath.exp(-z / (1.0 - q))
+            for p, z in zip(prod_at.tolist(), zq_at.tolist())]
 
 
 def _terms(az: float, q: float, eps: float) -> int:
@@ -186,10 +241,43 @@ def theta(z: complex, q: float) -> complex:
         raise DomainError("Theta_q is not defined at z = 0")
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
-    value = qpochhammer_inf(z, q) * qpochhammer_inf(q / z, q) * _qq_inf(q)
+    a, b = _qpochhammers((z, q / z), q)
+    value = a * b * _qq_inf(q)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"Theta_q({z}) is not finite in floating point")
     return value
+
+
+def _thetas(xs, q: float) -> dict:
+    """{x: theta(x, q)} for the xs theta accepts, bit for bit, from one
+    call of _qpochhammers for every x and q/x.  An x that theta would
+    reject (zero, a product at the term cap, a value that is not finite),
+    or every x when theta rejects q, is left out, so that a caller falling
+    back to theta raises there.  Equal xs share the entry of the first."""
+    try:
+        qq = _qq_inf(q) if 0.0 < q < 1.0 else None
+    except ConvergenceError:  # (q;q)_inf is at the term cap
+        qq = None
+    if qq is None:
+        return {}
+    args = {}  # x -> q/x
+    for x in xs:
+        if x == 0 or x in args:
+            continue
+        qx = q / x
+        try:
+            _terms(abs(x), q, DEFAULT_EPS)
+            _terms(abs(qx), q, DEFAULT_EPS)
+        except (ConvergenceError, OverflowError):  # abs() past the range
+            continue
+        args[x] = qx
+    values = _qpochhammers([*args, *args.values()], q)
+    out = {}
+    for x, a, b in zip(args, values, values[len(args):]):
+        value = a * b * qq
+        if cmath.isfinite(value):
+            out[x] = value
+    return out
 
 
 def double_pochhammer(z: complex, p1: float, p2: float,

@@ -15,7 +15,8 @@ from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
                         leading_coefficient, qgamma, residue_integral_prop6,
                         solution_from_json, solution_to_json, solve_basis,
                         solve_coefficients)
-from qmacdonald.hcseries import (_stencil, default_depth, multi_indices,
+from qmacdonald.hcseries import (_basis_eigen_residuals, _stencil,
+                                 default_depth, multi_indices,
                                  solution_from_dict, solution_to_dict,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
@@ -423,6 +424,79 @@ class TestEvaluationErrors:
     def test_non_finite_series(self, p, entries, z, max_ratio):
         with pytest.raises(ConvergenceError):
             evaluate(self._sol(p, entries), z, max_ratio=max_ratio)
+
+
+class TestZoneGuard:
+    @pytest.mark.parametrize("max_ratio", [math.nan, math.inf, 0.0, -1.0])
+    def test_max_ratio_must_be_finite_and_positive(self, p, max_ratio):
+        # (5, 1) is far outside the zone of this divergent n = 2 series
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=24)
+        with pytest.raises(DomainError):
+            evaluate(sol, (5, 1), max_ratio=max_ratio)
+
+    def test_nan_ratio_is_outside_the_zone(self, p):
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
+        with pytest.raises(ZoneError):
+            evaluate(sol, (math.nan, 1.0))
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "1"])
+    def test_order_must_be_an_integer(self, p, m):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
+        with pytest.raises(DomainError):
+            eigen_residual(sol, m, (1.0, 8.0, 64.0))
+
+
+def _outcome(f):
+    """The repr of f()'s value, or the type and message of its error."""
+    try:
+        return repr(f())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _one_at_a_time(sols, z):
+    return [[eigen_residual(sol, m, z) for m in range(1, sol.n + 1)]
+            for sol in sols]
+
+
+class TestBasisEigenBits:
+    """_basis_eigen_residuals against eigen_residual per (sol, m), by
+    repr, and the same first error."""
+
+    @pytest.mark.parametrize("q,k", [(0.5, 0.4), (0.9, 0.7), (0.2, 0.15)])
+    @pytest.mark.parametrize("n,N", [(2, 24), (2, 96), (3, 12), (4, 6),
+                                     (5, 3)])
+    def test_equals_eigen_residual(self, rng, q, k, n, N):
+        sols = solve_basis(SOLVE_LAMS[n], QParams(q=q, k=k), N=N)
+        # ratios below q keep every q-shifted point in the zone; a last
+        # ratio above q leaves it at z with z_n -> q z_n
+        for largest, inside in [(0.9 * q, True), ((1.0 + q) / 2.0, False)]:
+            z = [complex(1.3, 0.4)]
+            for j in range(n - 1):
+                z.insert(0, z[0] * largest * rng.uniform(0.5, 1.0) ** j
+                         * np.exp(1j * rng.uniform(-3, 3)))
+            got = _outcome(lambda: _basis_eigen_residuals(sols, z))
+            assert got == _outcome(lambda: _one_at_a_time(sols, z)), z
+            assert isinstance(got, str) == inside
+
+    @pytest.mark.parametrize("lam,z,q,N", [
+        (LAM3, (0.0, 1.0, 4.0), 0.5, 4),        # a zero coordinate
+        (LAM2, (1.0, 0.0), 0.5, 4),
+        (LAM2, (math.nan, 1.0), 0.5, 4),        # a NaN ratio
+        ((0.3, 0.1, -0.4), (1, 2, 3), 0.5, 16),  # z with z_2 -> q z_2
+        (LAM2, (1.0, 2.0), 1e-300, 0),
+    ])
+    def test_same_error(self, lam, z, q, N):
+        sols = solve_basis(lam, QParams(q=q, k=0.4), N=N)
+        got = _outcome(lambda: _basis_eigen_residuals(sols, z))
+        assert got == _outcome(lambda: _one_at_a_time(sols, z))
+        assert isinstance(got, tuple)
+
+    def test_shifted_point_leaves_the_zone(self):
+        # what verify --lambda=0.3,0.1,-0.4 --points=1,2,3 reports
+        sols = solve_basis((0.3, 0.1, -0.4), QParams(q=0.5, k=0.4))
+        assert _outcome(lambda: _basis_eigen_residuals(sols, (1, 2, 3))) \
+            == (ZoneError, "point outside the zone: max ratio 1.0 >= 1.0")
 
 
 class TestCoefficientLayout:

@@ -329,3 +329,22 @@ class TestOperatorIdentities:
     def test_gauge_transform(self, p):
         assert gauge_transform_residual(self.Y2, p) < 1e-9
         assert gauge_transform_residual(self.Y3, p) < 1e-9
+
+
+class TestOrderMustBeAnInteger:
+    """A non-integer order m is a DomainError, not a bare TypeError."""
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "1"])
+    def test_eigenvalue(self, p, m):
+        with pytest.raises(DomainError):
+            eigenvalue_c((0.3, -0.1, -0.2), m, p)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "1"])
+    def test_numeric_action(self, p, m):
+        with pytest.raises(DomainError):
+            macdonald_apply_numeric(lambda z: 1.0, m, (1.0, 2.0, 3.0), p)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, "1"])
+    def test_polynomial_action(self, p, m):
+        with pytest.raises(DomainError):
+            macdonald_apply_poly(monomial_symmetric(3, (2, 1, 0)), m, p)

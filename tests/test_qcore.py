@@ -13,6 +13,7 @@ from qmacdonald import (ConvergenceError, DomainError, PoleError, QParams,
                         XRMode, XRParams, bracket_v, double_pochhammer, fq,
                         g1, kernel_s, kernel_t, qbinomial_series, qgamma,
                         qpochhammer_inf, theta)
+from qmacdonald.qcore import _cpow, _qpochhammers, _terms, _thetas
 
 
 def brute_pochhammer(z, q, terms=600):
@@ -395,3 +396,90 @@ class TestParams:
         assert xr == XRParams(0.5, 2.0, mode=XRMode.B)
         with pytest.raises(DomainError):
             XRParams(0.5, 2.0, mode="C")
+
+
+def _loop_pochhammer(z, q, eps=1e-14):
+    """The term loop that the batched kernel replaced, kept as the oracle
+    it must match bit for bit."""
+    terms = _terms(abs(z), q, eps)
+    prod = complex(1.0)
+    zq = complex(z)
+    for _ in range(terms):
+        prod *= 1.0 - zq
+        zq *= q
+    return prod * cmath.exp(-zq / (1.0 - q))
+
+
+def _loop_theta(z, q):
+    """theta from the term loop; ConvergenceError where theta raises it."""
+    value = (_loop_pochhammer(z, q) * _loop_pochhammer(q / z, q)
+             * _loop_pochhammer(q, q))
+    if not cmath.isfinite(value):
+        raise ConvergenceError("not finite")
+    return value
+
+
+def _grid(seed, count):
+    """(q, zs) batches: q in [0.05, 0.999], |z| in [1e-3, 1e3], 1 to 150
+    arguments with any phase."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        q = float(rng.uniform(0.05, 0.999))
+        size = int(rng.integers(1, 151))
+        zs = [complex(10.0 ** rng.uniform(-3, 3)
+                      * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+              for _ in range(size)]
+        yield q, zs
+
+
+class TestBatchedProductBits:
+    """The batched q-product kernel against the term loop, by repr."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_kernel_and_qpochhammer(self, seed):
+        for q, zs in _grid(seed, 12):
+            want = [repr(_loop_pochhammer(z, q)) for z in zs]
+            assert [repr(v) for v in _qpochhammers(zs, q)] == want
+            assert repr(qpochhammer_inf(zs[0], q)) == want[0]
+
+    def test_rows_in_blocks(self):
+        # 400 columns of about 3000 rows take several row blocks; the
+        # last has no factor at all
+        zs = [0.3 * cmath.exp(0.1j * j) * 1.01 ** j for j in range(399)]
+        zs.append(1e-20j)
+        want = [repr(_loop_pochhammer(z, 0.99)) for z in zs]
+        assert [repr(v) for v in _qpochhammers(zs, 0.99)] == want
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_theta_and_batch(self, seed):
+        for q, zs in _grid(seed, 6):
+            zs = zs + [0j, 1e30, 1e-30, zs[0]]  # rejected ones, a repeat
+            batch = _thetas(zs, q)
+            for z in zs:
+                try:
+                    want = repr(_loop_theta(z, q))
+                except (ConvergenceError, ZeroDivisionError):
+                    assert z not in batch
+                    with pytest.raises((ConvergenceError, DomainError)):
+                        theta(z, q)
+                    continue
+                assert repr(theta(z, q)) == want
+                assert repr(batch[z]) == want
+
+    def test_qgamma(self):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            q = float(rng.uniform(0.05, 0.95))
+            a = complex(rng.uniform(0.2, 4.0), rng.uniform(-2.0, 2.0))
+            want = (_loop_pochhammer(q, q) * _cpow(1.0 - q, 1.0 - a)
+                    / _loop_pochhammer(_cpow(q, a), q))
+            assert repr(qgamma(a, q)) == repr(want)
+
+    def test_term_cap_error(self):
+        with pytest.raises(ConvergenceError) as ref:
+            _terms(0.5, 0.9999, 1e-14)
+        for zs in ([0.5], [0.1, 0.5, 0.2]):
+            with pytest.raises(ConvergenceError) as exc:
+                _qpochhammers(zs, 0.9999)
+            assert str(exc.value) == str(ref.value)
+        assert _thetas([0.5], 0.9999) == {}
