@@ -121,14 +121,15 @@ class _ThetaTable(dict):
 
     One table serves one call of braid_matrix, braid_action or
     verify_braid_relations, so an entry is the value qcore.theta gives
-    for that argument, bit for bit.  The table of a call is filled with
-    all its arguments in one batch by qcore._thetas; an argument the batch
-    leaves out, because theta rejects it, is computed by theta when it is
-    looked up, and raises there as it would without the batch.
+    for that argument, bit for bit.  The table is filled with args, all
+    the arguments of the call, in one batch by qcore._thetas; an argument
+    the batch leaves out, because theta rejects it, is computed by theta
+    when it is looked up, and raises there as it would without the batch.
     """
 
-    def __init__(self, q: float):
-        super().__init__()
+    def __init__(self, q: float, args):
+        # of equal arguments the first is the key, as the lookups make it
+        super().__init__(_thetas(args, q))
         self.q = q
 
     def __missing__(self, x):
@@ -170,7 +171,8 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
     ConvergenceError when one underflows near q = 1, and ZoneError when a
     theta argument is too far from 1 for floating point.
     """
-    return next(_assembled([((), _crossing(s, i, z, p))], p))[1]
+    c = _crossing(s, i, z, p)
+    return _braid_entries(c, p, _ThetaTable(p.q, c.args))
 
 
 def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
@@ -195,29 +197,6 @@ def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
             raise ResonanceError(f"{name} vanishes: resonant parameters")
     return _Crossing(s, i, zeta, d, (qk, qd, qmd, u, qk * u, qd * u, qmd * u,
                                      _cpow(q, -d + k), _cpow(q, d + k)))
-
-
-def _assembled(items, p: QParams):
-    """(key, braid matrix) for each (key, crossing) of items, the theta
-    values of all of them from one table filled in one batch.
-
-    items may raise as it runs.  It is run up to that error first, the
-    matrices before the error are yielded, and then the error is raised:
-    the error the crossings taken one at a time would raise first.
-    """
-    done, error = [], None
-    try:
-        for item in items:
-            done.append(item)
-    except Exception as exc:  # raised again after the matrices before it
-        error = exc
-    th = _ThetaTable(p.q)
-    # of equal arguments the first is the key, as the lookups make it
-    th.update(_thetas([x for _, c in done for x in c.args], p.q))
-    for key, c in done:
-        yield key, _braid_entries(c, p, th)
-    if error is not None:
-        raise error
 
 
 def _braid_entries(c: _Crossing, p: QParams,
@@ -252,24 +231,36 @@ def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
 
 def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
     """braid_action(s_list, i, z, p) for each (i, z) of walls, in order,
-    with one theta table for all their blocks."""
+    with one theta table for all their blocks.
+
+    The crossings of all blocks are formed first, up to the first error
+    one raises.  The blocks before it are assembled from one table, and
+    then that error is raised: the error the blocks taken one at a time
+    would raise first.
+    """
     dim = len(s_list)
     index = {sd.w: j for j, sd in enumerate(s_list)}
-
-    def blocks():  # ((matrix, row, partner row), crossing) per 2x2 block
+    blocks = []  # ((matrix, row, partner row), crossing) per 2x2 block
+    error = None
+    try:
         for m, (i, z) in enumerate(walls):
             done = set()
             for j, sd in enumerate(s_list):
                 if j not in done:
                     j2 = index[_swap(sd.w, i)]
-                    yield (m, j, j2), _crossing(sd, i, z, p)
+                    blocks.append(((m, j, j2), _crossing(sd, i, z, p)))
                     done.update((j, j2))
-
+    except Exception as exc:  # raised again after the blocks before it
+        error = exc
+    th = _ThetaTable(p.q, [x for _, c in blocks for x in c.args])
     out = [np.zeros((dim, dim), dtype=complex) for _ in walls]
-    for (m, j, j2), cm in _assembled(blocks(), p):
+    for (m, j, j2), c in blocks:
+        cm = _braid_entries(c, p, th)
         M = out[m]
         M[j, j], M[j, j2] = cm.entries[0]
         M[j2, j], M[j2, j2] = cm.entries[1]
+    if error is not None:
+        raise error
     return out
 
 

@@ -58,8 +58,8 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
 from .operators import SpectralData, eigenvalue_c, macdonald_apply_numeric
-from .qcore import (QParams, XRMode, _cpow, _qq_inf, _xr_mode, fq, qgamma,
-                    qpochhammer_inf, theta)
+from .qcore import (QParams, XRMode, _checked, _cpow, _qpochhammers, _qq_inf,
+                    _xr_mode, fq, qgamma, qpochhammer_inf, theta)
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
@@ -417,8 +417,10 @@ def _cube_values(sols, z) -> list[dict]:
     """
     n, N, q = sols[0].n, sols[0].max_degree, sols[0].params.q
     values = [{} for _ in sols]
+    if len(z) != n:  # evaluate raises at every point
+        return values
     points = []  # (point, rho_max, power lists) inside the zone
-    for shift in itertools.product((False, True), repeat=len(z)):
+    for shift in itertools.product((False, True), repeat=n):
         try:  # D^m shifts as q * complex(z_i)
             pt, ratios, rho_max = _zone_point(
                 [q * complex(c) if s else c for c, s in zip(z, shift)], n,
@@ -564,7 +566,8 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     # once at m=0, then peeled by one factor of each product per pole
     xb = q ** ((1.0 + k) / 2.0) * c_half * z1 / z2
     xc = c_half * c_half * z1 / z2
-    kern = qpochhammer_inf(xb, q) / qpochhammer_inf(xc, q)
+    num, den = _qpochhammers((xb, xc), q)
+    kern = _checked(num) / _checked(den)
     fm = complex(1.0)          # prod_{j<=m} q^k (1-q^(j-k))/(1-q^j)
     qm = 1.0                   # q^m
     total = complex(0.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularConfigurationError
-from .qcore import QParams, _cpow, kernel_s, qpochhammer_inf
+from .qcore import QParams, _checked, _cpow, _qpochhammers, kernel_s
 
 _COINCIDENCE_TOL = 1e-10
 
@@ -242,10 +242,9 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
         for l in range(n):
             for s in range(l + 1, n):
                 u, v = yy[l] / yy[s], yy[s] / yy[l]
-                out *= (qpochhammer_inf(u, q, p.eps)
-                        * qpochhammer_inf(v, q, p.eps)
-                        / (qpochhammer_inf(t * u, q, p.eps)
-                           * qpochhammer_inf(t * v, q, p.eps)))
+                a, b, c, d = _qpochhammers((u, v, t * u, t * v), q, p.eps)
+                out *= (_checked(a) * _checked(b)
+                        / (_checked(c) * _checked(d)))
         return out
 
     lhs = complex(0.0)
@@ -279,9 +278,10 @@ def gauge_transform_residual(z, p: QParams, f=None) -> float:
         for i in range(n):
             for j in range(i + 1, n):
                 u = zz[i] / zz[j]
-                out *= (_cpow(zz[j], 1.0 - 2.0 * k)
-                        * qpochhammer_inf(t * u, q, p.eps)
-                        / qpochhammer_inf(q ** (1.0 - k) * u, q, p.eps))
+                num, den = _qpochhammers((t * u, q ** (1.0 - k) * u), q,
+                                         p.eps)
+                out *= (_cpow(zz[j], 1.0 - 2.0 * k) * _checked(num)
+                        / _checked(den))
         return out
 
     lhs = complex(0.0)

@@ -16,9 +16,13 @@ down its rows, and each column reads the row of its own truncation
 length.  accumulate multiplies row by row with the scalar complex
 product, the formula CPython uses, so a batch is bit for bit the
 one-at-a-time loop; numpy's elementwise complex multiply may fuse a
-multiply-add on CPUs with FMA and is not.  qpochhammer_inf is the kernel
-with one column, theta with two, and _thetas computes the theta values a
-braid computation needs in one call.
+multiply-add on CPUs with FMA and is not.  An argument the kernel
+rejects, at the term cap say, leaves its exception in its column, so it
+fails only itself; qpochhammer_inf, the kernel with one column, raises
+it.  kernel_s and kernel_t take their two products in one call.  In the
+same way _theta_values holds every check and value of theta for a batch
+of arguments, theta is it with one argument, and _thetas keeps the
+values a braid computation needs, from one call for all of them.
 
 A double product (z; p1, p2)_inf takes its row count and the factor
 count of its top row from logs too, and multiplies its factors with
@@ -141,7 +145,15 @@ def qpochhammer_inf(z: complex, q: float, eps: float = DEFAULT_EPS) -> complex:
     """
     if not abs(q) < 1.0:
         raise DomainError(f"|q| must be < 1 for (z;q)_inf, got q={q}")
-    return _qpochhammers((z,), q, eps)[0]
+    return _checked(_qpochhammers((z,), q, eps)[0])
+
+
+def _checked(value):
+    """value, unless a batch left the exception of its argument in its
+    place: then that exception is raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
@@ -151,6 +163,10 @@ def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
         repeat _terms(|z|, q, eps) times: prod *= 1 - zq; zq *= q
         return prod * exp(-zq/(1-q))
 
+    or, in its place, the exception the loop raises before it starts:
+    ConvergenceError at the term cap and for a NaN or inf |z|,
+    OverflowError for a z whose abs() leaves the float range.
+
     The zs are the columns of one array: np.multiply.accumulate down its
     rows takes zq = z q^i, and a second one the running product of the
     factors 1 - zq; column j reads the row of its own truncation length,
@@ -158,40 +174,44 @@ def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
     one before it with the scalar complex product, as CPython does, so no
     fused multiply-add changes a bit.  Rows go in blocks of at most
     _BLOCK * 4 entries (256 KB of complex128 per array), so memory stays
-    bounded as q -> 1.  ConvergenceError at the term cap, for the first z
-    that reaches it.
+    bounded as q -> 1.
     """
-    terms = [_terms(abs(z), q, eps) for z in zs]
-    last = max(terms, default=0)
-    terms, cols = np.array(terms, dtype=np.int64), np.arange(len(terms))
-    height = max(1, 4 * _BLOCK // max(1, len(terms)))
-    zq_row = np.array(zs, dtype=complex)
-    prod_row = np.ones(len(terms), dtype=complex)
-    zq_at, prod_at = zq_row, prod_row  # z q^terms and its product
+    terms = []
+    for z in zs:
+        try:
+            terms.append(_terms(abs(z), q, eps))
+        except (ConvergenceError, OverflowError) as exc:
+            terms.append(exc)
+    rows_of = [0 if isinstance(t, Exception) else t for t in terms]
+    last, width = max(rows_of, default=0), len(rows_of)
+    rows_of, cols = np.array(rows_of, dtype=np.int64), np.arange(width)
+    height = max(1, 4 * _BLOCK // max(1, width))
+    # at[0] is z q^terms of each column and at[1] its product; row[0] and
+    # row[1] are zq and the product at the end of the block before
+    at = row = np.array([zs, np.ones(width)], dtype=complex)
     # overflow and inf * 0 in a product are caught as non-finite values by
     # the callers, not as NumPy warnings
     with np.errstate(all="ignore"):
         for top in range(0, last, height):
-            # rows top..top+rows of zq and of the running product
+            # rows top..top+rows of zq (block[0]) and of the product (block[1])
             rows = min(height, last - top)
-            zq = np.empty((rows + 1, len(terms)), dtype=complex)
-            zq[0], zq[1:] = zq_row, q
-            np.multiply.accumulate(zq, axis=0, out=zq)
-            prod = np.empty_like(zq)
-            prod[0] = prod_row
-            np.subtract(1.0, zq[:-1], out=prod[1:])
-            np.multiply.accumulate(prod, axis=0, out=prod)
+            block = np.empty((2, rows + 1, width), dtype=complex)
+            block[:, 0], block[0, 1:] = row, q
+            np.multiply.accumulate(block[0], axis=0, out=block[0])
+            np.subtract(1.0, block[0, :-1], out=block[1, 1:])
+            np.multiply.accumulate(block[1], axis=0, out=block[1])
             if rows == last:  # one block: every column reads from it
-                zq_at, prod_at = zq[terms, cols], prod[terms, cols]
+                at = block[:, rows_of, cols]
             else:
                 if top == 0:
-                    zq_at, prod_at = zq_row.copy(), prod_row.copy()
-                here = np.flatnonzero((terms > top) & (terms <= top + rows))
-                zq_at[here] = zq[terms[here] - top, here]
-                prod_at[here] = prod[terms[here] - top, here]
-            zq_row, prod_row = zq[-1], prod[-1]
-    return [p * cmath.exp(-z / (1.0 - q))
-            for p, z in zip(prod_at.tolist(), zq_at.tolist())]
+                    at = row.copy()
+                here = np.flatnonzero((rows_of > top)
+                                      & (rows_of <= top + rows))
+                at[:, here] = block[:, rows_of[here] - top, here]
+            row = block[:, -1]
+    zq_at, prod_at = at.tolist()
+    return [t if isinstance(t, Exception) else p * cmath.exp(-z / (1.0 - q))
+            for t, p, z in zip(terms, prod_at, zq_at)]
 
 
 def _terms(az: float, q: float, eps: float) -> int:
@@ -237,46 +257,50 @@ def theta(z: complex, q: float) -> complex:
     ConvergenceError when the product leaves the floating-point range,
     as it does for |z| or |q/z| far above 1.
     """
-    if z == 0:
-        raise DomainError("Theta_q is not defined at z = 0")
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0,1), got {q}")
-    a, b = _qpochhammers((z, q / z), q)
-    value = a * b * _qq_inf(q)
-    if not cmath.isfinite(value):
-        raise ConvergenceError(f"Theta_q({z}) is not finite in floating point")
-    return value
+    return _checked(_theta_values((z,), q)[0])
 
 
 def _thetas(xs, q: float) -> dict:
     """{x: theta(x, q)} for the xs theta accepts, bit for bit, from one
-    call of _qpochhammers for every x and q/x.  An x that theta would
-    reject (zero, a product at the term cap, a value that is not finite),
-    or every x when theta rejects q, is left out, so that a caller falling
-    back to theta raises there.  Equal xs share the entry of the first."""
-    try:
-        qq = _qq_inf(q) if 0.0 < q < 1.0 else None
-    except ConvergenceError:  # (q;q)_inf is at the term cap
-        qq = None
-    if qq is None:
-        return {}
-    args = {}  # x -> q/x
-    for x in xs:
-        if x == 0 or x in args:
-            continue
-        qx = q / x
+    call of _theta_values.  An x that theta rejects is left out, so that
+    a caller falling back to theta raises there.  Equal xs share the
+    entry of the first."""
+    xs = list(dict.fromkeys(xs))
+    return {x: value for x, value in zip(xs, _theta_values(xs, q))
+            if not isinstance(value, Exception)}
+
+
+def _theta_values(xs, q: float) -> list:
+    """theta(x, q) for each x in xs, or in its place the exception that
+    rejects x: DomainError at x = 0 and for q outside (0,1), the error of
+    (x;q)_inf, (q/x;q)_inf or (q;q)_inf, in that order, and
+    ConvergenceError for a value that is not finite.  Every x and q/x
+    go through one call of _qpochhammers."""
+    live = [x for x in xs if x != 0] if 0.0 < q < 1.0 else []
+    products = _qpochhammers([*live, *(q / x for x in live)], q)
+    factors = zip(products, products[len(live):])
+    qq = None
+    if live:
         try:
-            _terms(abs(x), q, DEFAULT_EPS)
-            _terms(abs(qx), q, DEFAULT_EPS)
-        except (ConvergenceError, OverflowError):  # abs() past the range
-            continue
-        args[x] = qx
-    values = _qpochhammers([*args, *args.values()], q)
-    out = {}
-    for x, a, b in zip(args, values, values[len(args):]):
-        value = a * b * qq
-        if cmath.isfinite(value):
-            out[x] = value
+            qq = _qq_inf(q)
+        except ConvergenceError as exc:  # (q;q)_inf is at the term cap
+            qq = exc
+    out = []
+    for x in xs:
+        if x == 0:
+            value = DomainError("Theta_q is not defined at z = 0")
+        elif not 0.0 < q < 1.0:
+            value = DomainError(f"q must lie in (0,1), got {q}")
+        else:
+            a, b = next(factors)
+            value = next((v for v in (a, b, qq) if isinstance(v, Exception)),
+                         None)
+            if value is None:
+                value = a * b * qq
+                if not cmath.isfinite(value):
+                    value = ConvergenceError(
+                        f"Theta_q({x}) is not finite in floating point")
+        out.append(value)
     return out
 
 
@@ -357,17 +381,20 @@ def g1(z: complex, x: float, r: float, n: int) -> complex:
 
 
 def kernel_s(z: complex, p: QParams) -> complex:
-    """s(z) = (q^((1+k)/2) z; q)_inf / (q^((1-k)/2) z; q)_inf."""
+    """s(z) = (q^((1+k)/2) z; q)_inf / (q^((1-k)/2) z; q)_inf, both
+    products from one call of _qpochhammers."""
     q, k = p.q, p.k
-    return (qpochhammer_inf(q ** ((1.0 + k) / 2.0) * z, q, p.eps)
-            / qpochhammer_inf(q ** ((1.0 - k) / 2.0) * z, q, p.eps))
+    num, den = _qpochhammers((q ** ((1.0 + k) / 2.0) * z,
+                              q ** ((1.0 - k) / 2.0) * z), q, p.eps)
+    return _checked(num) / _checked(den)
 
 
 def kernel_t(z: complex, p: QParams) -> complex:
-    """t(z) = (1-z) (q^(1-k) z; q)_inf / (q^k z; q)_inf."""
+    """t(z) = (1-z) (q^(1-k) z; q)_inf / (q^k z; q)_inf, both products
+    from one call of _qpochhammers."""
     q, k = p.q, p.k
-    return ((1.0 - z) * qpochhammer_inf(q ** (1.0 - k) * z, q, p.eps)
-            / qpochhammer_inf(q ** k * z, q, p.eps))
+    num, den = _qpochhammers((q ** (1.0 - k) * z, q ** k * z), q, p.eps)
+    return (1.0 - z) * _checked(num) / _checked(den)
 
 
 def bracket_v(v: complex, xr: XRParams) -> complex:

@@ -166,6 +166,13 @@ class TestConfigAndErrors:
             assert code == 2
             assert json.loads(out)["error"]["type"] == "DomainError"
 
+    def test_verify_point_of_wrong_length_exit(self, capsys):
+        code, out = run_cli(capsys, "verify", "--lambda", "0.3,-0.3",
+                            "--points", ",".join(map(str, range(1, 41))))
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "DomainError", "message": "point must have 2 coordinates"}
+
     def test_zone_error_exit(self, capsys):
         code, out = run_cli(capsys, "eval", "--lambda", "0.27,-0.27",
                             "--points", "8,1")

@@ -485,6 +485,9 @@ class TestBasisEigenBits:
         (LAM2, (math.nan, 1.0), 0.5, 4),        # a NaN ratio
         ((0.3, 0.1, -0.4), (1, 2, 3), 0.5, 16),  # z with z_2 -> q z_2
         (LAM2, (1.0, 2.0), 1e-300, 0),
+        (LAM3, (1.0, 2.0), 0.5, 4),             # too few coordinates
+        (LAM2, (1.0, 2.0, 4.0), 0.5, 4),        # too many
+        (LAM2, tuple(range(1, 41)), 0.5, 4),    # a cube of 2^40 points
     ])
     def test_same_error(self, lam, z, q, N):
         sols = solve_basis(lam, QParams(q=q, k=0.4), N=N)

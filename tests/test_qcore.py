@@ -475,11 +475,30 @@ class TestBatchedProductBits:
                     / _loop_pochhammer(_cpow(q, a), q))
             assert repr(qgamma(a, q)) == repr(want)
 
+    def test_kernels(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            p = QParams(q=float(rng.uniform(0.05, 0.95)),
+                        k=float(rng.uniform(0.05, 0.95)))
+            q, k = p.q, p.k
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            s = (_loop_pochhammer(q ** ((1.0 + k) / 2.0) * z, q)
+                 / _loop_pochhammer(q ** ((1.0 - k) / 2.0) * z, q))
+            t = ((1.0 - z) * _loop_pochhammer(q ** (1.0 - k) * z, q)
+                 / _loop_pochhammer(q ** k * z, q))
+            assert repr(kernel_s(z, p)) == repr(s)
+            assert repr(kernel_t(z, p)) == repr(t)
+
     def test_term_cap_error(self):
         with pytest.raises(ConvergenceError) as ref:
             _terms(0.5, 0.9999, 1e-14)
-        for zs in ([0.5], [0.1, 0.5, 0.2]):
-            with pytest.raises(ConvergenceError) as exc:
-                _qpochhammers(zs, 0.9999)
-            assert str(exc.value) == str(ref.value)
+        # the batch leaves the error in the column that reaches the cap
+        values = _qpochhammers([1e-7, 0.5, 2e-7j], 0.9999)
+        assert isinstance(values[1], ConvergenceError)
+        assert str(values[1]) == str(ref.value)
+        assert [repr(values[j]) for j in (0, 2)] == [
+            repr(_loop_pochhammer(z, 0.9999)) for z in (1e-7, 2e-7j)]
+        with pytest.raises(ConvergenceError) as exc:
+            qpochhammer_inf(0.5, 0.9999)
+        assert str(exc.value) == str(ref.value)
         assert _thetas([0.5], 0.9999) == {}
