@@ -13,9 +13,11 @@ evaluation points in tests keep arguments well away from the cut.
 
 A braid computation first forms every crossing it needs, with its
 checks and its nine theta arguments, then computes all those theta
-values in one batch (qcore._thetas) and assembles the matrices from
-that table.  The entries are bit for bit those of qcore.theta, and an
-error is the one the crossings taken one at a time would raise first.
+values in one batch (qcore._theta_values) and assembles the matrices
+from that table.  The table holds, for each argument, its value or the
+exception theta raises there, which a lookup raises.  The entries are
+bit for bit those of qcore.theta, and an error is the one the crossings
+taken one at a time would raise first.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, PoleError,
                      ResonanceError, ZoneError)
 from .operators import SpectralData
-from .qcore import (QParams, XRParams, _cpow, _thetas, bracket_v, fq, g1,
-                    qgamma, qpochhammer_inf, theta)
+from .qcore import (QParams, XRParams, _checked, _cpow, _theta_values,
+                    bracket_v, fq, g1, qgamma, qpochhammer_inf, theta)
 
 _RESONANCE_TOL = 1e-10
 
@@ -116,25 +118,14 @@ def _theta_vanishes(x: complex, base: float) -> bool:
                         "range") from None
 
 
-class _ThetaTable(dict):
-    """Theta_q values keyed by their argument, each computed once.
-
-    One table serves one call of braid_matrix, braid_action or
-    verify_braid_relations, so an entry is the value qcore.theta gives
-    for that argument, bit for bit.  The table is filled with args, all
-    the arguments of the call, in one batch by qcore._thetas; an argument
-    the batch leaves out, because theta rejects it, is computed by theta
-    when it is looked up, and raises there as it would without the batch.
-    """
-
-    def __init__(self, q: float, args):
-        # of equal arguments the first is the key, as the lookups make it
-        super().__init__(_thetas(args, q))
-        self.q = q
-
-    def __missing__(self, x):
-        value = self[x] = theta(x, self.q)
-        return value
+def _theta_table(q: float, args) -> dict:
+    """{x: theta(x, q), or the exception theta raises there} for the
+    arguments args of one call of braid_matrix, braid_action or
+    verify_braid_relations, from one batch of qcore._theta_values; each
+    distinct argument is computed once, and of equal arguments the first
+    is the key."""
+    xs = list(dict.fromkeys(args))
+    return dict(zip(xs, _theta_values(xs, q)))
 
 
 class _Crossing(NamedTuple):
@@ -172,16 +163,16 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
     theta argument is too far from 1 for floating point.
     """
     c = _crossing(s, i, z, p)
-    return _braid_entries(c, p, _ThetaTable(p.q, c.args))
+    return _braid_entries(c, p, _theta_table(p.q, c.args))
 
 
 def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
     """The checks of braid_matrix that come before its theta values, and
     the arguments of those values."""
-    n = s.n
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"i must lie in 1..{n - 1}")
+    _check_wall(i, s.n)
     z = tuple(complex(c) for c in z)
+    if z[i] == 0:
+        raise DomainError("z_{i+1} must be nonzero")
     zeta = z[i - 1] / z[i]
     if zeta == 0:
         raise DomainError("z_i / z_{i+1} must be nonzero")
@@ -199,20 +190,28 @@ def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
                                      _cpow(q, -d + k), _cpow(q, d + k)))
 
 
-def _braid_entries(c: _Crossing, p: QParams,
-                   th: _ThetaTable) -> ConnectionMatrix:
-    """The braid matrix of the crossing c, its theta values from th."""
+def _check_wall(i: int, n: int) -> None:
+    if not 1 <= i <= n - 1:
+        raise DomainError(f"i must lie in 1..{n - 1}")
+
+
+def _braid_entries(c: _Crossing, p: QParams, table: dict) -> ConnectionMatrix:
+    """The braid matrix of the crossing c, its theta values from table;
+    a rejected theta raises its error where it is looked up."""
+    def th(x):
+        return _checked(table[x])
+
     zeta, d, q, k = c.zeta, c.d, p.q, p.k
     qk, qd, qmd, u, qku, qdu, qmdu, qkmd, qkpd = c.args
-    th_k, th_d, th_md = th[qk], th[qd], th[qmd]
-    th_u, th_ku = th[u], th[qku]
+    th_k, th_d, th_md = th(qk), th(qd), th(qmd)
+    th_u, th_ku = th(u), th(qku)
     if min(abs(th_d), abs(th_md), abs(th_ku)) < sys.float_info.min:
         raise ConvergenceError("theta denominators underflow near q = 1")
     zeta_k = _cpow(zeta, k)
-    diag0 = th_k / th_d * th[qdu] / th_ku * _cpow(zeta, -d + k)
-    diag1 = th_k / th_md * th[qmdu] / th_ku * _cpow(zeta, d + k)
-    off0 = _cpow(q, -k * d) * th[qkmd] / th_md * th_u / th_ku * zeta_k
-    off1 = _cpow(q, k * d) * th[qkpd] / th_d * th_u / th_ku * zeta_k
+    diag0 = th_k / th_d * th(qdu) / th_ku * _cpow(zeta, -d + k)
+    diag1 = th_k / th_md * th(qmdu) / th_ku * _cpow(zeta, d + k)
+    off0 = _cpow(q, -k * d) * th(qkmd) / th_md * th_u / th_ku * zeta_k
+    off1 = _cpow(q, k * d) * th(qkpd) / th_d * th_u / th_ku * zeta_k
     return ConnectionMatrix(
         i=c.i, w=c.s.w, ratio=zeta,
         entries=[[diag0, off0], [off1, diag1]],
@@ -236,7 +235,8 @@ def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
     The crossings of all blocks are formed first, up to the first error
     one raises.  The blocks before it are assembled from one table, and
     then that error is raised: the error the blocks taken one at a time
-    would raise first.
+    would raise first.  DomainError for a wall i outside 1..n-1 and for
+    an s_list without the partner s_i w of one of its w.
     """
     dim = len(s_list)
     index = {sd.w: j for j, sd in enumerate(s_list)}
@@ -247,15 +247,19 @@ def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
             done = set()
             for j, sd in enumerate(s_list):
                 if j not in done:
-                    j2 = index[_swap(sd.w, i)]
+                    _check_wall(i, sd.n)
+                    j2 = index.get(_swap(sd.w, i))
+                    if j2 is None:
+                        raise DomainError(f"s_list has no partner of w = "
+                                          f"{sd.w} across wall {i}")
                     blocks.append(((m, j, j2), _crossing(sd, i, z, p)))
                     done.update((j, j2))
     except Exception as exc:  # raised again after the blocks before it
         error = exc
-    th = _ThetaTable(p.q, [x for _, c in blocks for x in c.args])
+    table = _theta_table(p.q, [x for _, c in blocks for x in c.args])
     out = [np.zeros((dim, dim), dtype=complex) for _ in walls]
     for (m, j, j2), c in blocks:
-        cm = _braid_entries(c, p, th)
+        cm = _braid_entries(c, p, table)
         M = out[m]
         M[j, j], M[j, j2] = cm.entries[0]
         M[j2, j], M[j2, j2] = cm.entries[1]

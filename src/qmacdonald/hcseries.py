@@ -19,26 +19,24 @@ equations are verified numerically, not imposed.
 
 A solution holds its coefficients as one tuple in multi_indices order, so
 position j is the j-th multi-index and nothing else knows the key layout.
-Evaluation takes one table of powers per ratio per call, indexes it by the
-cached exponent columns of that order, and sums in that order, so it is
-bit for bit the term-by-term sum; the top two strata that set the
-geometric tail estimate are the last entries.  A solution holds only what
-the solver computes; the closed-form leading coefficients are computed
-where they are asked for, as the JSON writer does.  Also holds JSON
-round-tripping and the residue-summation oracles for the contour
-integrals.
+A solution holds only what the solver computes; the closed-form leading
+coefficients are computed where they are asked for, as the JSON writer
+does.  Also holds JSON round-tripping and the residue-summation oracles
+for the contour integrals.
 
-The eigen-equations of `verify` evaluate all n! basis elements at the
-2^n points of the q-shift cube of z, the points with z_I -> q z_I for
-every subset I, which are the points every D^m needs.  That is one numpy
-pass over (points, rows, monomials), with the same ratios, power lists,
-prefactors and order of operations as evaluate, so its values are bit
-for bit evaluate's.  Its complex products are written as float ufuncs,
-(ar br - ai bi, ar bi + ai br): CPython rounds each product, while
-numpy's complex multiply may fuse a multiply-add on CPUs with FMA.
-evaluate itself keeps its loop over terms: it is the one-point path,
-faster than the numpy pass for one row at one point, and the reference
-the pass is tested against.
+One kernel, _series_values, sums the series: for evaluate, one row at
+one point, and for the eigen-equations of `verify`, all n! basis
+elements at the 2^n points of the q-shift cube of z, the points with
+z_I -> q z_I for every subset I, which are the points every D^m needs.
+Each ratio gets one table of powers per point, read through the cached
+exponent columns of multi_indices order; the monomials are formed in
+one numpy pass and summed in that order, so value and tail are bit for
+bit the term-by-term sum, and the top two strata that set the geometric
+tail estimate are the last entries.  The complex products are written
+as float ufuncs, (ar br - ai bi, ar bi + ai br): CPython rounds each
+product, while numpy's complex multiply may fuse a multiply-add on CPUs
+with FMA.  Where evaluate raises, the kernel holds the exception in
+place of the value, as qcore's batched q-products do.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import itertools
 import json
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,10 +81,14 @@ def multi_indices(n_vars: int, max_total: int):
 
 
 @functools.lru_cache(maxsize=64)
-def _columns(n_vars: int, max_total: int) -> tuple[tuple[int, ...], ...]:
-    """The exponent columns of multi_indices(n_vars, max_total): column i
-    holds p_i of every multi-index, in table order."""
-    return tuple(zip(*multi_indices(n_vars, max_total)))
+def _columns(n_vars: int, max_total: int) -> np.ndarray:
+    """The exponent columns of multi_indices(n_vars, max_total) as one
+    read-only int array: row i holds p_i of every multi-index, in table
+    order."""
+    columns = np.array(list(multi_indices(n_vars, max_total)),
+                       dtype=np.int64).T.copy()
+    columns.setflags(write=False)
+    return columns
 
 
 def _check_depth(N) -> int:
@@ -125,6 +126,15 @@ class HCSolution:
     @property
     def prefactor_exponent(self) -> tuple[complex, ...]:
         return self.spectral.eta_plus_rho
+
+    @functools.cached_property
+    def _parts(self) -> np.ndarray:
+        """The real and imaginary parts of coeffs as the (1, 2, M) float
+        array the series kernel reads, read-only."""
+        coeffs = np.array(self.coeffs, dtype=complex)
+        parts = np.stack([coeffs.real, coeffs.imag])[None]
+        parts.setflags(write=False)
+        return parts
 
 
 def _stencil(n: int, t: float):
@@ -166,7 +176,7 @@ def _solve(rows: list[SpectralData], p: QParams, N) -> list[HCSolution]:
     n, q, t = rows[0].n, p.q, p.t
     N = _check_depth(default_depth(n) if N is None else N)
     c = eigenvalue_c(rows[0].lam_plus_rho, 1, p)
-    index = np.array(_columns(n - 1, N)).T  # row j: the j-th multi-index
+    index = _columns(n - 1, N).T  # row j: the j-th multi-index
     M = len(index)
     # overflow and 0 * inf in extreme q are caught below as non-finite
     # coefficients, not as NumPy warnings
@@ -275,42 +285,116 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     converge slightly beyond |z_i/z_{i+1}| = 1 (checkable a posteriori
     through the tail estimate); it must be finite and positive.
 
-    Each ratio r_i gets one table of powers r_i ** j, j <= N, per call,
-    read through the cached exponent column p_i of multi_indices order.
-    Every monomial is a(p) * r_1^p_1 * r_2^p_2 * ..., multiplied left to
+    This is the series kernel _series_values at one row and one point:
+    every monomial is a(p) * r_1^p_1 * r_2^p_2 * ..., multiplied left to
     right, and the sums run in coefficient order, so value and tail are
-    bit for bit those of a term-by-term loop.  The strata |p| = N and N-1
-    that set the tail are the last entries.  DomainError at z_i = 0, the
-    branch point of the prefactor; ZoneError unless the largest ratio
+    bit for bit those of a term-by-term loop.  DomainError at z_i = 0,
+    the branch point of the prefactor; ZoneError unless the largest ratio
     modulus is below max_ratio, which NaN is not; ConvergenceError when
     the value or the tail is not finite.
     """
-    z, ratios, rho_max = _zone_point(z, sol.n, max_ratio)
-    pref = _prefactor(z, sol.prefactor_exponent)
-    N = sol.max_degree
-    monos = sol.coeffs
-    start, mid = _top_strata(sol.n, N)
-    total = complex(0.0)
-    top = 0.0
-    prev = 0.0
-    try:  # a power or abs() past the float range raises OverflowError
-        for r, column in zip(ratios, _columns(sol.n - 1, N)):
-            powers = [r ** j for j in range(N + 1)]
-            monos = list(map(operator.mul, monos,
-                             map(powers.__getitem__, column)))
-        for mono in monos:  # not sum(): it compensates floats from 3.12
-            total += mono
-        for mono in monos[mid:]:
-            top += abs(mono)
-        for mono in monos[start:mid]:
-            prev += abs(mono)
-        tail = _tail(pref, top, prev, rho_max)
-    except OverflowError:
-        tail = math.inf
-    value = pref * total
+    return EvalResult(*_checked(_series_values([sol], [z], max_ratio)[0][0]))
+
+
+_BATCH = 1 << 14  # (point, row, monomial) entries per chunk: 256 KB arrays
+
+
+def _series_values(sols, points, max_ratio: float) -> list[list]:
+    """For each row of sols and each point, the (value, tail) evaluate
+    returns there, or in its place the exception it raises.  sols share
+    n and N, as the solutions of solve_basis do.
+
+    The ratios z_i/z_{i+1}, their power lists r ** j, j <= N, the
+    prefactors and the tails are taken in Python.  The monomials of every
+    row at every point are formed in one numpy pass, left to right over
+    the ratios, and summed in coefficient order from a leading zero by
+    np.add.accumulate, which adds in sequence; the strata |p| = N and
+    N - 1 that set the tail are the last entries, and their moduli are
+    np.hypot, as abs() is.  Each complex product is written in float
+    ufuncs, (ar br - ai bi, ar bi + ai br): CPython rounds each product,
+    while numpy's own complex multiply may fuse a multiply-add on CPUs
+    with FMA.  Points go in chunks of at most _BATCH (point, row,
+    monomial) entries.
+    """
+    n, N = sols[0].n, sols[0].max_degree
+    out = [[None] * len(points) for _ in sols]
+    summed = []  # (j, point, rho_max, power lists) of the points summed
+    for j, z in enumerate(points):
+        try:
+            pt, ratios, rho_max = _zone_point(z, n, max_ratio)
+        except Exception as exc:
+            for row in out:
+                row[j] = exc
+            continue
+        try:
+            summed.append((j, pt, rho_max,
+                           [r ** e for r in ratios for e in range(N + 1)]))
+        except OverflowError:  # a power past the float range
+            for sol, row in zip(sols, out):
+                row[j] = _result(sol, pt, rho_max, None)
+    columns = _columns(n - 1, N)
+    M = columns.shape[1]
+    start, mid = _top_strata(n, N)
+    top = M - mid  # entries of the top stratum; mid - start before it
+    parts = (sols[0]._parts if len(sols) == 1
+             else np.concatenate([sol._parts for sol in sols]))
+    step = max(1, _BATCH // (len(sols) * M))
+    for lo in range(0, len(summed), step):
+        chunk = summed[lo:lo + step]
+        power = np.array([pw for *_, pw in chunk], dtype=complex).reshape(
+            len(chunk), n - 1, 1, 1, N + 1)
+        # totals[p, r]: a leading 0, then the real and imaginary parts of
+        # the monomials; moduli[p, r]: those of the top stratum, and of
+        # the one before it after leading zeros
+        totals = np.zeros((len(chunk), len(sols), 2, M + 1))
+        moduli = np.zeros((len(chunk), len(sols), 2, top))
+        monos = parts
+        # overflow and inf * 0 become non-finite values, checked in _result
+        with np.errstate(all="ignore"):
+            for l in range(n - 1):
+                # (a + ib)(x + iy) = (ax - by) + i(ay + bx)
+                g = power[:, l].take(columns[l], axis=-1)
+                by_x, by_y = monos * g.real, monos * g.imag
+                monos = (totals[..., 1:] if l == n - 2
+                         else np.empty(by_x.shape))
+                np.subtract(by_x[..., 0, :], by_y[..., 1, :],
+                            out=monos[..., 0, :])
+                np.add(by_y[..., 0, :], by_x[..., 1, :], out=monos[..., 1, :])
+            np.hypot(monos[..., 0, mid:], monos[..., 1, mid:],
+                     out=moduli[..., 0, :])
+            np.hypot(monos[..., 0, start:mid], monos[..., 1, start:mid],
+                     out=moduli[..., 1, top - (mid - start):])
+            totals = np.add.accumulate(totals, axis=-1)[..., -1].tolist()
+            moduli = np.add.accumulate(moduli, axis=-1)[..., -1].tolist()
+        for (j, pt, rho_max, _), *sums in zip(chunk, totals, moduli):
+            for sol, row, total, modulus in zip(sols, out, *sums):
+                row[j] = _result(sol, pt, rho_max, total + modulus)
+    return out
+
+
+def _result(sol: HCSolution, pt, rho_max: float, sums):
+    """evaluate(sol, pt)'s (value, tail) from the sums of the real and
+    imaginary parts of the monomials and of the moduli of the top two
+    strata, or the exception it raises; sums is None when a power of a
+    ratio left the float range."""
+    try:
+        pref = _prefactor(pt, sol.prefactor_exponent)
+    except Exception as exc:
+        return exc
+    value, tail = pref, math.inf
+    if sums is not None:
+        total_re, total_im, top, prev = sums
+        value = pref * complex(total_re, total_im)
+        # a modulus past the float range makes prev infinite, and abs()
+        # of such a pref raises OverflowError: the tail is infinite then
+        try:
+            if math.isfinite(prev):
+                tail = _tail(pref, top, prev, rho_max)
+        except OverflowError:
+            pass
     if not (cmath.isfinite(value) and math.isfinite(tail)):
-        raise ConvergenceError(f"the series at {z} is not finite")
-    return EvalResult(value=value, tail_estimate=tail)
+        return ConvergenceError(f"the series at {pt} is not finite")
+    return value, tail
 
 
 def _zone_point(z, n: int, max_ratio: float):
@@ -381,90 +465,28 @@ def _basis_eigen_residuals(sols, z) -> list[list[float]]:
     share n, N and params, as the solutions of solve_basis do.
 
     D^m evaluates the series at the points z with z_I -> q z_I, |I| = m.
-    _cube_values evaluates every row at all 2^n of them, the q-shift cube,
-    at once; the residuals then run eigen_residual's arithmetic on those
-    values.  A (row, point) left out of the cube, because evaluate raises
-    there, falls through to evaluate when it is looked up, and raises as
-    it would without the cube.
+    The series kernel evaluates every row at all 2^n of them, the q-shift
+    cube, in one call; the residuals then run eigen_residual's arithmetic
+    on those values, and a (row, point) where evaluate raises raises the
+    same error when it is looked up.  A point off the cube, as for a z of
+    the wrong length, goes to evaluate.
     """
+    n, q = sols[0].n, sols[0].params.q
+    zc = tuple(complex(c) for c in z)
+    # D^m shifts as q * complex(z_i)
+    cube = ([tuple(q * c if s else c for c, s in zip(zc, shift))
+             for shift in itertools.product((False, True), repeat=n)]
+            if len(zc) == n else [])
     out = []
-    for sol, values in zip(sols, _cube_values(sols, z)):
-        def phi(zz, sol=sol, values=values):
-            value = values.get(zz)
-            return evaluate(sol, zz).value if value is None else value
+    for sol, results in zip(sols, _series_values(sols, cube, 1.0)):
+        def phi(zz, sol=sol, table=dict(zip(cube, results))):
+            result = table.get(zz)
+            if result is None:
+                return evaluate(sol, zz).value
+            return _checked(result)[0]
         out.append([_eigen_residual(sol, m, z, phi)
-                    for m in range(1, sol.n + 1)])
+                    for m in range(1, n + 1)])
     return out
-
-
-_BATCH = 1 << 17  # entries of one (points, rows, monomials) array: 1 MB
-
-
-def _cube_values(sols, z) -> list[dict]:
-    """For each row of sols, {point: evaluate(sol, point).value} over the
-    q-shift cube of z, bit for bit, without the (row, point) where
-    evaluate raises.
-
-    The ratios, their power lists and the prefactors are taken in Python
-    as evaluate takes them.  The monomials of every row at every point
-    are then formed in one numpy pass, left to right over the ratios, and
-    summed in coefficient order from a leading zero by np.add.accumulate;
-    moduli are np.hypot, as abs() is.  Each complex product is written as
-    float ufuncs, (ar br - ai bi, ar bi + ai br): numpy's own complex
-    multiply may fuse a multiply-add, where CPython rounds each product,
-    so only the split form is bit for bit CPython's.  Points go in chunks
-    of at most _BATCH entries per array.
-    """
-    n, N, q = sols[0].n, sols[0].max_degree, sols[0].params.q
-    values = [{} for _ in sols]
-    if len(z) != n:  # evaluate raises at every point
-        return values
-    points = []  # (point, rho_max, power lists) inside the zone
-    for shift in itertools.product((False, True), repeat=n):
-        try:  # D^m shifts as q * complex(z_i)
-            pt, ratios, rho_max = _zone_point(
-                [q * complex(c) if s else c for c, s in zip(z, shift)], n,
-                1.0)
-            powers = [[r ** j for j in range(N + 1)] for r in ratios]
-        except Exception:  # evaluate raises it again for each row
-            continue
-        points.append((pt, rho_max, powers))
-    coeffs = np.array([sol.coeffs for sol in sols], dtype=complex)
-    columns = np.array(_columns(n - 1, N))
-    start, mid = _top_strata(n, N)
-    step = max(1, _BATCH // coeffs.size)
-    for lo in range(0, len(points), step):
-        chunk = points[lo:lo + step]
-        power = np.array([pw for _, _, pw in chunk], dtype=complex)
-        re, im = coeffs.real[None], coeffs.imag[None]
-        # overflow and inf * 0 become non-finite values, checked below
-        with np.errstate(all="ignore"):
-            for l, column in enumerate(columns):
-                g = power[:, l, column][:, None, :]
-                re, im = re * g.real - im * g.imag, re * g.imag + im * g.real
-            modulus = np.hypot(re[..., start:], im[..., start:])
-            sums = [_running_sum(x).tolist()
-                    for x in (re, im, modulus[..., mid - start:],
-                              modulus[..., :mid - start])]
-        for (pt, rho_max, _), *row_sums in zip(chunk, *sums):
-            for sol, table, total_re, total_im, top, prev in zip(
-                    sols, values, *row_sums):
-                try:
-                    pref = _prefactor(pt, sol.prefactor_exponent)
-                    tail = _tail(pref, top, prev, rho_max)
-                except (DomainError, OverflowError):
-                    continue
-                value = pref * complex(total_re, total_im)
-                if cmath.isfinite(value) and math.isfinite(tail):
-                    table[pt] = value
-    return values
-
-
-def _running_sum(x: np.ndarray) -> np.ndarray:
-    """The sums over the last axis of x, each a Python loop from 0.0."""
-    zero = np.zeros(x.shape[:-1] + (1,))
-    return np.add.accumulate(np.concatenate([zero, x], axis=-1),
-                             axis=-1)[..., -1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ rejects, at the term cap say, leaves its exception in its column, so it
 fails only itself; qpochhammer_inf, the kernel with one column, raises
 it.  kernel_s and kernel_t take their two products in one call.  In the
 same way _theta_values holds every check and value of theta for a batch
-of arguments, theta is it with one argument, and _thetas keeps the
-values a braid computation needs, from one call for all of them.
+of arguments, each value or its exception, and theta is it with one
+argument; a braid computation takes all its theta values from one call.
 
 A double product (z; p1, p2)_inf takes its row count and the factor
 count of its top row from logs too, and multiplies its factors with
@@ -258,16 +258,6 @@ def theta(z: complex, q: float) -> complex:
     as it does for |z| or |q/z| far above 1.
     """
     return _checked(_theta_values((z,), q)[0])
-
-
-def _thetas(xs, q: float) -> dict:
-    """{x: theta(x, q)} for the xs theta accepts, bit for bit, from one
-    call of _theta_values.  An x that theta rejects is left out, so that
-    a caller falling back to theta raises there.  Equal xs share the
-    entry of the first."""
-    xs = list(dict.fromkeys(xs))
-    return {x: value for x, value in zip(xs, _theta_values(xs, q))
-            if not isinstance(value, Exception)}
 
 
 def _theta_values(xs, q: float) -> list:

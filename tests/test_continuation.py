@@ -6,15 +6,23 @@ import itertools
 import numpy as np
 import pytest
 
-from qmacdonald import (ConvergenceError, PoleError, QMacdonaldError,
-                        QParams, ResonanceError, SpectralData, XRMode,
-                        XRParams, ZoneError, boltzmann_exchange_matrix,
+from qmacdonald import (ConvergenceError, DomainError, PoleError,
+                        QMacdonaldError, QParams, ResonanceError,
+                        SpectralData, XRMode, XRParams, ZoneError,
+                        boltzmann_exchange_matrix,
                         boltzmann_w, braid_action, braid_matrix, bracket_v,
                         evaluate, fq_connection, g1, leading_coefficient,
                         solve_coefficients, theta, verify_braid_relations)
 from qmacdonald.qcore import _cpow
 
 LAM3 = (0.31, -0.11, -0.20)
+
+
+def _basis(lam, p):
+    """The n! spectral data of lam, one per w in permutations order."""
+    return [SpectralData.make(lam, p, w=w)
+            for w in itertools.permutations(range(len(lam)))]
+
 
 # (lam, w, i, z, q, k) and the 2x2 entries computed by the braid formula
 # as it stood before the nine-theta rewrite
@@ -146,6 +154,30 @@ class TestBraidMatrix:
         s = SpectralData.make((0.5, -0.5), p)
         with pytest.raises(ResonanceError):
             braid_matrix(s, 1, (1.0, 2.0), p)
+
+    @pytest.mark.parametrize("z", [(1.0, 0.0, 64.0), (0j, 0j, 64.0)])
+    def test_zero_coordinate_is_typed(self, p, z):
+        # z_{i+1} = 0 divided z_i by zero before the zeta check
+        s = SpectralData.make(LAM3, p)
+        basis = _basis(LAM3, p)
+        with pytest.raises(DomainError, match="z_{i\\+1} must be nonzero"):
+            braid_matrix(s, 1, z, p)
+        with pytest.raises(DomainError, match="z_{i\\+1} must be nonzero"):
+            braid_action(basis, 1, z, p)
+        with pytest.raises(DomainError, match="z_{i\\+1} must be nonzero"):
+            verify_braid_relations(s, p, z)
+
+    @pytest.mark.parametrize("i", [3, 4])
+    def test_wall_outside_is_typed(self, p, i):
+        # i = n swapped entries n and n+1 of w before the wall check
+        with pytest.raises(DomainError, match="i must lie in 1..2"):
+            braid_action(_basis(LAM3, p), i, (1.0, 8.0, 64.0), p)
+
+    def test_missing_partner_is_typed(self, p):
+        basis = [sd for sd in _basis(LAM3, p) if sd.w != (1, 0, 2)]
+        with pytest.raises(DomainError,
+                           match="no partner of w = \\(0, 1, 2\\)"):
+            braid_action(basis, 1, (1.0, 8.0, 64.0), p)
 
     @pytest.mark.parametrize("lam, w, i, z, q, k, entries", GOLDEN_BRAID)
     def test_golden_entries(self, lam, w, i, z, q, k, entries):

@@ -15,8 +15,8 @@ from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
                         leading_coefficient, qgamma, residue_integral_prop6,
                         solution_from_json, solution_to_json, solve_basis,
                         solve_coefficients)
-from qmacdonald.hcseries import (_basis_eigen_residuals, _stencil,
-                                 default_depth, multi_indices,
+from qmacdonald.hcseries import (_basis_eigen_residuals, _eigen_residual,
+                                 _stencil, default_depth, multi_indices,
                                  solution_from_dict, solution_to_dict,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
@@ -311,8 +311,8 @@ class TestEvaluation:
 
 
 def _evaluate_by_terms(sol, z, max_ratio=1.0):
-    """The term-by-term loop that evaluate's power tables replaced, kept
-    as the oracle the tables must match bit for bit."""
+    """The term-by-term loop that evaluate's numpy pass replaced, kept as
+    the oracle the pass must match bit for bit."""
     z = tuple(complex(c) for c in z)
     n = sol.n
     ratios = [z[i] / z[i + 1] for i in range(n - 1)]
@@ -459,6 +459,14 @@ def _one_at_a_time(sols, z):
             for sol in sols]
 
 
+def _by_terms(sols, z):
+    """The residuals with every series value from the term loop."""
+    def phi(sol):
+        return lambda zz: _evaluate_by_terms(sol, zz)[0]
+    return [[_eigen_residual(sol, m, z, phi(sol)) for m in range(1, sol.n + 1)]
+            for sol in sols]
+
+
 class TestBasisEigenBits:
     """_basis_eigen_residuals against eigen_residual per (sol, m), by
     repr, and the same first error."""
@@ -478,6 +486,8 @@ class TestBasisEigenBits:
             got = _outcome(lambda: _basis_eigen_residuals(sols, z))
             assert got == _outcome(lambda: _one_at_a_time(sols, z)), z
             assert isinstance(got, str) == inside
+            if inside:  # eigen_residual runs the same kernel: the term loop
+                assert got == repr(_by_terms(sols, z)), z
 
     @pytest.mark.parametrize("lam,z,q,N", [
         (LAM3, (0.0, 1.0, 4.0), 0.5, 4),        # a zero coordinate
