@@ -169,7 +169,9 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
 def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
     """The checks of braid_matrix that come before its theta values, and
     the arguments of those values."""
-    _check_wall(i, s.n)
+    n = s.n
+    if not 1 <= i <= n - 1:
+        raise DomainError(f"i must lie in 1..{n - 1}")
     z = tuple(complex(c) for c in z)
     if z[i] == 0:
         raise DomainError("z_{i+1} must be nonzero")
@@ -188,11 +190,6 @@ def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
             raise ResonanceError(f"{name} vanishes: resonant parameters")
     return _Crossing(s, i, zeta, d, (qk, qd, qmd, u, qk * u, qd * u, qmd * u,
                                      _cpow(q, -d + k), _cpow(q, d + k)))
-
-
-def _check_wall(i: int, n: int) -> None:
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"i must lie in 1..{n - 1}")
 
 
 def _braid_entries(c: _Crossing, p: QParams, table: dict) -> ConnectionMatrix:
@@ -247,7 +244,8 @@ def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
             done = set()
             for j, sd in enumerate(s_list):
                 if j not in done:
-                    _check_wall(i, sd.n)
+                    if not 1 <= i <= sd.n - 1:  # as _crossing, before _swap
+                        raise DomainError(f"i must lie in 1..{sd.n - 1}")
                     j2 = index.get(_swap(sd.w, i))
                     if j2 is None:
                         raise DomainError(f"s_list has no partner of w = "

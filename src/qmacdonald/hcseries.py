@@ -85,8 +85,7 @@ def _columns(n_vars: int, max_total: int) -> np.ndarray:
     """The exponent columns of multi_indices(n_vars, max_total) as one
     read-only int array: row i holds p_i of every multi-index, in table
     order."""
-    columns = np.array(list(multi_indices(n_vars, max_total)),
-                       dtype=np.int64).T.copy()
+    columns = np.array(tuple(zip(*multi_indices(n_vars, max_total))))
     columns.setflags(write=False)
     return columns
 
@@ -300,7 +299,7 @@ _BATCH = 1 << 14  # (point, row, monomial) entries per chunk: 256 KB arrays
 
 
 def _series_values(sols, points, max_ratio: float) -> list[list]:
-    """For each row of sols and each point, the (value, tail) evaluate
+    """For each point and each row of sols, the (value, tail) evaluate
     returns there, or in its place the exception it raises.  sols share
     n and N, as the solutions of solve_basis do.
 
@@ -308,34 +307,33 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
     prefactors and the tails are taken in Python.  The monomials of every
     row at every point are formed in one numpy pass, left to right over
     the ratios, and summed in coefficient order from a leading zero by
-    np.add.accumulate, which adds in sequence; the strata |p| = N and
-    N - 1 that set the tail are the last entries, and their moduli are
-    np.hypot, as abs() is.  Each complex product is written in float
-    ufuncs, (ar br - ai bi, ar bi + ai br): CPython rounds each product,
-    while numpy's own complex multiply may fuse a multiply-add on CPUs
-    with FMA.  Points go in chunks of at most _BATCH (point, row,
-    monomial) entries.
+    np.add.accumulate, which adds in sequence; the strata |p| = N - 1 and
+    N that set the tail are the last entries, from start and mid on, and
+    their moduli are np.hypot, as abs() is.  Each complex product is
+    written in float ufuncs, (ar br - ai bi, ar bi + ai br): CPython
+    rounds each product, while numpy's own complex multiply may fuse a
+    multiply-add on CPUs with FMA.  Points go in chunks of at most _BATCH
+    (point, row, monomial) entries.
     """
     n, N = sols[0].n, sols[0].max_degree
-    out = [[None] * len(points) for _ in sols]
+    out = [None] * len(points)
     summed = []  # (j, point, rho_max, power lists) of the points summed
     for j, z in enumerate(points):
         try:
             pt, ratios, rho_max = _zone_point(z, n, max_ratio)
         except Exception as exc:
-            for row in out:
-                row[j] = exc
+            out[j] = [exc] * len(sols)
             continue
         try:
             summed.append((j, pt, rho_max,
                            [r ** e for r in ratios for e in range(N + 1)]))
         except OverflowError:  # a power past the float range
-            for sol, row in zip(sols, out):
-                row[j] = _result(sol, pt, rho_max, None)
+            out[j] = [_result(sol, pt, rho_max, _OVERFLOW) for sol in sols]
     columns = _columns(n - 1, N)
     M = columns.shape[1]
-    start, mid = _top_strata(n, N)
-    top = M - mid  # entries of the top stratum; mid - start before it
+    top = math.comb(N + n - 2, n - 2)  # entries with |p| = N
+    mid = M - top
+    start = mid - math.comb(N + n - 3, n - 2) if N else mid
     parts = (sols[0]._parts if len(sols) == 1
              else np.concatenate([sol._parts for sol in sols]))
     step = max(1, _BATCH // (len(sols) * M))
@@ -367,31 +365,40 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
             totals = np.add.accumulate(totals, axis=-1)[..., -1].tolist()
             moduli = np.add.accumulate(moduli, axis=-1)[..., -1].tolist()
         for (j, pt, rho_max, _), *sums in zip(chunk, totals, moduli):
-            for sol, row, total, modulus in zip(sols, out, *sums):
-                row[j] = _result(sol, pt, rho_max, total + modulus)
+            out[j] = [_result(sol, pt, rho_max, total + modulus)
+                      for sol, total, modulus in zip(sols, *sums)]
     return out
 
 
+# the sums a power past the float range leaves: the tail is infinite
+_OVERFLOW = (0.0, 0.0, math.inf, math.inf)
+
+
 def _result(sol: HCSolution, pt, rho_max: float, sums):
-    """evaluate(sol, pt)'s (value, tail) from the sums of the real and
-    imaginary parts of the monomials and of the moduli of the top two
-    strata, or the exception it raises; sums is None when a power of a
-    ratio left the float range."""
+    """evaluate(sol, pt)'s (value, tail), or the exception it raises,
+    from the sums of the real and imaginary parts of the monomials and of
+    the moduli of the top stratum and of the one before it.
+
+    The prefactor z^(eta+rho) is multiplied left to right.  The tail is
+    geometric, from the observed decay of the top two strata; a modulus
+    past the float range makes prev infinite, and abs() of such a
+    prefactor raises OverflowError: the tail is infinite then.
+    """
     try:
-        pref = _prefactor(pt, sol.prefactor_exponent)
+        pref = complex(1.0)
+        for zi, e in zip(pt, sol.prefactor_exponent):
+            pref *= _cpow(zi, e)
     except Exception as exc:
         return exc
-    value, tail = pref, math.inf
-    if sums is not None:
-        total_re, total_im, top, prev = sums
-        value = pref * complex(total_re, total_im)
-        # a modulus past the float range makes prev infinite, and abs()
-        # of such a pref raises OverflowError: the tail is infinite then
-        try:
-            if math.isfinite(prev):
-                tail = _tail(pref, top, prev, rho_max)
-        except OverflowError:
-            pass
+    total_re, total_im, top, prev = sums
+    value = pref * complex(total_re, total_im)
+    s = (min(0.95, top / prev) if prev > 0 and top < prev
+         else min(0.95, rho_max))
+    try:
+        tail = (abs(pref) * top * s / (1.0 - s) if math.isfinite(prev)
+                else math.inf)
+    except OverflowError:
+        tail = math.inf
     if not (cmath.isfinite(value) and math.isfinite(tail)):
         return ConvergenceError(f"the series at {pt} is not finite")
     return value, tail
@@ -415,30 +422,6 @@ def _zone_point(z, n: int, max_ratio: float):
         raise ZoneError(
             f"point outside the zone: max ratio {rho_max} >= {max_ratio}")
     return z, ratios, rho_max
-
-
-def _prefactor(z, exponent) -> complex:
-    """z^(eta+rho), multiplied left to right."""
-    pref = complex(1.0)
-    for zi, e in zip(z, exponent):
-        pref *= _cpow(zi, e)
-    return pref
-
-
-def _top_strata(n: int, N: int) -> tuple[int, int]:
-    """The positions start, mid in multi_indices(n - 1, N) order where the
-    strata |p| = N - 1 and |p| = N begin; both are mid at N = 0."""
-    # stratum |p| = D holds C(D+n-2, n-2) entries
-    mid = math.comb(N + n - 1, n - 1) - math.comb(N + n - 2, n - 2)
-    return (mid - math.comb(N + n - 3, n - 2) if N else mid), mid
-
-
-def _tail(pref: complex, top: float, prev: float, rho_max: float) -> float:
-    """The geometric tail from the observed decay of the top two strata,
-    top and prev the sums of their monomials' moduli."""
-    s = (min(0.95, top / prev) if prev > 0 and top < prev
-         else min(0.95, rho_max))
-    return abs(pref) * top * s / (1.0 - s)
 
 
 def eigen_residual(sol: HCSolution, m: int, z) -> float:
@@ -478,12 +461,11 @@ def _basis_eigen_residuals(sols, z) -> list[list[float]]:
              for shift in itertools.product((False, True), repeat=n)]
             if len(zc) == n else [])
     out = []
-    for sol, results in zip(sols, _series_values(sols, cube, 1.0)):
-        def phi(zz, sol=sol, table=dict(zip(cube, results))):
-            result = table.get(zz)
-            if result is None:
-                return evaluate(sol, zz).value
-            return _checked(result)[0]
+    values = _series_values(sols, cube, 1.0)
+    for r, sol in enumerate(sols):
+        def phi(zz, sol=sol, table={pt: v[r] for pt, v in zip(cube, values)}):
+            return (_checked(table[zz])[0] if zz in table
+                    else evaluate(sol, zz).value)
         out.append([_eigen_residual(sol, m, z, phi)
                     for m in range(1, n + 1)])
     return out
