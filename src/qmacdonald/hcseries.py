@@ -321,7 +321,7 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
     for j, z in enumerate(points):
         try:
             pt, ratios, rho_max = _zone_point(z, n, max_ratio)
-        except Exception as exc:
+        except Exception as exc:  # raised where the result is read
             out[j] = [exc] * len(sols)
             continue
         try:
@@ -388,7 +388,7 @@ def _result(sol: HCSolution, pt, rho_max: float, sums):
         pref = complex(1.0)
         for zi, e in zip(pt, sol.prefactor_exponent):
             pref *= _cpow(zi, e)
-    except Exception as exc:
+    except Exception as exc:  # raised where the result is read
         return exc
     total_re, total_im, top, prev = sums
     value = pref * complex(total_re, total_im)
@@ -464,8 +464,7 @@ def _basis_eigen_residuals(sols, z) -> list[list[float]]:
     values = _series_values(sols, cube, 1.0)
     for r, sol in enumerate(sols):
         def phi(zz, sol=sol, table={pt: v[r] for pt, v in zip(cube, values)}):
-            return (_checked(table[zz])[0] if zz in table
-                    else evaluate(sol, zz).value)
+            return _checked(table.get(zz) or evaluate(sol, zz))[0]
         out.append([_eigen_residual(sol, m, z, phi)
                     for m in range(1, n + 1)])
     return out
