@@ -195,20 +195,20 @@ def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
 def _braid_entries(c: _Crossing, p: QParams, table: dict) -> ConnectionMatrix:
     """The braid matrix of the crossing c, its theta values from table;
     a rejected theta raises its error where it is looked up."""
-    def th(x):
-        return _checked(table[x])
-
     zeta, d, q, k = c.zeta, c.d, p.q, p.k
     qk, qd, qmd, u, qku, qdu, qmdu, qkmd, qkpd = c.args
-    th_k, th_d, th_md = th(qk), th(qd), th(qmd)
-    th_u, th_ku = th(u), th(qku)
+    th = table.__getitem__
+    th_k, th_d, th_md = _checked(th(qk)), _checked(th(qd)), _checked(th(qmd))
+    th_u, th_ku = _checked(th(u)), _checked(th(qku))
     if min(abs(th_d), abs(th_md), abs(th_ku)) < sys.float_info.min:
         raise ConvergenceError("theta denominators underflow near q = 1")
     zeta_k = _cpow(zeta, k)
-    diag0 = th_k / th_d * th(qdu) / th_ku * _cpow(zeta, -d + k)
-    diag1 = th_k / th_md * th(qmdu) / th_ku * _cpow(zeta, d + k)
-    off0 = _cpow(q, -k * d) * th(qkmd) / th_md * th_u / th_ku * zeta_k
-    off1 = _cpow(q, k * d) * th(qkpd) / th_d * th_u / th_ku * zeta_k
+    diag0 = th_k / th_d * _checked(th(qdu)) / th_ku * _cpow(zeta, -d + k)
+    diag1 = th_k / th_md * _checked(th(qmdu)) / th_ku * _cpow(zeta, d + k)
+    off0 = (_cpow(q, -k * d) * _checked(th(qkmd)) / th_md * th_u / th_ku
+            * zeta_k)
+    off1 = (_cpow(q, k * d) * _checked(th(qkpd)) / th_d * th_u / th_ku
+            * zeta_k)
     return ConnectionMatrix(
         i=c.i, w=c.s.w, ratio=zeta,
         entries=[[diag0, off0], [off1, diag1]],
