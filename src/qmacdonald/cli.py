@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .continuation import braid_matrix, verify_braid_relations
 from .errors import (ConvergenceError, DomainError, QMacdonaldError,
                      ResonanceError)
-from .hcseries import (_basis_eigen_residuals, evaluate, solve_basis,
+from .hcseries import (_eigen_residuals, evaluate, solve_basis,
                        solve_coefficients, solution_to_dict)
 from .macpoly import macdonald_a1, macdonald_poly
 from .operators import SpectralData
@@ -247,7 +247,8 @@ def cmd_verify(cfg: RunConfig):
     z = cfg.points[0] if cfg.points else _default_point(n, p.q)
     checks = []
     basis = solve_basis(cfg.lam, p, N=cfg.N)
-    for sol, residuals in zip(basis, _basis_eigen_residuals(basis, z)):
+    for sol, residuals in zip(basis,
+                              _eigen_residuals(basis, z, range(1, n + 1))):
         w = sol.spectral.w
         for m, r in enumerate(residuals, 1):
             checks.append((f"eigen_w{''.join(str(i + 1) for i in w)}_m{m}",

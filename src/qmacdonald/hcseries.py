@@ -54,7 +54,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
-from .operators import SpectralData, eigenvalue_c, macdonald_apply_numeric
+from .operators import (SpectralData, _shifts, eigenvalue_c,
+                        macdonald_apply_numeric)
 from .qcore import (QParams, XRMode, _checked, _cpow, _qpochhammers, _qq_inf,
                     _xr_mode, fq, qgamma, qpochhammer_inf, theta)
 
@@ -425,49 +426,37 @@ def _zone_point(z, n: int, max_ratio: float):
 
 
 def eigen_residual(sol: HCSolution, m: int, z) -> float:
-    """|D^m phi - c^m phi| / |c^m phi| with phi the truncated series.
-    DomainError when c^m phi(z) = 0, where the ratio is undefined, and
-    for an m that is not an integer in 1..n."""
-    return _eigen_residual(sol, m, z, lambda zz: evaluate(sol, zz).value)
+    """|D^m phi - c^m phi| / |c^m phi|, phi the series summed at z and at
+    the points of D^m in one kernel call.  DomainError when c^m phi(z) = 0,
+    where the ratio is undefined, and for an m not an integer in 1..n."""
+    return _eigen_residuals([sol], z, [m])[0][0]
 
 
-def _eigen_residual(sol: HCSolution, m: int, z, phi) -> float:
-    """eigen_residual with the values of the series taken from phi."""
-    c = eigenvalue_c(sol.spectral.lam_plus_rho, m, sol.params)
-    ref = c * phi(tuple(z))
-    if ref == 0:
-        raise DomainError(f"c^m phi vanishes at {tuple(z)}, so the relative "
-                          f"residual is undefined")
-    lhs = macdonald_apply_numeric(phi, m, tuple(z), sol.params)
-    return abs(lhs - ref) / abs(ref)
-
-
-def _basis_eigen_residuals(sols, z) -> list[list[float]]:
-    """[[eigen_residual(sol, m, z) for m in 1..n] for sol in sols], bit
+def _eigen_residuals(sols, z, orders) -> list[list[float]]:
+    """[[eigen_residual(sol, m, z) for m in orders] for sol in sols], bit
     for bit, with the error those calls in that order raise first.  sols
-    share n, N and params, as the solutions of solve_basis do.
+    share lambda, n, N and params, as the solutions of solve_basis do.
+    One kernel call sums every row at z and at the points of _shifts for
+    each m, which D^m reads in that order; a value where evaluate raises
+    raises its error when it is read."""
+    s, p = sols[0].spectral, sols[0].params
+    cs = [eigenvalue_c(s.lam_plus_rho, m, p) for m in orders]
+    z = tuple(z)
+    # a z of the wrong length raises where its own value is read
+    points = ([pt for m in orders for _, pt in _shifts(z, m, p.q)]
+              if len(z) == s.n else [])
+    at_z, *shifted = _series_values(sols, [z] + points, 1.0)
 
-    D^m evaluates the series at the points z with z_I -> q z_I, |I| = m.
-    The series kernel evaluates every row at all 2^n of them, the q-shift
-    cube, in one call; the residuals then run eigen_residual's arithmetic
-    on those values, and a (row, point) where evaluate raises raises the
-    same error when it is looked up.  A point off the cube, as for a z of
-    the wrong length, goes to evaluate.
-    """
-    n, q = sols[0].n, sols[0].params.q
-    zc = tuple(complex(c) for c in z)
-    # D^m shifts as q * complex(z_i)
-    cube = ([tuple(q * c if s else c for c, s in zip(zc, shift))
-             for shift in itertools.product((False, True), repeat=n)]
-            if len(zc) == n else [])
-    out = []
-    values = _series_values(sols, cube, 1.0)
-    for r, sol in enumerate(sols):
-        def phi(zz, sol=sol, table={pt: v[r] for pt, v in zip(cube, values)}):
-            return _checked(table.get(zz) or evaluate(sol, zz))[0]
-        out.append([_eigen_residual(sol, m, z, phi)
-                    for m in range(1, n + 1)])
-    return out
+    def residuals(r, held):
+        for m, c in zip(orders, cs):
+            ref = c * _checked(at_z[r])[0]
+            if ref == 0:
+                raise DomainError(f"c^m phi vanishes at {z}, so the relative "
+                                  f"residual is undefined")
+            lhs = macdonald_apply_numeric(
+                lambda _: _checked(next(held)[r])[0], m, z, p)
+            yield abs(lhs - ref) / abs(ref)
+    return [list(residuals(r, iter(shifted))) for r in range(len(sols))]
 
 
 # ---------------------------------------------------------------------------

@@ -120,15 +120,25 @@ def _prod(it):
     return out
 
 
+def _shifts(z, m: int, q: complex) -> list:
+    """The subsets I of D^m in the order it sums them, each with z where
+    z_I -> q z_I.  DomainError unless m is an integer in 1..len(z)."""
+    z = _as_complex_vector(z)
+    _check_order(m, len(z))
+    return [(sel, tuple(q * c if i in sel else c for i, c in enumerate(z)))
+            for sel in itertools.combinations(range(len(z)), m)]
+
+
 def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
     """Apply D^m with explicit shift base q and weight parameter t.
 
     D^m f = t^(m(m+1)/2) sum_{|I|=m} [prod_{i in I, j not in I}
-            (t z_i - z_j)/(z_i - z_j)] f(z with z_I -> q z_I).
+            (t z_i - z_j)/(z_i - z_j)] f(z with z_I -> q z_I),
+    calling f once at each point of _shifts(z, m, q), in that order.
     """
     z = _as_complex_vector(z)
     n = len(z)
-    _check_order(m, n)
+    shifts = _shifts(z, m, q)
     scale = max(abs(c) for c in z)
     for i in range(n):
         for j in range(i + 1, n):
@@ -136,14 +146,12 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
                 raise SingularConfigurationError(
                     f"coordinates {i} and {j} coincide")
     total = complex(0.0)
-    for sel in itertools.combinations(range(n), m):
+    for sel, shifted in shifts:
         weight = complex(1.0)
-        selset = set(sel)
         for i in sel:
             for j in range(n):
-                if j not in selset:
+                if j not in sel:
                     weight *= (t * z[i] - z[j]) / (z[i] - z[j])
-        shifted = tuple(q * z[i] if i in selset else z[i] for i in range(n))
         total += weight * f(shifted)
     return t ** (m * (m + 1) / 2.0) * total
 
@@ -175,10 +183,6 @@ def duality_check(sol_eval, z, p: QParams) -> float:
 
 # ---------------------------------------------------------------------------
 # Pointwise operator identities (kernel intertwining and gauge conjugation)
-
-
-def _qshift(z, i, factor):
-    return tuple(factor * c if j == i else c for j, c in enumerate(z))
 
 
 def kernel_intertwiner_residual(z, y, p: QParams) -> float:
@@ -249,8 +253,7 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
 
     lhs = complex(0.0)
     rhs = complex(0.0)
-    for i in range(n):
-        ys = _qshift(y, i, q)
+    for (i,), ys in _shifts(y, 1, q):
         lhs += _weight(ys, i, 1.0 / t) * delta(ys) * f(ys)
         rhs += _weight(y, i, t) * f(ys)
     rhs *= delta(y) * t ** (1 - n)
@@ -286,8 +289,7 @@ def gauge_transform_residual(z, p: QParams, f=None) -> float:
 
     lhs = complex(0.0)
     rhs = complex(0.0)
-    for i in range(n):
-        zs = _qshift(z, i, q)
+    for (i,), zs in _shifts(z, 1, q):
         lhs += _weight(z, i, t) * gauge(zs) * f(zs)
         rhs += _weight(z, i, q / t) * f(zs)
     rhs *= gauge(z)

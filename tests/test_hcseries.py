@@ -15,12 +15,12 @@ from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
                         leading_coefficient, qgamma, residue_integral_prop6,
                         solution_from_json, solution_to_json, solve_basis,
                         solve_coefficients)
-from qmacdonald.hcseries import (_basis_eigen_residuals, _eigen_residual,
-                                 _stencil, default_depth, multi_indices,
+from qmacdonald import hcseries
+from qmacdonald.hcseries import (_eigen_residuals, _stencil, default_depth, multi_indices,
                                  solution_from_dict, solution_to_dict,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
-from qmacdonald.operators import eigenvalue_c
+from qmacdonald.operators import eigenvalue_c, macdonald_apply_numeric
 from qmacdonald.qcore import _cpow
 
 LAM2 = (0.27, -0.27)
@@ -461,15 +461,46 @@ def _one_at_a_time(sols, z):
 
 def _by_terms(sols, z):
     """The residuals with every series value from the term loop."""
-    def phi(sol):
-        return lambda zz: _evaluate_by_terms(sol, zz)[0]
-    return [[_eigen_residual(sol, m, z, phi(sol)) for m in range(1, sol.n + 1)]
-            for sol in sols]
+    out = []
+    for sol in sols:
+        def phi(zz, sol=sol):
+            return _evaluate_by_terms(sol, zz)[0]
+        row = []
+        for m in range(1, sol.n + 1):
+            c = eigenvalue_c(sol.spectral.lam_plus_rho, m, sol.params)
+            ref = c * phi(z)
+            lhs = macdonald_apply_numeric(phi, m, z, sol.params)
+            row.append(abs(lhs - ref) / abs(ref))
+        out.append(row)
+    return out
+
+
+# (lam, z, q, N) and the error eigen_residual raised there when each
+# q-shifted point was a call of evaluate
+SAME_ERROR = [
+    (LAM3, (0.0, 1.0, 4.0), 0.5, 4, DomainError,   # a zero coordinate
+     "the prefactor z^(eta+rho) has its branch point at a zero coordinate"),
+    (LAM2, (1.0, 0.0), 0.5, 4, DomainError,
+     "the prefactor z^(eta+rho) has its branch point at a zero coordinate"),
+    (LAM2, (math.nan, 1.0), 0.5, 4, ZoneError,    # a NaN ratio
+     "point outside the zone: max ratio nan >= 1.0"),
+    ((0.3, 0.1, -0.4), (1, 2, 3), 0.5, 16, ZoneError,  # z with z_2 -> q z_2
+     "point outside the zone: max ratio 1.0 >= 1.0"),
+    (LAM2, (1.0, 2.0), 1e-300, 0, ZoneError,
+     "point outside the zone: max ratio 4.9999999999999995e+299 >= 1.0"),
+    (LAM3, (1.0, 2.0), 0.5, 4, DomainError,       # too few coordinates
+     "point must have 3 coordinates"),
+    (LAM2, (1.0, 2.0, 4.0), 0.5, 4, DomainError,  # too many
+     "point must have 2 coordinates"),
+    (LAM2, tuple(range(1, 41)), 0.5, 4, DomainError,  # 2^40 subsets I
+     "point must have 2 coordinates"),
+]
 
 
 class TestBasisEigenBits:
-    """_basis_eigen_residuals against eigen_residual per (sol, m), by
-    repr, and the same first error."""
+    """_eigen_residuals over the rows of solve_basis and the orders 1..n,
+    against eigen_residual per (sol, m) by repr, and against the term
+    loop in the zone."""
 
     @pytest.mark.parametrize("q,k", [(0.5, 0.4), (0.9, 0.7), (0.2, 0.15)])
     @pytest.mark.parametrize("n,N", [(2, 24), (2, 96), (3, 12), (4, 6),
@@ -483,33 +514,42 @@ class TestBasisEigenBits:
             for j in range(n - 1):
                 z.insert(0, z[0] * largest * rng.uniform(0.5, 1.0) ** j
                          * np.exp(1j * rng.uniform(-3, 3)))
-            got = _outcome(lambda: _basis_eigen_residuals(sols, z))
+            got = _outcome(lambda: _eigen_residuals(sols, z, range(1, n + 1)))
             assert got == _outcome(lambda: _one_at_a_time(sols, z)), z
             assert isinstance(got, str) == inside
-            if inside:  # eigen_residual runs the same kernel: the term loop
-                assert got == repr(_by_terms(sols, z)), z
+            if inside:
+                assert got == repr(_by_terms(sols, tuple(z))), z
 
-    @pytest.mark.parametrize("lam,z,q,N", [
-        (LAM3, (0.0, 1.0, 4.0), 0.5, 4),        # a zero coordinate
-        (LAM2, (1.0, 0.0), 0.5, 4),
-        (LAM2, (math.nan, 1.0), 0.5, 4),        # a NaN ratio
-        ((0.3, 0.1, -0.4), (1, 2, 3), 0.5, 16),  # z with z_2 -> q z_2
-        (LAM2, (1.0, 2.0), 1e-300, 0),
-        (LAM3, (1.0, 2.0), 0.5, 4),             # too few coordinates
-        (LAM2, (1.0, 2.0, 4.0), 0.5, 4),        # too many
-        (LAM2, tuple(range(1, 41)), 0.5, 4),    # a cube of 2^40 points
-    ])
-    def test_same_error(self, lam, z, q, N):
+    # the ids of the four-parameter form, which compared with
+    # eigen_residual, so that runs before and after compare by id
+    @pytest.mark.parametrize(
+        "lam,z,q,N,error,message", SAME_ERROR,
+        ids=[f"lam{i}-z{i}-{q}-{N}"
+             for i, (_, _, q, N, *_) in enumerate(SAME_ERROR)])
+    def test_same_error(self, lam, z, q, N, error, message):
         sols = solve_basis(lam, QParams(q=q, k=0.4), N=N)
-        got = _outcome(lambda: _basis_eigen_residuals(sols, z))
-        assert got == _outcome(lambda: _one_at_a_time(sols, z))
-        assert isinstance(got, tuple)
+        orders = range(1, len(lam) + 1)
+        got = _outcome(lambda: _eigen_residuals(sols, z, orders))
+        assert got == (error, message)
+        assert _outcome(lambda: _one_at_a_time(sols, z)) == got
 
     def test_shifted_point_leaves_the_zone(self):
         # what verify --lambda=0.3,0.1,-0.4 --points=1,2,3 reports
         sols = solve_basis((0.3, 0.1, -0.4), QParams(q=0.5, k=0.4))
-        assert _outcome(lambda: _basis_eigen_residuals(sols, (1, 2, 3))) \
+        assert _outcome(lambda: _eigen_residuals(sols, (1, 2, 3), (1, 2, 3))) \
             == (ZoneError, "point outside the zone: max ratio 1.0 >= 1.0")
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_kernel_call(self, monkeypatch, p, m):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=6)
+        calls = []
+        kernel = hcseries._series_values
+        monkeypatch.setattr(hcseries, "_series_values",
+                            lambda *args: calls.append(args) or kernel(*args))
+        eigen_residual(sol, m, (0.1, 0.3 + 0.1j, 1.0))
+        assert len(calls) == 1
+        # z and the C(3, m) points D^m shifts it to
+        assert len(calls[0][1]) == 1 + math.comb(3, m)
 
 
 class TestCoefficientLayout:
