@@ -289,9 +289,10 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     every monomial is a(p) * r_1^p_1 * r_2^p_2 * ..., multiplied left to
     right, and the sums run in coefficient order, so value and tail are
     bit for bit those of a term-by-term loop.  DomainError at z_i = 0,
-    the branch point of the prefactor; ZoneError unless the largest ratio
-    modulus is below max_ratio, which NaN is not; ConvergenceError when
-    the value or the tail is not finite.
+    the branch point of the prefactor, and at an infinite z_i; ZoneError
+    unless the largest ratio modulus is below max_ratio, which NaN and a
+    modulus past the float range are not; ConvergenceError when the value
+    or the tail is not finite.
     """
     return EvalResult(*_checked(_series_values([sol], [z], max_ratio)[0][0]))
 
@@ -417,8 +418,14 @@ def _zone_point(z, n: int, max_ratio: float):
     if 0 in z:
         raise DomainError("the prefactor z^(eta+rho) has its branch point "
                           "at a zero coordinate")
+    if any(map(cmath.isinf, z)):
+        raise DomainError(f"the series is not defined at {z}, which has an "
+                          f"infinite coordinate")
     ratios = [z[i] / z[i + 1] for i in range(n - 1)]
-    rho_max = max(abs(r) for r in ratios)
+    try:
+        rho_max = max(abs(r) for r in ratios)
+    except OverflowError:  # a modulus past the float range
+        rho_max = math.inf
     if not rho_max < max_ratio:  # a NaN rho_max fails it too
         raise ZoneError(
             f"point outside the zone: max ratio {rho_max} >= {max_ratio}")

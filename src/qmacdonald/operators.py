@@ -135,16 +135,22 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
     D^m f = t^(m(m+1)/2) sum_{|I|=m} [prod_{i in I, j not in I}
             (t z_i - z_j)/(z_i - z_j)] f(z with z_I -> q z_I),
     calling f once at each point of _shifts(z, m, q), in that order.
+    SingularConfigurationError when two coordinates are equal or closer
+    than _COINCIDENCE_TOL times the largest modulus; DomainError when a
+    modulus leaves the float range.
     """
     z = _as_complex_vector(z)
     n = len(z)
     shifts = _shifts(z, m, q)
-    scale = max(abs(c) for c in z)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(z[i] - z[j]) < _COINCIDENCE_TOL * scale:
+    try:
+        scale = max(abs(c) for c in z)
+        for i, j in itertools.combinations(range(n), 2):
+            if z[i] == z[j] or abs(z[i] - z[j]) < _COINCIDENCE_TOL * scale:
                 raise SingularConfigurationError(
                     f"coordinates {i} and {j} coincide")
+    except OverflowError:  # abs() past the float range
+        raise DomainError(f"a modulus at {z} leaves the float "
+                          f"range") from None
     total = complex(0.0)
     for sel, shifted in shifts:
         weight = complex(1.0)

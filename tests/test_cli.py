@@ -234,6 +234,10 @@ class TestConfigAndErrors:
         (("verify", "--q", "1e-300"), 2, "DomainError"),
         # the theta denominators of the braid check underflow near q = 1
         (("verify", "--q", "0.999"), 4, "ConvergenceError"),
+        # abs() of a ratio, and of a coordinate in D^m's coincidence test,
+        # overflows
+        (("eval", "--points=1.5e308+1.5e308j,1"), 2, "ZoneError"),
+        (("verify", "--points=1,1.5e308+1.5e308j"), 2, "DomainError"),
     ])
     def test_float_range_errors_are_typed(self, capsys, argv, code, error):
         got, out = run_cli(capsys, *argv)

@@ -386,6 +386,19 @@ class TestEvaluationErrors:
         with pytest.raises(DomainError):
             evaluate(sol, z)
 
+    @pytest.mark.parametrize("z", [(1.0, math.inf), (-math.inf, 1.0),
+                                   (1.0, complex(math.nan, math.inf))])
+    def test_infinite_coordinate(self, p, z):
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
+        with pytest.raises(DomainError, match="infinite coordinate"):
+            evaluate(sol, z)
+
+    def test_ratio_modulus_past_the_float_range(self, p):
+        # abs() of the ratio overflows: outside the zone, as a modulus of inf
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
+        with pytest.raises(ZoneError, match="max ratio inf"):
+            evaluate(sol, (1.5e308 + 1.5e308j, 1.0))
+
     def test_zero_coordinate_in_eigen_residual(self, p):
         sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
         with pytest.raises(DomainError):

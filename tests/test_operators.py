@@ -109,8 +109,21 @@ class TestNumericApplication:
         assert abs(got - ref) < 1e-13
 
     def test_coincident_points_rejected(self, p):
-        with pytest.raises(SingularConfigurationError):
-            macdonald_apply_numeric(lambda z: 1.0, 1, (2.0, 2.0), p)
+        # at (0, 0) no multiple of the largest modulus separates them
+        for z in [(2.0, 2.0), (0.0, 0.0)]:
+            with pytest.raises(SingularConfigurationError):
+                macdonald_apply_numeric(lambda zz: 1.0, 1, z, p)
+            with pytest.raises(SingularConfigurationError):
+                duality_check(lambda zz: 1.0, z, p)
+
+    def test_modulus_past_the_float_range(self, p):
+        # abs() of the coordinate or of a difference overflows
+        for z in [(1.0, 1.5e308 + 1.5e308j), (1e308 + 1e308j, -5e307 - 5e307j)]:
+            for apply in (lambda: macdonald_apply_numeric(sum, 1, z, p),
+                          lambda: duality_check(sum, z, p)):
+                with pytest.raises(DomainError) as exc:
+                    apply()
+                assert "float range" in str(exc.value)
 
     def test_commutativity(self, p, rng):
         for n in (2, 3):
