@@ -25,10 +25,10 @@ does.  Also holds JSON round-tripping and the residue-summation oracles
 for the contour integrals.
 
 One kernel, _series_values, sums the series: for evaluate, one row at
-one point, and for the eigen-equations of `verify`, all n! basis
-elements at the 2^n points of the q-shift cube of z, the points with
-z_I -> q z_I for every subset I, which are the points every D^m needs.
-Each ratio gets one table of powers per point, read through the cached
+one point, and for the eigen residuals of eigen_residual and `verify`,
+in one call, one row or all n! basis elements at z and at the points
+z_I -> q z_I that D^m reads, which operators._shifts builds.  Each
+ratio gets one table of powers per point, read through the cached
 exponent columns of multi_indices order; the monomials are formed in
 one numpy pass and summed in that order, so value and tail are bit for
 bit the term-by-term sum, and the top two strata that set the geometric

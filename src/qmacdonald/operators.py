@@ -149,8 +149,7 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
                 raise SingularConfigurationError(
                     f"coordinates {i} and {j} coincide")
     except OverflowError:  # abs() past the float range
-        raise DomainError(f"a modulus at {z} leaves the float "
-                          f"range") from None
+        raise DomainError(f"a modulus at {z} leaves the float range") from None
     total = complex(0.0)
     for sel, shifted in shifts:
         weight = complex(1.0)

@@ -16,8 +16,9 @@ from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
                         solution_from_json, solution_to_json, solve_basis,
                         solve_coefficients)
 from qmacdonald import hcseries
-from qmacdonald.hcseries import (_eigen_residuals, _stencil, default_depth, multi_indices,
-                                 solution_from_dict, solution_to_dict,
+from qmacdonald.hcseries import (_eigen_residuals, _stencil, default_depth,
+                                 multi_indices, solution_from_dict,
+                                 solution_to_dict,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
 from qmacdonald.operators import eigenvalue_c, macdonald_apply_numeric
@@ -533,8 +534,8 @@ class TestBasisEigenBits:
             if inside:
                 assert got == repr(_by_terms(sols, tuple(z))), z
 
-    # the ids of the four-parameter form, which compared with
-    # eigen_residual, so that runs before and after compare by id
+    # the ids these cases had before error and message joined them, so
+    # that test runs compare by id
     @pytest.mark.parametrize(
         "lam,z,q,N,error,message", SAME_ERROR,
         ids=[f"lam{i}-z{i}-{q}-{N}"

@@ -118,7 +118,8 @@ class TestNumericApplication:
 
     def test_modulus_past_the_float_range(self, p):
         # abs() of the coordinate or of a difference overflows
-        for z in [(1.0, 1.5e308 + 1.5e308j), (1e308 + 1e308j, -5e307 - 5e307j)]:
+        for z in [(1.0, 1.5e308 + 1.5e308j),
+                  (1e308 + 1e308j, -5e307 - 5e307j)]:
             for apply in (lambda: macdonald_apply_numeric(sum, 1, z, p),
                           lambda: duality_check(sum, z, p)):
                 with pytest.raises(DomainError) as exc:
