@@ -34,8 +34,8 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, PoleError,
                      ResonanceError, ZoneError)
 from .operators import SpectralData
-from .qcore import (QParams, XRParams, _checked, _cpow, _theta_values,
-                    bracket_v, fq, g1, qgamma, qpochhammer_inf, theta)
+from .qcore import (QParams, XRParams, _brackets, _checked, _cpow,
+                    _theta_values, fq, g1, qgamma, qpochhammer_inf, theta)
 
 _RESONANCE_TOL = 1e-10
 
@@ -354,22 +354,26 @@ def _bracket_vanishes(v: complex, xr: XRParams) -> bool:
 
 
 def _v_factors(v: complex, xr: XRParams, n: int) -> tuple:
-    """The mu-independent factors r_1(v), [v], [v-1], [1] of the weights."""
+    """The mu-independent factors r_1(v), [v], [v-1], [1] of the weights,
+    the three brackets from one call of qcore._brackets."""
     if _bracket_vanishes(v - 1.0, xr):
         raise ResonanceError("bracket vanishes in a weight denominator")
-    return (boltzmann_r1(v, xr, n), bracket_v(v, xr), bracket_v(v - 1.0, xr),
-            bracket_v(1.0, xr))
+    return (boltzmann_r1(v, xr, n),
+            *map(_checked, _brackets((v, v - 1.0, 1.0), xr)))
 
 
 def _weights(mu_ij: complex, v: complex, xr: XRParams,
              factors: tuple) -> BoltzmannWeights:
-    """The weights for mu_ij from the factors of _v_factors(v, xr, n)."""
+    """The weights for mu_ij from the factors of _v_factors(v, xr, n); the
+    brackets [mu_ij], [mu_ij - 1], [v - mu_ij] come from one call of
+    qcore._brackets."""
     if _bracket_vanishes(mu_ij, xr):
         raise ResonanceError("bracket vanishes in a weight denominator")
     r1, br_v, den1, br_1 = factors
-    den2 = bracket_v(mu_ij, xr)
-    w_cross = r1 * br_v * bracket_v(mu_ij - 1.0, xr) / (den1 * den2)
-    w_same = r1 * bracket_v(v - mu_ij, xr) * br_1 / (den1 * den2)
+    den2, br_m1, br_vm = map(_checked,
+                             _brackets((mu_ij, mu_ij - 1.0, v - mu_ij), xr))
+    w_cross = r1 * br_v * br_m1 / (den1 * den2)
+    w_same = r1 * br_vm * br_1 / (den1 * den2)
     return BoltzmannWeights(mu_ij=mu_ij, v=v, r1=r1,
                             w_cross=w_cross, w_same=w_same)
 

@@ -16,6 +16,7 @@ import functools
 import itertools
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,8 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
     calling f once at each point of _shifts(z, m, q), in that order.
     SingularConfigurationError when two coordinates are equal or closer
     than _COINCIDENCE_TOL times the largest modulus; DomainError when a
-    modulus leaves the float range.
+    modulus leaves the float range, and then when a coordinate of z or of
+    a shifted point is not finite, before f is called.
     """
     z = _as_complex_vector(z)
     n = len(z)
@@ -150,6 +152,10 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
                     f"coordinates {i} and {j} coincide")
     except OverflowError:  # abs() past the float range
         raise DomainError(f"a modulus at {z} leaves the float range") from None
+    # the points of D^m hold each z_i or q z_i, and its weights every z_i
+    if not all(cmath.isfinite(c) and cmath.isfinite(q * c) for c in z):
+        raise DomainError(f"a coordinate of {z} or of a point q-shifted "
+                          "from it is not finite")
     total = complex(0.0)
     for sel, shifted in shifts:
         weight = complex(1.0)
@@ -238,6 +244,8 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
     with Delta(y) = prod_{l<s} (y_l/y_s;q)(y_s/y_l;q)
                     / ((t y_l/y_s;q)(t y_s/y_l;q)),
     applied to the test function f (a generic default is supplied).
+    ConvergenceError when a q-product of Delta falls below the normal
+    float range, as near q = 1.
     """
     y = _as_complex_vector(y)
     n = len(y)
@@ -251,9 +259,12 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
         for l in range(n):
             for s in range(l + 1, n):
                 u, v = yy[l] / yy[s], yy[s] / yy[l]
-                a, b, c, d = _qpochhammers((u, v, t * u, t * v), q, p.eps)
-                out *= (_checked(a) * _checked(b)
-                        / (_checked(c) * _checked(d)))
+                a, b, c, d = map(_checked, _qpochhammers(
+                    (u, v, t * u, t * v), q, p.eps))
+                if min(map(abs, (a, b, c, d))) < sys.float_info.min:
+                    raise ConvergenceError(
+                        "q-products in Delta underflow near q = 1")
+                out *= a * b / (c * d)
         return out
 
     lhs = complex(0.0)
@@ -273,6 +284,8 @@ def gauge_transform_residual(z, p: QParams, f=None) -> float:
         = G sum_i prod_{j!=i} ((q/t) z_i - z_j)/(z_i - z_j) T_{q,z_i}
 
     with G(z) = prod_{i<j} z_j^(1-2k) (t z_i/z_j;q)/(q^(1-k) z_i/z_j;q).
+    ConvergenceError when a q-product of G falls below the normal float
+    range, as near q = 1.
     """
     z = _as_complex_vector(z)
     n = len(z)
@@ -286,10 +299,12 @@ def gauge_transform_residual(z, p: QParams, f=None) -> float:
         for i in range(n):
             for j in range(i + 1, n):
                 u = zz[i] / zz[j]
-                num, den = _qpochhammers((t * u, q ** (1.0 - k) * u), q,
-                                         p.eps)
-                out *= (_cpow(zz[j], 1.0 - 2.0 * k) * _checked(num)
-                        / _checked(den))
+                num, den = map(_checked, _qpochhammers(
+                    (t * u, q ** (1.0 - k) * u), q, p.eps))
+                if min(abs(num), abs(den)) < sys.float_info.min:
+                    raise ConvergenceError(
+                        "q-products in G underflow near q = 1")
+                out *= _cpow(zz[j], 1.0 - 2.0 * k) * num / den
         return out
 
     lhs = complex(0.0)

@@ -3,11 +3,12 @@
 Infinite q-products, the q-Gamma and Theta functions, double (two-base)
 products, the bracket function, vertex contraction kernels and the basic
 q-hypergeometric series.  Everything here is a pure function of its
-arguments; all products/series are truncated deterministically with a
-first-order analytic tail correction.  An infinite product's truncation
-length is computed from logs before it is formed, so the term cap is
-checked without running to it, and (q;q)_inf is computed once per base q
-and shared by every theta and q-Gamma value in that base.
+arguments; all products/series are truncated deterministically, the
+q-products with a first-order analytic tail correction.  An infinite
+product's truncation length is computed from logs before it is formed,
+so the term cap is checked without running to it, and (q;q)_inf is
+computed once per base q and shared by every theta and q-Gamma value in
+that base.
 
 Every (z;q)_inf comes from one kernel, _qpochhammers, which takes a
 batch of arguments as the columns of one array: z q^i and the running
@@ -22,12 +23,16 @@ fails only itself; qpochhammer_inf, the kernel with one column, raises
 it.  kernel_s and kernel_t take their two products in one call.  In the
 same way _theta_values holds every check and value of theta for a batch
 of arguments, each value or its exception, and theta is it with one
-argument; a braid computation takes all its theta values from one call.
+argument; a braid computation takes all its theta values from one call,
+and _brackets takes the brackets [v] of a batch from one such call.
 
-A double product (z; p1, p2)_inf takes its row count and the factor
-count of its top row from logs too, and multiplies its factors with
-numpy in rectangular blocks of rows, each capped at _BLOCK factors
-(64 KB of complex128), so its memory stays bounded as q -> 1.
+A double product (z; p1, p2)_inf is its few leading rows
+(z p1^i; p2)_inf, those with |z p1^i| >= _RHO, times the corner
+(w; p1, p2)_inf below them, w = z p1^rows, taken as exp of its
+convergent log series -sum_m w^m / (m (1-p1^m)(1-p2^m)) (Gasper and
+Rahman, Basic Hypergeometric Series, ch. 1).  The rows of a batch go
+through one _qpochhammers call and the corners through one numpy pass,
+so memory stays within a few blocks of rows as q -> 1.
 
 Conventions: 0 < q < 1 throughout, complex powers use the principal
 branch, and theta functions always carry their base explicitly.
@@ -49,7 +54,13 @@ from .errors import ConvergenceError, DomainError, PoleError
 DEFAULT_EPS = 1e-14
 _POLE_TOL = 1e-10
 _MAX_TERMS = 200_000
-_BLOCK = 4096  # factors per block of a double product: 64 KB of complex128
+_BLOCK = 4096  # a row block of _qpochhammers holds 4 * _BLOCK entries
+# A double product takes its rows with |z p1^i| >= _RHO as q-products
+# and the corner below them as a log series in w = z p1^rows.  The series
+# falls like _RHO^m, so at 1/2 it ends within about 50-60 terms at
+# eps = 1e-14; a smaller _RHO adds rows, each a q-product of hundreds of
+# factors near q = 1, and one nearer 1 adds terms without bound.
+_RHO = 0.5
 
 
 def _cpow(base: complex, expo: complex) -> complex:
@@ -298,54 +309,97 @@ def double_pochhammer(z: complex, p1: float, p2: float,
                       eps: float = DEFAULT_EPS) -> complex:
     """(z; p1, p2)_inf = prod_{i1,i2>=0} (1 - p1^i1 p2^i2 z).
 
-    Keeps the rows i1 with |z p1^i1| >= eps and, in each row, the
-    factors with |z p1^i1 p2^i2| >= eps; both counts come from logs up
-    front.  The rows are multiplied in numpy blocks of at most _BLOCK
-    factors (64 KB): a block is a rectangle of its rows times the factor
-    count of its top row, and a row longer than _BLOCK is split along
-    i2.  Each row is corrected by its first-order tail
-    exp(-z p1^i1 p2^width/(1-p2)) past its block's width, and the
-    discarded rows by the corner tail exp(-z p1^rows/((1-p1)(1-p2))).
-    ConvergenceError at the term cap, for NaN or inf z, and when the
-    product is not finite.
+    The rows i1 with |z p1^i1| >= _RHO are the q-products
+    (z p1^i1; p2)_inf of _qpochhammers.  The corner below them,
+    (w; p1, p2)_inf with w = z p1^rows and |w| < _RHO, is exp of the
+    series -sum_m w^m / (m (1-p1^m)(1-p2^m)), cut where the terms left
+    sum to less than eps.  DomainError for a base of modulus >= 1;
+    ConvergenceError at the term cap of the factor-by-factor product (its
+    row count or the length of its top row), for NaN or inf z, and when
+    the product is not finite.
     """
     return _double_products((z,), p1, p2, eps)[0]
 
 
+_NOT_FINITE = "(z;p1,p2)_inf is not finite in floating point"
+
+
 def _double_products(zs, p1: float, p2: float,
                      eps: float = DEFAULT_EPS) -> list:
-    """(z; p1, p2)_inf for each z in zs, computed as in double_pochhammer."""
+    """(z; p1, p2)_inf for each z in zs, computed as in double_pochhammer,
+    or the first error of a z raised in the order of zs.  The rows of
+    every z go through one _qpochhammers call and the corners through
+    one _corner_sums call."""
     if not (abs(p1) < 1.0 and abs(p2) < 1.0):
         raise DomainError("both bases must have modulus < 1")
-    out = []
+    plans, rows, corners = [], [], []
     for z in zs:
         z = complex(z)
-        rows = _terms(abs(z), p1, eps)
-        prod = complex(1.0)
-        tail = 0j
-        i = 0
-        while i < rows:
-            width = _terms(abs(z * p1 ** i), p2, eps)
-            # width is 0 when rounding puts the last row just below eps
-            height = min(rows - i, max(1, _BLOCK // max(width, 1)))
-            zrows = z * np.power(p1, np.arange(i, i + height))
-            for j in range(0, width, _BLOCK):
-                # einsum writes the outer product without the buffered
-                # copies of its operands that broadcasting makes
-                grid = np.einsum("i,j->ij", zrows, np.power(
-                    p2, np.arange(j, min(width, j + _BLOCK))))
-                np.subtract(1.0, grid, out=grid)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    prod *= complex(grid.prod())
-            tail += complex(zrows.sum()) * p2 ** width / (1.0 - p2)
-            i += height
-        tail += z * p1 ** rows / ((1.0 - p1) * (1.0 - p2))
-        value = prod * cmath.exp(-tail)
+        try:
+            az = abs(z)
+            # the term caps of the factor-by-factor product: its row
+            # count and the length of its top row
+            _terms(az, p1, eps)
+            _terms(az, p2, eps)
+            if not cmath.isfinite(z):  # two zero bases pass those caps
+                raise ConvergenceError(_NOT_FINITE)
+            count = _terms(az, p1, _RHO)
+        except (ConvergenceError, OverflowError) as exc:
+            plans.append(exc)
+            continue
+        plans.append((len(rows), count))
+        rows += [z * p1 ** i for i in range(count)]
+        corners.append(z * p1 ** count)
+    row_values = _qpochhammers(rows, p2, eps)
+    corner_sums = iter(_corner_sums(corners, p1, p2, eps))
+    out = []
+    for plan in plans:
+        first, count = _checked(plan)
+        try:
+            value = cmath.exp(-next(corner_sums))
+        except OverflowError:  # the corner alone leaves the float range
+            raise ConvergenceError(_NOT_FINITE) from None
+        for row in row_values[first:first + count]:
+            value *= _checked(row)
         if not cmath.isfinite(value):
-            raise ConvergenceError("(z;p1,p2)_inf is not finite in floating "
-                                   "point")
+            raise ConvergenceError(_NOT_FINITE)
         out.append(value)
     return out
+
+
+def _corner_sums(ws, p1: float, p2: float, eps: float) -> list:
+    """-log (w; p1, p2)_inf for each w in ws, |w| < 1, bit for bit the loop
+
+        total, wm, p1m, p2m = -0j, w, p1, p2
+        repeat for m = 1..terms:
+            d = m * (1 - p1m) * (1 - p2m)
+            total += complex(wm.real / d, wm.imag / d)
+            wm *= w; p1m *= p1; p2m *= p2
+
+    where terms counts the m with |w|^m >= eps (1-_RHO)(1-|p1|)(1-|p2|),
+    so the terms after it sum to less than eps for |w| < _RHO.  The ws
+    are the columns of one array: np.multiply.accumulate takes the powers
+    down its rows with CPython's scalar products, the terms are float
+    ufuncs, np.add.accumulate sums them in order, and column j reads the
+    row of its own term count.
+    """
+    tol = eps * (1.0 - _RHO) * (1.0 - abs(p1)) * (1.0 - abs(p2))
+    terms = [0 if abs(w) < tol else int(math.log(tol) / math.log(abs(w)))
+             for w in ws]
+    height = max(terms, default=0)
+    if height == 0:
+        return [-0j] * len(ws)
+    powers = np.multiply.accumulate(
+        np.broadcast_to(np.array(ws, dtype=complex), (height, len(ws))),
+        axis=0)
+    bases = np.multiply.accumulate(np.full((height, 2), (p1, p2)), axis=0)
+    den = (np.arange(1, height + 1) * (1.0 - bases[:, 0])
+           * (1.0 - bases[:, 1]))[:, None]
+    # -0.0 + x is x for every float x, so the sums start from -0j
+    re = np.add.accumulate(powers.real / den, axis=0)
+    im = np.add.accumulate(powers.imag / den, axis=0)
+    return [complex(re[t - 1, j], im[t - 1, j]) if t else -0j
+            for j, t in enumerate(terms)]
 
 
 def g1(z: complex, x: float, r: float, n: int) -> complex:
@@ -354,8 +408,8 @@ def g1(z: complex, x: float, r: float, n: int) -> complex:
     g_1(z) = {x^2 z}{x^(2r+2n-2) z} / ({x^(2r) z}{x^(2n) z}) with
     {w} = (w; x^(2r), x^(2n))_inf, taken as two ratios of double products
     so that their product does not underflow.  The four products come
-    from one call of the blocked numpy products behind double_pochhammer,
-    so memory stays within a few 64 KB blocks at any q.  Near q = 1 the
+    from one call of _double_products, so their rows take one
+    _qpochhammers call and their corners one series pass.  Near q = 1 the
     double products themselves leave the normal float range;
     ConvergenceError is raised there.
     """
@@ -388,10 +442,36 @@ def kernel_t(z: complex, p: QParams) -> complex:
 
 
 def bracket_v(v: complex, xr: XRParams) -> complex:
-    """[v] = x^(v^2/r - v) Theta_{x^(2r)}(x^(2v)); antiperiodic, [v+r]=-[v]."""
+    """[v] = x^(v^2/r - v) Theta_{x^(2r)}(x^(2v)); antiperiodic, [v+r]=-[v].
+
+    The one-argument case of _brackets."""
+    return _checked(_brackets((v,), xr)[0])
+
+
+def _brackets(vs, xr: XRParams) -> list:
+    """[v] for each v in vs, or in its place the exception the formula
+    raises first there: that of the power x^(v^2/r - v), then that of the
+    theta argument x^(2v), then that of theta.  Every theta value comes
+    from one call of _theta_values, which is bit for bit theta one
+    argument at a time."""
     x, r = xr.x, xr.r
     base = x ** (2.0 * r)
-    return _cpow(x, v * v / r - v) * theta(_cpow(x, 2.0 * v), base)
+    parts = []  # (power, theta argument) per v, or the error of a power
+    for v in vs:
+        try:
+            parts.append((_cpow(x, v * v / r - v), _cpow(x, 2.0 * v)))
+        except (DomainError, ValueError) as exc:  # from _cpow or cmath.exp
+            parts.append(exc)
+    thetas = iter(_theta_values(
+        [p[1] for p in parts if not isinstance(p, Exception)], base))
+    out = []
+    for part in parts:
+        if isinstance(part, Exception):
+            out.append(part)
+            continue
+        th = next(thetas)
+        out.append(th if isinstance(th, Exception) else part[0] * th)
+    return out
 
 
 def _is_nonpositive_qinteger(a: complex, q: float) -> int | None:

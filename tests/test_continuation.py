@@ -13,6 +13,7 @@ from qmacdonald import (ConvergenceError, DomainError, PoleError,
                         boltzmann_w, braid_action, braid_matrix, bracket_v,
                         evaluate, fq_connection, g1, leading_coefficient,
                         solve_coefficients, theta, verify_braid_relations)
+from qmacdonald import qcore
 from qmacdonald.qcore import _cpow
 
 LAM3 = (0.31, -0.11, -0.20)
@@ -409,6 +410,17 @@ class TestBoltzmannWeights:
                 ref = boltzmann_w(mu, v, xr, 2).matrix(
                     boltzmann_w(-mu, v, xr, 2))
                 assert np.array_equal(M, ref)
+
+    def test_three_theta_batches(self, monkeypatch):
+        # [v], [v-1], [1] and, per weight set, [mu], [mu-1], [v-mu]: one
+        # batch each, where bracket_v one at a time made nine theta calls
+        calls = []
+        kernel = qcore._theta_values
+        monkeypatch.setattr(qcore, "_theta_values",
+                            lambda *args: calls.append(args) or kernel(*args))
+        xr = XRParams.from_qparams(QParams(q=0.75, k=0.2), XRMode.B)
+        boltzmann_exchange_matrix(1.3 + 0.2j, 0.37, xr, 2)
+        assert [len(xs) for xs, _ in calls] == [3, 3, 3]
 
     def test_resonant_bracket_rejected(self):
         xr = XRParams(x=0.85, r=2.5)

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -125,6 +126,27 @@ class TestNumericApplication:
                 with pytest.raises(DomainError) as exc:
                     apply()
                 assert "float range" in str(exc.value)
+
+    @pytest.mark.parametrize("f", [lambda zz: 1.0 + 0j, sum],
+                             ids=["constant", "sum"])
+    @pytest.mark.parametrize("z", [(complex(math.inf, math.nan), 1.45 + 0.1j),
+                                   (math.nan, 1.0), (math.inf, 1.0)],
+                             ids=["inf+nanj", "nan", "inf"])
+    def test_non_finite_coordinate(self, p, f, z):
+        # both returned NaN before the coordinates were checked
+        for apply in (lambda: macdonald_apply_numeric(f, 1, z, p),
+                      lambda: duality_check(f, z, p)):
+            with pytest.raises(DomainError) as exc:
+                apply()
+            assert "not finite" in str(exc.value)
+
+    @pytest.mark.parametrize("f", [lambda zz: 1.0 + 0j, sum],
+                             ids=["constant", "sum"])
+    def test_shifted_point_leaves_the_float_range(self, p, f):
+        # D^1(1/q, 1/t) shifts 1.5e308 to 1.5e308 / q = inf
+        with pytest.raises(DomainError) as exc:
+            duality_check(f, (1.0, 1.5e308), p)
+        assert "not finite" in str(exc.value)
 
     def test_commutativity(self, p, rng):
         for n in (2, 3):
@@ -343,6 +365,28 @@ class TestOperatorIdentities:
     def test_gauge_transform(self, p):
         assert gauge_transform_residual(self.Y2, p) < 1e-9
         assert gauge_transform_residual(self.Y3, p) < 1e-9
+
+    @staticmethod
+    def _near_one_point(n):
+        return tuple((1.0 + 0.3 * l) * cmath.exp(0.2j * l) for l in range(n))
+
+    @pytest.mark.parametrize("k, n", [(0.4, 5), (0.9, 2)])
+    def test_underflow_near_one_is_typed(self, k, n):
+        # at q = 0.999 the q-products of Delta and G are subnormal or 0:
+        # a bare ZeroDivisionError and residuals 0.18 and 0.47 before
+        p = QParams(q=0.999, k=k)
+        y = self._near_one_point(n)
+        for residual in (conjugation_identity_residual,
+                         gauge_transform_residual):
+            with pytest.raises(ConvergenceError):
+                residual(y, p)
+
+    @pytest.mark.parametrize("k, n", [(0.4, 5), (0.9, 2)])
+    def test_identities_hold_at_q_099(self, k, n):
+        p = QParams(q=0.99, k=k)
+        y = self._near_one_point(n)
+        assert conjugation_identity_residual(y, p) < 1e-13
+        assert gauge_transform_residual(y, p) < 1e-13
 
 
 class TestOrderMustBeAnInteger:

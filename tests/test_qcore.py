@@ -1,6 +1,7 @@
 """Unit and property tests for the scalar q-special-function kernel."""
 
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -13,7 +14,19 @@ from qmacdonald import (ConvergenceError, DomainError, PoleError, QParams,
                         XRMode, XRParams, bracket_v, double_pochhammer, fq,
                         g1, kernel_s, kernel_t, qbinomial_series, qgamma,
                         qpochhammer_inf, theta)
-from qmacdonald.qcore import _cpow, _qpochhammers, _terms, _theta_values
+from qmacdonald import qcore
+from qmacdonald.qcore import (_RHO, _brackets, _cpow, _double_products,
+                              _qpochhammers, _terms, _theta_values)
+
+
+def _mp_log_double(mp, w, p1, p2):
+    """log (w; p1, p2)_inf = -sum_m w^m / (m (1 - p1^m)(1 - p2^m)) for
+    |w| < 1, summed in mpmath to 1e-32."""
+    log, m, wm, p1m, p2m = mp.mpc(0), 1, w, p1, p2
+    while abs(wm) > mp.mpf("1e-32"):
+        log -= wm / (m * (1 - p1m) * (1 - p2m))
+        m, wm, p1m, p2m = m + 1, wm * w, p1m * p1, p2m * p2
+    return log
 
 
 def brute_pochhammer(z, q, terms=600):
@@ -173,14 +186,34 @@ class TestDoublePochhammer:
         for z in (r * cmath.exp(1j * phi) for r in radii
                   for phi in (0.0, 1.1, math.pi)):
             with mp.workdps(30):
-                w, mp1, mp2 = mp.mpc(z), mp.mpf(p1), mp.mpf(p2)
-                log, m, wm, p1m, p2m = mp.mpc(0), 1, w, mp1, mp2
-                while abs(wm) > mp.mpf("1e-32"):
-                    log -= wm / (m * (1 - p1m) * (1 - p2m))
-                    m, wm, p1m, p2m = m + 1, wm * w, p1m * mp1, p2m * mp2
-                ref = complex(mp.exp(log))
+                ref = complex(mp.exp(_mp_log_double(
+                    mp, mp.mpc(z), mp.mpf(p1), mp.mpf(p2))))
             got = double_pochhammer(z, p1, p2)
             assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("p1", (0.3, 0.75, 0.95))
+    @pytest.mark.parametrize("p2", (0.3, 0.89, 0.95))
+    def test_against_mpmath_grid(self, p1, p2):
+        # the factor-by-factor product read 1.0e-12 at p1 = p2 = 0.95,
+        # |z| = 0.1, phase 2.5; rows and corner series read 8.4e-14
+        mp = pytest.importorskip("mpmath")
+        for z in (r * cmath.exp(1j * phi) for r in (0.1, 0.5, 0.9)
+                  for phi in (1.1, 2.5)):
+            with mp.workdps(30):
+                ref = complex(mp.exp(_mp_log_double(
+                    mp, mp.mpc(z), mp.mpf(p1), mp.mpf(p2))))
+            got = double_pochhammer(z, p1, p2)
+            assert abs(got - ref) <= 2e-13 * abs(ref)
+
+    def test_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = qcore._qpochhammers
+        monkeypatch.setattr(qcore, "_qpochhammers",
+                            lambda *args: calls.append(args) or kernel(*args))
+        double_pochhammer(2.3 + 1.0j, 0.75, 0.89)  # 6 rows and a corner
+        assert len(calls) == 1 and len(calls[0][0]) == 6
+        double_pochhammer(0.3, 0.75, 0.89)  # the corner only
+        assert len(calls) == 2 and len(calls[1][0]) == 0
 
     @pytest.mark.parametrize("z", (math.nan, math.inf, complex(1.0, math.inf),
                                    complex(math.nan, 0.5)))
@@ -208,8 +241,9 @@ class TestG1:
         assert abs(g1(0.0, 0.9, 2.0, 2) - 1.0) < 1e-13
 
     def test_memory_is_bounded_near_one(self):
-        # about 200k factors per double product at q = 0.95; the blocks
-        # of at most 4096 factors keep the peak near 260 KB
+        # about 200k factors per double product at q = 0.95 if each were
+        # formed; the rows above |w| = 1/2 and the corner series of
+        # about 56 terms per product keep the peak far below the bound
         xr = XRParams.from_qparams(QParams(q=0.95, k=0.5), XRMode.A)
         g1(0.3 + 0.2j, xr.x, xr.r, 2)  # warm up lazy numpy state
         tracemalloc.start()
@@ -247,17 +281,40 @@ class TestG1:
             p1, p2 = x ** (2 * r), x ** (2 * n)
 
             def brace(w):
-                log, m, wm = mp.mpc(0), 1, w
-                while abs(wm) > mp.mpf("1e-32"):
-                    log -= wm / (m * (1 - p1 ** m) * (1 - p2 ** m))
-                    m, wm = m + 1, wm * w
-                return mp.exp(log)
+                return mp.exp(_mp_log_double(mp, w, p1, p2))
 
             num1, num2, den1, den2 = (
                 brace(w * zz) for w in (x ** 2, x ** (2 * r + 2 * n - 2),
                                         p1, p2))
             ref = complex(num1 * num2 / (den1 * den2))
         assert abs(g1(z, xr.x, xr.r, n) - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.75, 0.9, 0.95])
+    def test_against_mpmath_grid(self, q):
+        # the factor-by-factor products read 1.8e-12 at q = 0.95, k = 0.5
+        # and 6.6e-13 at q = 0.9; rows and corner series read 1.9e-13
+        mp = pytest.importorskip("mpmath")
+        z = 0.3 + 0.2j
+        for k, mode, n in itertools.product((0.2, 0.5, 0.8), XRMode, (2, 3)):
+            xr = XRParams.from_qparams(QParams(q=q, k=k), mode)
+            with mp.workdps(30):
+                x, r, zz = mp.mpf(xr.x), mp.mpf(xr.r), mp.mpc(z)
+                p1, p2 = x ** (2 * r), x ** (2 * n)
+                num1, num2, den1, den2 = (
+                    _mp_log_double(mp, w * zz, p1, p2)
+                    for w in (x ** 2, x ** (2 * r + 2 * n - 2), p1, p2))
+                ref = complex(mp.exp(num1 + num2 - den1 - den2))
+            assert abs(g1(z, xr.x, xr.r, n) - ref) <= 4e-13 * abs(ref)
+
+    def test_one_kernel_call(self, monkeypatch):
+        # the rows of all four double products take one _qpochhammers call
+        calls = []
+        kernel = qcore._qpochhammers
+        monkeypatch.setattr(qcore, "_qpochhammers",
+                            lambda *args: calls.append(args) or kernel(*args))
+        xr = XRParams.from_qparams(QParams(q=0.75, k=0.2), XRMode.B)
+        g1(1.7 - 0.4j, xr.x, xr.r, 2)
+        assert len(calls) == 1 and calls[0][0]
 
 
 class TestKernels:
@@ -505,3 +562,98 @@ class TestBatchedProductBits:
         value, = _theta_values([0.5], 0.9999)
         assert isinstance(value, ConvergenceError)
         assert str(value) == str(ref.value)
+
+
+def _loop_corner(w, p1, p2, eps=1e-14):
+    """-log (w; p1, p2)_inf from the term loop that the corner series
+    kernel must match bit for bit, with its term count."""
+    tol = eps * (1.0 - _RHO) * (1.0 - abs(p1)) * (1.0 - abs(p2))
+    terms = 0 if abs(w) < tol else int(math.log(tol) / math.log(abs(w)))
+    # -0.0 + x is x for every float x, so the first sum is the first term,
+    # as in the kernel's np.add.accumulate
+    total, wm, p1m, p2m = -0j, w, p1, p2
+    for m in range(1, terms + 1):
+        d = m * (1 - p1m) * (1 - p2m)
+        total += complex(wm.real / d, wm.imag / d)
+        wm *= w
+        p1m *= p1
+        p2m *= p2
+    return total, terms, tol
+
+
+def _loop_double(z, p1, p2):
+    """(z; p1, p2)_inf as exp of the corner loop times the row loops."""
+    z = complex(z)
+    rows = _terms(abs(z), p1, _RHO)
+    value = cmath.exp(-_loop_corner(z * p1 ** rows, p1, p2)[0])
+    for i in range(rows):
+        value *= _loop_pochhammer(z * p1 ** i, p2)
+    return value
+
+
+class TestCornerSeriesBits:
+    """double_pochhammer and g1 against the row and corner term loops, by
+    repr."""
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_double_products(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            p1, p2 = (float(rng.uniform(0.05, 0.95)) * rng.choice((-1, 1, 1))
+                      for _ in range(2))
+            zs = [complex(10.0 ** rng.uniform(-3, 0.6)
+                          * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+                  for _ in range(int(rng.integers(1, 6)))]
+            zs += [0j, -0.3, complex(-0.3, -0.0), 1.5]  # signed zeros
+            want = [repr(_loop_double(z, p1, p2)) for z in zs]
+            assert [repr(v) for v in _double_products(zs, p1, p2)] == want
+            assert repr(double_pochhammer(zs[0], p1, p2)) == want[0]
+            for z in zs:  # the count keeps the m with |w|^m >= tol
+                w = z * p1 ** _terms(abs(z), p1, _RHO)
+                _, terms, tol = _loop_corner(w, p1, p2)
+                assert abs(w) ** (terms + 1) < tol
+                assert terms == 0 or abs(w) ** terms >= tol
+
+    @pytest.mark.parametrize("mode", list(XRMode))
+    def test_g1(self, mode):
+        for q, k, n, z in itertools.product((0.3, 0.75, 0.95), (0.2, 0.8),
+                                            (2, 3), (0.3 + 0.2j, 1.7 - 0.4j)):
+            xr = XRParams.from_qparams(QParams(q=q, k=k), mode)
+            x, r = xr.x, xr.r
+            p1, p2 = x ** (2.0 * r), float(x) ** (2 * n)
+            try:
+                got = g1(z, x, r, n)
+            except ConvergenceError:  # near 1 the products underflow
+                assert q == 0.95
+                continue
+            num1, num2, den1, den2 = (
+                _loop_double(w * z, p1, p2)
+                for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2))
+            assert repr(got) == repr((num1 / den1) * (num2 / den2))
+
+
+class TestBracketBits:
+    """_brackets against bracket_v one argument at a time."""
+
+    @pytest.mark.parametrize("xr", [XRParams(x=0.8, r=2.0),
+                                    XRParams.from_qparams(
+                                        QParams(q=0.93, k=0.3), XRMode.B)])
+    def test_batch_equals_one_at_a_time(self, xr):
+        vs = [0.37, 1.21 + 0.2j, -0.6, 0.0, xr.r, 1.0 - xr.r,  # lattice
+              1e4j,   # x^(v^2/r - v) overflows: DomainError from _cpow
+              -150.0,  # Theta far from 1 is not finite: ConvergenceError
+              1e4,    # x^(2v) underflows to 0: DomainError from theta
+              math.nan, 0.37]
+        held = _brackets(vs, xr)
+        assert len(held) == len(vs)
+        kinds = set()
+        for v, value in zip(vs, held):
+            try:
+                want = bracket_v(v, xr)
+            except Exception as exc:
+                assert type(value) is type(exc)
+                assert str(value) == str(exc)
+                kinds.add(type(exc))
+                continue
+            assert repr(value) == repr(want)
+        assert kinds == {DomainError, ConvergenceError}
