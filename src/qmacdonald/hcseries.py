@@ -47,6 +47,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +62,7 @@ from .qcore import (QParams, XRMode, _checked, _cpow, _qpochhammers, _qq_inf,
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
+_THETA_UNDERFLOW = "theta denominator underflows near q = 1"
 
 
 def default_depth(n: int) -> int:
@@ -474,27 +476,30 @@ def residue_integral_prop6(n_pow: int, lam12: complex, p: QParams) -> complex:
     """Residue sum for the theta-ratio contour integral with integrand
     y^n Theta_q(q^(l21+(k+1)/2)/y)/Theta_q(q^((1+k)/2)/y)
         * (q^((1+k)/2)/y;q)_inf/(q^((1-k)/2)/y;q)_inf  dy/(2 pi i y),
-    poles at y = q^((1-k)/2+m), m >= 0."""
+    poles at y = q^((1-k)/2+m), m >= 0.
+
+    The residues are the term chain t_0 = 1,
+    t_(m+1) = t_m q^(l21+n+k) (1 - q^(m+1-k)) / (1 - q^(m+1)), summed by
+    _residue_sum, times the m = 0 prefactor.  ConvergenceError where the
+    series diverges, and near q = 1 where Theta_q(q^k) in that prefactor
+    underflows (from about q = 0.995 at k = 0.4)."""
     q, k = p.q, p.k
     l21 = -complex(lam12)
-    pref = (_cpow(q, (1.0 - k) / 2.0 * n_pow)
-            * theta(_cpow(q, l21 + k), q) / theta(q ** k, q)
-            * qpochhammer_inf(q ** k, q) / _qq_inf(q))
+    power = _cpow(q, (1.0 - k) / 2.0 * n_pow)
+    th_num, th_den = theta(_cpow(q, l21 + k), q), theta(q ** k, q)
+    if abs(th_den) < sys.float_info.min:
+        raise ConvergenceError(_THETA_UNDERFLOW)
+    pref = power * th_num / th_den * qpochhammer_inf(q ** k, q) / _qq_inf(q)
     expo = l21 + n_pow + k
     if expo.real <= 0.0:
         raise ConvergenceError("residue series for the one-point integral "
                                "diverges for these parameters")
     ratio = _cpow(q, expo)
-    total = complex(0.0)
-    term = complex(1.0)  # prod_{j=1..m} (1-q^(j-k))/(1-q^j) at m=0
-    for m in range(_MAX_RESIDUES):
-        contrib = term * ratio ** m
-        total += contrib
-        if m > 4 and abs(contrib) < p.eps * max(1.0, abs(total)):
-            return pref * total
-        term *= (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1))
-    raise ConvergenceError("residue series for the one-point integral "
-                           "did not converge")
+    return pref * _residue_sum(
+        1.0,
+        lambda m: ratio * (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1)),
+        abs(ratio), p.eps,
+        "residue series for the one-point integral did not converge")
 
 
 def one_point_integral_closed_form(n_pow: int, lam12: complex, p: QParams) -> complex:
@@ -541,6 +546,15 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     summing over the poles y = q^((1-k)/2+m) z1.  Equals
     Gamma_q(1-k)/(Gamma_q(l1-l2+1-k) Gamma_q(l2-l1+1))
         * F_q(k, l2-l1+k, l2-l1+1, q^(1-k) z1/z2).
+
+    By quasi-periodicity the residue at pole m is the term chain
+    t_0 = theta_base poch_base kern,
+    t_(m+1) = t_m shift q^k (1 - q^(m+1-k)) / (1 - q^(m+1))
+              * (1 - xc q^m) / (1 - xb q^m),
+    with theta_base, poch_base and the y/z2 kernel kern = (xb;q)/(xc;q)
+    taken once at m = 0, summed by _residue_sum.  ConvergenceError where
+    the series diverges, and near q = 1 where Theta_q(q^k) in theta_base
+    underflows (from about q = 0.995 at k = 0.4).
     """
     q, k = p.q, p.k
     l1, l2 = complex(lam[0]), complex(lam[1])
@@ -553,33 +567,62 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     if abs(arg) >= 1.0:
         raise ZoneError("z1/z2 outside the convergence region")
     c_half = q ** ((1.0 - k) / 2.0)
-    # at the m-th pole the theta ratio and the z1/y Pochhammer ratio reduce,
-    # via quasi-periodicity, to stable m=0 values times simple recurrences
-    theta_base = theta(_cpow(q, l2 - l1 + k), q) / theta(q ** k, q)
+    th_num, th_den = theta(_cpow(q, l2 - l1 + k), q), theta(q ** k, q)
+    if abs(th_den) < sys.float_info.min:
+        raise ConvergenceError(_THETA_UNDERFLOW)
+    theta_base = th_num / th_den
     poch_base = qpochhammer_inf(q ** k, q) / _qq_inf(q)
     shift = _cpow(q, l2 - l1)  # theta-ratio gain per unit pole index
     if abs(shift) * q ** k >= 1.0:
         raise ConvergenceError(
             "residue series diverges: requires Re(lam2 - lam1 + k) > 0")
-    # the y/z2 kernel at pole m is (xb q^m;q)_inf/(xc q^m;q)_inf: computed
-    # once at m=0, then peeled by one factor of each product per pole
     xb = q ** ((1.0 + k) / 2.0) * c_half * z1 / z2
     xc = c_half * c_half * z1 / z2
     num, den = _qpochhammers((xb, xc), q)
     kern = _checked(num) / _checked(den)
-    fm = complex(1.0)          # prod_{j<=m} q^k (1-q^(j-k))/(1-q^j)
-    qm = 1.0                   # q^m
-    total = complex(0.0)
-    for m in range(_MAX_RESIDUES):
-        rest = theta_base * shift ** m * poch_base * fm * kern
-        total += rest
-        if m > 4 and abs(rest) < p.eps * max(1.0, abs(total)):
-            return total
-        fm *= q ** k * (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1))
-        kern *= (1.0 - xc * qm) / (1.0 - xb * qm)
-        qm *= q
-    raise ConvergenceError("residue series for the two-point integral "
-                           "did not converge")
+    gain = shift * q ** k
+    return _residue_sum(
+        theta_base * poch_base * kern,
+        lambda m: (gain * (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1))
+                   * (1.0 - xc * q ** m) / (1.0 - xb * q ** m)),
+        abs(gain), p.eps,
+        "residue series for the two-point integral did not converge")
+
+
+def _residue_sum(first: complex, ratio, limit: float, eps: float,
+                 message: str) -> complex:
+    """sum_m t_m of the term chain t_0 = first, t_(m+1) = t_m ratio(m),
+    where ratio maps an int array of m to the array of term ratios and
+    limit < 1 is the limit of |ratio(m)| as m grows.
+
+    Returns the partial sum at the first m >= 5 with
+    |t_m| < eps max(1, |partial sum|); ConvergenceError(message) when
+    none comes within _MAX_RESIDUES terms.  The terms come in chunks, one
+    np.multiply.accumulate of the ratios and one np.add.accumulate of the
+    terms each.  The first chunk holds the log(eps)/log(limit) terms that
+    a geometric tail of ratio limit needs, plus 16 and at least 32, so it
+    usually ends the series; later chunks double.
+    """
+    size = 32
+    if 0.0 < limit < 1.0:
+        size = min(max(size, int(math.log(eps) / math.log(limit)) + 16),
+                   _MAX_RESIDUES)
+    start, term, total = 0, complex(first), 0j
+    # an overflowing or NaN chain never meets the stopping rule, so it
+    # ends at the term cap rather than in a NumPy warning
+    with np.errstate(all="ignore"):
+        while start < _MAX_RESIDUES:
+            m = np.arange(start, min(start + size, _MAX_RESIDUES))
+            r = ratio(m)
+            terms = np.multiply.accumulate(np.concatenate(([term], r[:-1])))
+            sums = total + np.add.accumulate(terms)
+            small = np.abs(terms) < eps * np.maximum(1.0, np.abs(sums))
+            done = np.flatnonzero(small & (m >= 5))
+            if done.size:
+                return complex(sums[done[0]])
+            term, total = terms[-1] * r[-1], sums[-1]
+            start, size = start + len(m), 2 * size
+    raise ConvergenceError(message)
 
 
 def integral_rep_fq_reference(lam, z1: complex, z2: complex,

@@ -168,8 +168,14 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
 
 
 def macdonald_apply_numeric(f, m: int, z, p: QParams) -> complex:
-    """Apply D^m(q,t) at the point z to the black-box function f."""
-    return macdonald_apply_raw(f, m, z, p.q, p.t)
+    """Apply D^m(q,t) at the point z to the black-box function f.
+
+    ConvergenceError when the value is not finite, as where the weighted
+    sum of finite values of f overflows."""
+    value = macdonald_apply_raw(f, m, z, p.q, p.t)
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"D^{m} f at {z} is not finite")
+    return value
 
 
 def duality_check(sol_eval, z, p: QParams) -> float:
@@ -177,7 +183,8 @@ def duality_check(sol_eval, z, p: QParams) -> float:
 
     The right-hand side is the first-order operator with both parameters
     inverted: weight ((1/t) z_i - z_j), shift by 1/q, overall factor 1/t.
-    DomainError when f(z) = 0, where the ratio is undefined.
+    DomainError when f(z) = 0, where the ratio is undefined;
+    ConvergenceError when either side is not finite.
     """
     z = _as_complex_vector(z)
     n = len(z)
@@ -189,6 +196,8 @@ def duality_check(sol_eval, z, p: QParams) -> float:
     lhs = macdonald_apply_raw(sol_eval, n - 1, z, p.q, t)
     rhs = t ** (n * (n + 1) / 2.0) * macdonald_apply_raw(
         sol_eval, 1, z, 1.0 / p.q, 1.0 / t)
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise ConvergenceError(f"a side of the duality at {z} is not finite")
     return abs(lhs - rhs) / abs(ref)
 
 

@@ -10,21 +10,24 @@ so the term cap is checked without running to it, and (q;q)_inf is
 computed once per base q and shared by every theta and q-Gamma value in
 that base.
 
-Every (z;q)_inf comes from one kernel, _qpochhammers, which takes a
-batch of arguments as the columns of one array: z q^i and the running
-product of the factors 1 - z q^i are each one np.multiply.accumulate
-down its rows, and each column reads the row of its own truncation
-length.  accumulate multiplies row by row with the scalar complex
-product, the formula CPython uses, so a batch is bit for bit the
-one-at-a-time loop; numpy's elementwise complex multiply may fuse a
-multiply-add on CPUs with FMA and is not.  An argument the kernel
-rejects, at the term cap say, leaves its exception in its column, so it
-fails only itself; qpochhammer_inf, the kernel with one column, raises
-it.  kernel_s and kernel_t take their two products in one call.  In the
-same way _theta_values holds every check and value of theta for a batch
-of arguments, each value or its exception, and theta is it with one
-argument; a braid computation takes all its theta values from one call,
-and _brackets takes the brackets [v] of a batch from one such call.
+Every (z;q)_inf comes from one kernel, _qpochhammers, which takes one of
+two engines by the size of its batch.  A batch of at most _LOOP_FACTORS
+factors in all runs the term loop in Python, as a numpy pass costs more
+than that many factors.  A larger batch is the columns of one array: z
+q^i and the running product of the factors 1 - z q^i are each one
+np.multiply.accumulate down its rows, and each column reads the row of
+its own truncation length.  accumulate multiplies row by row with the
+scalar complex product, the formula CPython uses, so either engine is
+bit for bit the one-at-a-time loop; numpy's elementwise complex multiply
+may fuse a multiply-add on CPUs with FMA and is not.  An argument the
+kernel rejects, at the term cap say, leaves its exception in its
+column on either engine, so it fails only itself; qpochhammer_inf, the
+kernel with one column, raises it.  kernel_s and kernel_t take their two
+products in one call.  In the same way _theta_values holds every check
+and value of theta for a batch of arguments, each value or its
+exception, and theta is it with one argument; a braid computation takes
+all its theta values from one call, and _brackets takes the brackets [v]
+of a batch from one such call.
 
 A double product (z; p1, p2)_inf is its few leading rows
 (z p1^i; p2)_inf, those with |z p1^i| >= _RHO, times the corner
@@ -61,6 +64,11 @@ _BLOCK = 4096  # a row block of _qpochhammers holds 4 * _BLOCK entries
 # eps = 1e-14; a smaller _RHO adds rows, each a q-product of hundreds of
 # factors near q = 1, and one nearer 1 adds terms without bound.
 _RHO = 0.5
+# A _qpochhammers call with at most this many factors in all takes the
+# term loop in Python, at about 0.2 us a factor; a numpy pass costs about
+# 27 us plus 2 us a column, so on 1, 2 and 4 columns the two meet at
+# 130-150 factors (x86-64, Python 3.11, numpy 2.4).
+_LOOP_FACTORS = 128
 
 
 def _cpow(base: complex, expo: complex) -> complex:
@@ -175,25 +183,30 @@ def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
         return prod * exp(-zq/(1-q))
 
     or, in its place, the exception the loop raises before it starts:
-    ConvergenceError at the term cap and for a NaN or inf |z|,
-    OverflowError for a z whose abs() leaves the float range.
+    ConvergenceError at the term cap and for a |z| that is NaN, inf or
+    past the float range.
 
-    The zs are the columns of one array: np.multiply.accumulate down its
-    rows takes zq = z q^i, and a second one the running product of the
-    factors 1 - zq; column j reads the row of its own truncation length,
-    and the tail stays in Python.  accumulate multiplies each row by the
-    one before it with the scalar complex product, as CPython does, so no
-    fused multiply-add changes a bit.  Rows go in blocks of at most
-    _BLOCK * 4 entries (256 KB of complex128 per array), so memory stays
-    bounded as q -> 1.
+    A call whose factors total at most _LOOP_FACTORS runs that loop
+    itself, since a numpy pass has a fixed cost of many factors.  Above
+    it the zs are the columns of one array: np.multiply.accumulate down
+    its rows takes zq = z q^i, and a second one the running product of
+    the factors 1 - zq; column j reads the row of its own truncation
+    length, and the tail stays in Python.  accumulate multiplies each row
+    by the one before it with the scalar complex product, as CPython
+    does, so no fused multiply-add changes a bit.  Rows go in blocks of
+    at most _BLOCK * 4 entries (256 KB of complex128 per array), so
+    memory stays bounded as q -> 1.
     """
     terms = []
     for z in zs:
         try:
-            terms.append(_terms(abs(z), q, eps))
-        except (ConvergenceError, OverflowError) as exc:
+            terms.append(_terms(_modulus(z), q, eps))
+        except ConvergenceError as exc:
             terms.append(exc)
     rows_of = [0 if isinstance(t, Exception) else t for t in terms]
+    if sum(rows_of) <= _LOOP_FACTORS:
+        return [t if isinstance(t, Exception) else _loop_product(z, t, q)
+                for z, t in zip(zs, terms)]
     last, width = max(rows_of, default=0), len(rows_of)
     rows_of, cols = np.array(rows_of, dtype=np.int64), np.arange(width)
     height = max(1, 4 * _BLOCK // max(1, width))
@@ -223,6 +236,23 @@ def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
     zq_at, prod_at = at.tolist()
     return [t if isinstance(t, Exception) else p * cmath.exp(-z / (1.0 - q))
             for t, p, z in zip(terms, prod_at, zq_at)]
+
+
+def _loop_product(z: complex, terms: int, q: float) -> complex:
+    """(z; q)_inf as the term loop of _qpochhammers with terms factors."""
+    prod, zq = complex(1.0), complex(z)
+    for _ in range(terms):
+        prod *= 1.0 - zq
+        zq *= q
+    return prod * cmath.exp(-zq / (1.0 - q))
+
+
+def _modulus(z: complex) -> float:
+    """|z|, or inf where it leaves the float range."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _terms(az: float, q: float, eps: float) -> int:
@@ -315,8 +345,9 @@ def double_pochhammer(z: complex, p1: float, p2: float,
     series -sum_m w^m / (m (1-p1^m)(1-p2^m)), cut where the terms left
     sum to less than eps.  DomainError for a base of modulus >= 1;
     ConvergenceError at the term cap of the factor-by-factor product (its
-    row count or the length of its top row), for NaN or inf z, and when
-    the product is not finite.
+    row count or the length of its top row), for a z that is NaN or inf
+    or whose modulus is past the float range, and when the product is not
+    finite.
     """
     return _double_products((z,), p1, p2, eps)[0]
 
@@ -336,7 +367,7 @@ def _double_products(zs, p1: float, p2: float,
     for z in zs:
         z = complex(z)
         try:
-            az = abs(z)
+            az = _modulus(z)
             # the term caps of the factor-by-factor product: its row
             # count and the length of its top row
             _terms(az, p1, eps)
@@ -344,7 +375,7 @@ def _double_products(zs, p1: float, p2: float,
             if not cmath.isfinite(z):  # two zero bases pass those caps
                 raise ConvergenceError(_NOT_FINITE)
             count = _terms(az, p1, _RHO)
-        except (ConvergenceError, OverflowError) as exc:
+        except ConvergenceError as exc:
             plans.append(exc)
             continue
         plans.append((len(rows), count))
@@ -491,7 +522,8 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float,
 
     Terminating cases (q^a or q^b a nonpositive q-integer q^(-m)) are
     summed exactly to their last term z^m; otherwise |z| < 1 is required.
-    A pole (q^c = q^(-j)) before the last term raises PoleError.
+    A pole (q^c = q^(-j)) before the last term raises PoleError, and a
+    sum that is not finite ConvergenceError.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
@@ -516,10 +548,13 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float,
         total += term
         qj *= q
         if last is None and abs(term) < eps * max(1.0, abs(total)):
-            return total
-    if last is not None:
-        return total
-    raise ConvergenceError("F_q did not converge within the term cap")
+            break
+    else:
+        if last is None:
+            raise ConvergenceError("F_q did not converge within the term cap")
+    if not cmath.isfinite(total):
+        raise ConvergenceError("F_q is not finite in floating point")
+    return total
 
 
 def qbinomial_series(a: complex, z: complex, q: float,

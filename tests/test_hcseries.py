@@ -22,7 +22,7 @@ from qmacdonald.hcseries import (_eigen_residuals, _stencil, default_depth,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
 from qmacdonald.operators import eigenvalue_c, macdonald_apply_numeric
-from qmacdonald.qcore import _cpow
+from qmacdonald.qcore import _cpow, qpochhammer_inf, theta
 
 LAM2 = (0.27, -0.27)
 LAM3 = (0.31, -0.11, -0.20)
@@ -827,6 +827,26 @@ class TestResidueOracles:
         with pytest.raises(ConvergenceError):
             integral_rep_fq((0.3, -0.3), 0.2, 1.0, p)
 
+    @pytest.mark.parametrize("q", (0.995, 0.999))
+    def test_theta_underflow_is_typed(self, q):
+        # Theta_q(q^k) in the prefactor underflows to 0j; both ended in a
+        # bare ZeroDivisionError
+        p = QParams(q=q, k=0.4)
+        with pytest.raises(ConvergenceError, match="underflows"):
+            integral_rep_fq((0.1, -0.1), 0.3 + 0.1j, 1.0, p)
+        with pytest.raises(ConvergenceError, match="underflows"):
+            residue_integral_prop6(3, -0.2, p)
+
+    def test_near_one(self):
+        # 4.9e-12 and 2.0e-13 at q = 0.99, about 3,000 residues each
+        p = QParams(q=0.99, k=0.4)
+        got = integral_rep_fq((0.1, -0.1), 0.3 + 0.1j, 1.0, p)
+        ref = integral_rep_fq_reference((0.1, -0.1), 0.3 + 0.1j, 1.0, p)
+        assert abs(got - ref) < 1e-11 * abs(ref)
+        got = residue_integral_prop6(3, -0.2, p)
+        ref = one_point_integral_closed_form(3, -0.2, p)
+        assert abs(got - ref) < 1e-12 * abs(ref)
+
     def test_rebasing_invariance(self, p):
         # scaling both points by q relocates the pole lattice onto itself;
         # the residue sum must be unchanged
@@ -834,3 +854,115 @@ class TestResidueOracles:
         base = integral_rep_fq(lam, 0.3, 1.0, p)
         shifted = integral_rep_fq(lam, 0.3 * p.q, p.q, p)
         assert abs(base - shifted) < 1e-12 * abs(base)
+
+
+def _mp_chain(mp, ratio, q, k, limit):
+    """sum_m t_m to 20 digits of t_0 = 1, t_(m+1) = t_m ratio(q^m)
+    (1 - q^(m+1-k)) / (1 - q^(m+1)), for |limit| < 1 the limit of the
+    ratios.  Once q^m < 1e-20 every later ratio is limit to 20 digits, so
+    the rest is t_m / (1 - limit)."""
+    total, term, qm, qk = mp.mpf(0), mp.mpf(1), mp.mpf(1), q ** -k
+    tiny = mp.mpf("1e-20")
+    while qm > tiny and abs(term) > tiny * abs(total):
+        total += term
+        qm1 = qm * q
+        term *= ratio(qm) * (1 - qm1 * qk) / (1 - qm1)
+        qm = qm1
+    return total + term / (1 - limit)
+
+
+def _mp_prop6(mp, n_pow, lam12, p):
+    """residue_integral_prop6 with its series summed in mpmath, from the
+    float m = 0 prefactor of the library's q-products."""
+    q, k = p.q, p.k
+    l21 = -complex(lam12)
+    pref = (_cpow(q, (1.0 - k) / 2.0 * n_pow) * theta(_cpow(q, l21 + k), q)
+            / theta(q ** k, q) * qpochhammer_inf(q ** k, q)
+            / qpochhammer_inf(q, q))
+    Q, K = mp.mpf(q), mp.mpf(k)
+    ratio = Q ** (-mp.mpf(lam12) + n_pow + K)
+    return mp.mpc(pref) * _mp_chain(mp, lambda qm: ratio, Q, K, ratio)
+
+
+def _mp_integral_rep(mp, lam, z1, p):
+    """integral_rep_fq at z2 = 1 with its series summed in mpmath, from the
+    float first term of the library's q-products."""
+    q, k = p.q, p.k
+    c_half = q ** ((1.0 - k) / 2.0)
+    xb, xc = q ** ((1.0 + k) / 2.0) * c_half * z1, c_half * c_half * z1
+    first = (theta(_cpow(q, lam[1] - lam[0] + k), q) / theta(q ** k, q)
+             * (qpochhammer_inf(q ** k, q) / qpochhammer_inf(q, q))
+             * (qpochhammer_inf(xb, q) / qpochhammer_inf(xc, q)))
+    Q, K = mp.mpf(q), mp.mpf(k)
+    gain = Q ** (mp.mpf(lam[1]) - mp.mpf(lam[0]) + K)
+    B, C = mp.mpc(xb), mp.mpc(xc)
+    return mp.mpc(first) * _mp_chain(
+        mp, lambda qm: gain * (1 - C * qm) / (1 - B * qm), Q, K, gain)
+
+
+class TestResidueSums:
+    """The residue series of residue_integral_prop6 and integral_rep_fq,
+    summed as numpy term chains, against the same series in mpmath."""
+
+    # the worst relative error on this grid per q, rounded up to two
+    # digits (x86-64, Python 3.11); the per-term loops the chains replaced
+    # read within 0.6% of it.  The stopping rule's truncation sets most of
+    # it: the last term kept is about eps of the sum.
+    BOUNDS = {  # q: (prop6, integral_rep_fq)
+        0.5: (1.5e-14, 1.4e-13),
+        0.75: (5.2e-14, 3.5e-13),
+        0.9: (1.6e-13, 9.4e-13),
+        0.95: (3.2e-13, 2.0e-12),
+        0.99: (1.7e-12, 1.0e-11),
+    }
+
+    @pytest.mark.parametrize("q", sorted(BOUNDS))
+    def test_against_mpmath(self, q):
+        mp = pytest.importorskip("mpmath")
+        bound6, bound_fq = self.BOUNDS[q]
+        with mp.workdps(30):
+            for k in (0.3, 0.6):
+                p = QParams(q=q, k=k)
+                for n_pow, lam12 in ((0, -0.3), (3, -0.2), (8, 0.1)):
+                    got = residue_integral_prop6(n_pow, lam12, p)
+                    ref = _mp_prop6(mp, n_pow, lam12, p)
+                    assert abs(got - ref) <= bound6 * abs(ref)
+                for lam, z1 in (((0.1, -0.1), 0.3 + 0.1j),
+                                ((-0.08, 0.08), 0.35 - 0.1j),
+                                ((0.0, 0.0), 0.2)):
+                    got = integral_rep_fq(lam, z1, 1.0, p)
+                    ref = _mp_integral_rep(mp, lam, z1, p)
+                    assert abs(got - ref) <= bound_fq * abs(ref)
+
+    def test_later_chunks(self):
+        # a limit of 0.1 sizes the first chunk at 32 terms; the ratios
+        # stay at 0.9, so the sum takes four chunks (32, 64, 128, 256)
+        got = hcseries._residue_sum(2.0, lambda m: np.full(len(m), 0.9),
+                                    0.1, 1e-14, "unused")
+        term, total, m = 2.0, 0.0, 0
+        while True:  # the loop the chunks replace
+            total += term
+            if m >= 5 and abs(term) < 1e-14 * max(1.0, abs(total)):
+                break
+            term *= 0.9
+            m += 1
+        assert 224 < m < 480
+        assert abs(got - total) <= 1e-14 * total
+
+    def test_stopping_rule(self):
+        # terms 1, 1e-20, 1e-40, ...: the sum stops at m = 5, not at m = 1
+        calls = []
+
+        def ratio(m):
+            calls.append(len(m))
+            return np.full(len(m), 1e-20)
+        assert hcseries._residue_sum(1.0, ratio, 1e-20, 1e-14, "unused") \
+            == 1.0 + 1e-20
+        assert calls == [32]
+
+    @pytest.mark.parametrize("ratio", [1.0, math.nan])
+    def test_term_cap(self, ratio):
+        # a series whose terms never fall, or are NaN, ends at the cap
+        with pytest.raises(ConvergenceError, match="^no sum$"):
+            hcseries._residue_sum(1.0, lambda m: np.full(len(m), ratio),
+                                  0.5, 1e-14, "no sum")

@@ -148,6 +148,14 @@ class TestNumericApplication:
             duality_check(f, (1.0, 1.5e308), p)
         assert "not finite" in str(exc.value)
 
+    def test_value_that_is_not_finite(self, p):
+        # finite coordinates whose weighted sum of f's values overflows;
+        # they read inf+nanj and a NaN residual
+        with pytest.raises(ConvergenceError):
+            macdonald_apply_numeric(sum, 1, (1, 1.5e308), p)
+        with pytest.raises(ConvergenceError):
+            duality_check(lambda zz: 1.5e308 + 0j, (1.0, 2.0), p)
+
     def test_commutativity(self, p, rng):
         for n in (2, 3):
             exps = rng.integers(0, 3, size=(3, n))

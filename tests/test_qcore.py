@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmacdonald import (ConvergenceError, DomainError, PoleError, QParams,
-                        XRMode, XRParams, bracket_v, double_pochhammer, fq,
-                        g1, kernel_s, kernel_t, qbinomial_series, qgamma,
-                        qpochhammer_inf, theta)
+                        SpectralData, XRMode, XRParams, bracket_v,
+                        double_pochhammer, fq, g1, kernel_s, kernel_t,
+                        qbinomial_series, qgamma, qpochhammer_inf, theta,
+                        verify_braid_relations)
 from qmacdonald import qcore
 from qmacdonald.qcore import (_RHO, _brackets, _cpow, _double_products,
                               _qpochhammers, _terms, _theta_values)
@@ -63,6 +64,27 @@ class TestQPochhammer:
         # about 315k factors would exceed the cap; raised before any loop
         with pytest.raises(ConvergenceError):
             qpochhammer_inf(0.5, 0.9999)
+
+    def test_modulus_past_the_float_range(self):
+        # abs(z) overflows; the error is that of an inf |z|, held in the
+        # column of z alone
+        z = 1.5e308 + 1.5e308j
+        with pytest.raises(ConvergenceError) as ref:
+            _terms(math.inf, 0.5, 1e-14)
+        for call in (lambda: qpochhammer_inf(z, 0.5), lambda: theta(z, 0.5),
+                     lambda: double_pochhammer(z, 0.5, 0.3)):
+            with pytest.raises(ConvergenceError) as exc:
+                call()
+            assert str(exc.value) == str(ref.value)
+        for q in (0.5, 0.97):  # the loop and the accumulation
+            held = _qpochhammers([0.3, z, 0.2j], q)
+            assert isinstance(held[1], ConvergenceError)
+            assert [repr(held[j]) for j in (0, 2)] == [
+                repr(_loop_pochhammer(x, q)) for x in (0.3, 0.2j)]
+            held = _theta_values([0.7, z, 0.3j], q)
+            assert isinstance(held[1], ConvergenceError)
+            assert [repr(held[j]) for j in (0, 2)] == [
+                repr(theta(x, q)) for x in (0.7, 0.3j)]
 
 
 class TestAgainstMpmath:
@@ -397,6 +419,11 @@ class TestFq:
         # the series ends at z^2 before c + j reaches 0 at j = 3
         assert cmath.isfinite(fq(-2.0, 0.3, -3.0, 2.0, 0.5))
 
+    def test_sum_that_is_not_finite(self):
+        # the terminating sum 1 + t_1 + t_2 with z^2 = 1e400; it read inf
+        with pytest.raises(ConvergenceError):
+            fq(-2.0, 0.3, 1.5, 1e200, 0.5)
+
     def test_transformation_formula(self):
         # gauge transform of the series: F(k, d+k, d+1, q^(1-k) z)
         # = (q^k z;q)/(q^(1-k) z;q) F(d+1-k, 1-k, d+1, q^k z)
@@ -465,6 +492,22 @@ def _loop_pochhammer(z, q, eps=1e-14):
         prod *= 1.0 - zq
         zq *= q
     return prod * cmath.exp(-zq / (1.0 - q))
+
+
+def _with_terms(count, q, phase):
+    """A z with exactly count factors in (z; q)_inf at eps = 1e-14."""
+    z = 1e-14 * q ** (0.5 - count) * cmath.exp(1j * phase)
+    assert _terms(abs(z), q, 1e-14) == count
+    return z
+
+
+def _count_loops(monkeypatch):
+    """A list that gets one entry per call of qcore._loop_product."""
+    loops = []
+    loop = qcore._loop_product
+    monkeypatch.setattr(qcore, "_loop_product",
+                        lambda *args: loops.append(args) or loop(*args))
+    return loops
 
 
 def _loop_theta(z, q):
@@ -562,6 +605,71 @@ class TestBatchedProductBits:
         value, = _theta_values([0.5], 0.9999)
         assert isinstance(value, ConvergenceError)
         assert str(value) == str(ref.value)
+
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_engines_at_the_size_rule(self, monkeypatch, q, extra):
+        # batches of _LOOP_FACTORS - 1, _LOOP_FACTORS and _LOOP_FACTORS + 1
+        # factors: the first two take the loop, the last the accumulation
+        total = qcore._LOOP_FACTORS + extra
+        counts = [total // 3, total // 3, total - 2 * (total // 3)]
+        zs = [_with_terms(c, q, 0.9 * j + 0.2) for j, c in enumerate(counts)]
+        assert sum(_terms(abs(z), q, 1e-14) for z in zs) == total
+        loops = _count_loops(monkeypatch)
+        got = [repr(v) for v in _qpochhammers(zs, q)]
+        assert got == [repr(_loop_pochhammer(z, q)) for z in zs]
+        assert len(loops) == (3 if extra <= 0 else 0)
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.8, 0.95])
+    def test_one_column(self, q):
+        # a short product takes the loop and a long one the accumulation
+        for r in (1e-3, 0.3, 0.99, 1.7, 40.0):
+            for phase in (0.0, 2.0, -math.pi):
+                z = r * cmath.exp(1j * phase)
+                want = repr(_loop_pochhammer(z, q))
+                assert repr(qpochhammer_inf(z, q)) == want
+                assert [repr(v) for v in _qpochhammers([z], q)] == [want]
+
+    @pytest.mark.parametrize("long", [False, True])
+    def test_held_errors_on_both_engines(self, monkeypatch, long):
+        # at q = 0.9999: 0 and 1 factors, the term cap, NaN, inf and a
+        # modulus past the float range, and with long 6932 factors more
+        q = 0.9999
+        zs = [1e-15, 1.00005e-14j, 0.5, math.nan, complex(math.inf, 0.0),
+              1.5e308 + 1.5e308j] + ([2e-14] if long else [])
+        with pytest.raises(ConvergenceError) as ref:
+            _terms(math.inf, q, 1e-14)
+        loops = _count_loops(monkeypatch)
+        held = _qpochhammers(zs, q)
+        assert len(loops) == (0 if long else 2)
+        for j, (z, value) in enumerate(zip(zs, held)):
+            if 2 <= j <= 5:
+                assert type(value) is ConvergenceError
+                assert str(value) == str(ref.value)
+            else:
+                assert repr(value) == repr(_loop_pochhammer(z, q))
+
+    def test_engine_by_size(self, monkeypatch):
+        # a one-column product at q = 0.5 takes the loop, and the theta
+        # table of a braid check at n = 3 the accumulation
+        calls = []  # columns and loop products of each kernel call
+        loops = _count_loops(monkeypatch)
+        kernel = qcore._qpochhammers
+
+        def recording(zs, q, eps=qcore.DEFAULT_EPS):
+            before = len(loops)
+            out = kernel(zs, q, eps)
+            calls.append((len(zs), len(loops) - before))
+            return out
+        monkeypatch.setattr(qcore, "_qpochhammers", recording)
+        qpochhammer_inf(0.3, 0.5)
+        assert calls == [(1, 1)]
+        calls.clear()
+        p = QParams(q=0.5, k=0.4)
+        verify_braid_relations(SpectralData.make((0.31, -0.11, -0.2), p), p,
+                               (1.0, 2.0 + 0.1j, 4.5 + 0.3j))
+        columns, loop_products = max(calls)
+        assert columns >= 40 and loop_products == 0
 
 
 def _loop_corner(w, p1, p2, eps=1e-14):
