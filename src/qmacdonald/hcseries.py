@@ -62,7 +62,6 @@ from .qcore import (QParams, XRMode, _checked, _cpow, _qpochhammers, _qq_inf,
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
-_THETA_UNDERFLOW = "theta denominator underflows near q = 1"
 
 
 def default_depth(n: int) -> int:
@@ -480,16 +479,13 @@ def residue_integral_prop6(n_pow: int, lam12: complex, p: QParams) -> complex:
 
     The residues are the term chain t_0 = 1,
     t_(m+1) = t_m q^(l21+n+k) (1 - q^(m+1-k)) / (1 - q^(m+1)), summed by
-    _residue_sum, times the m = 0 prefactor.  ConvergenceError where the
-    series diverges, and near q = 1 where Theta_q(q^k) in that prefactor
-    underflows (from about q = 0.995 at k = 0.4)."""
+    _residue_sum, times the m = 0 prefactor q^((1-k)n/2)
+    _residue_base(l21).  ConvergenceError where the series diverges, and
+    near q = 1 where the theta denominator of _residue_base underflows
+    (from about q = 0.995 at k = 0.4)."""
     q, k = p.q, p.k
     l21 = -complex(lam12)
-    power = _cpow(q, (1.0 - k) / 2.0 * n_pow)
-    th_num, th_den = theta(_cpow(q, l21 + k), q), theta(q ** k, q)
-    if abs(th_den) < sys.float_info.min:
-        raise ConvergenceError(_THETA_UNDERFLOW)
-    pref = power * th_num / th_den * qpochhammer_inf(q ** k, q) / _qq_inf(q)
+    pref = _cpow(q, (1.0 - k) / 2.0 * n_pow) * _residue_base(l21, p)
     expo = l21 + n_pow + k
     if expo.real <= 0.0:
         raise ConvergenceError("residue series for the one-point integral "
@@ -548,13 +544,13 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
         * F_q(k, l2-l1+k, l2-l1+1, q^(1-k) z1/z2).
 
     By quasi-periodicity the residue at pole m is the term chain
-    t_0 = theta_base poch_base kern,
-    t_(m+1) = t_m shift q^k (1 - q^(m+1-k)) / (1 - q^(m+1))
+    t_0 = _residue_base(l2-l1) kern,
+    t_(m+1) = t_m q^(l2-l1+k) (1 - q^(m+1-k)) / (1 - q^(m+1))
               * (1 - xc q^m) / (1 - xb q^m),
-    with theta_base, poch_base and the y/z2 kernel kern = (xb;q)/(xc;q)
-    taken once at m = 0, summed by _residue_sum.  ConvergenceError where
-    the series diverges, and near q = 1 where Theta_q(q^k) in theta_base
-    underflows (from about q = 0.995 at k = 0.4).
+    with the y/z2 kernel kern = (xb;q)_inf/(xc;q)_inf taken once at
+    m = 0, summed by _residue_sum.  ConvergenceError where the series
+    diverges, and near q = 1 where the theta denominator of
+    _residue_base underflows (from about q = 0.995 at k = 0.4).
     """
     q, k = p.q, p.k
     l1, l2 = complex(lam[0]), complex(lam[1])
@@ -567,11 +563,7 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     if abs(arg) >= 1.0:
         raise ZoneError("z1/z2 outside the convergence region")
     c_half = q ** ((1.0 - k) / 2.0)
-    th_num, th_den = theta(_cpow(q, l2 - l1 + k), q), theta(q ** k, q)
-    if abs(th_den) < sys.float_info.min:
-        raise ConvergenceError(_THETA_UNDERFLOW)
-    theta_base = th_num / th_den
-    poch_base = qpochhammer_inf(q ** k, q) / _qq_inf(q)
+    base = _residue_base(l2 - l1, p)
     shift = _cpow(q, l2 - l1)  # theta-ratio gain per unit pole index
     if abs(shift) * q ** k >= 1.0:
         raise ConvergenceError(
@@ -582,11 +574,22 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     kern = _checked(num) / _checked(den)
     gain = shift * q ** k
     return _residue_sum(
-        theta_base * poch_base * kern,
+        base * kern,
         lambda m: (gain * (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1))
                    * (1.0 - xc * q ** m) / (1.0 - xb * q ** m)),
         abs(gain), p.eps,
         "residue series for the two-point integral did not converge")
+
+
+def _residue_base(a: complex, p: QParams) -> complex:
+    """Theta_q(q^(a+k)) / Theta_q(q^k) * (q^k;q)_inf / (q;q)_inf, the
+    m = 0 factor of both residue series.  ConvergenceError where the
+    theta denominator underflows near q = 1."""
+    q, k = p.q, p.k
+    num, den = theta(_cpow(q, a + k), q), theta(q ** k, q)
+    if abs(den) < sys.float_info.min:
+        raise ConvergenceError("theta denominator underflows near q = 1")
+    return num / den * (qpochhammer_inf(q ** k, q) / _qq_inf(q))
 
 
 def _residue_sum(first: complex, ratio, limit: float, eps: float,
