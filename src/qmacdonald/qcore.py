@@ -65,9 +65,9 @@ _BLOCK = 4096  # a row block of _qpochhammers holds 4 * _BLOCK entries
 # factors near q = 1, and one nearer 1 adds terms without bound.
 _RHO = 0.5
 # A _qpochhammers call with at most this many factors in all takes the
-# term loop in Python, at about 0.2 us a factor; a numpy pass costs about
-# 27 us plus 2 us a column, so on 1, 2 and 4 columns the two meet at
-# 130-150 factors (x86-64, Python 3.11, numpy 2.4).
+# term loop in Python, at about 0.17-0.2 us a factor; a numpy pass costs
+# about 20-27 us, and 1.5-2 us more a column, so on 1, 2 and 4 columns the
+# two meet at 120-150 factors (x86-64, Python 3.11, numpy 2.4).
 _LOOP_FACTORS = 128
 
 
