@@ -65,7 +65,10 @@ def _seq(item, sep=","):
 
 
 def _perm(v, text: bool) -> tuple[int, ...]:
-    return tuple(i - 1 for i in _seq(_int)(v, text))  # 1-based for users
+    w = _seq(_int)(v, text)
+    if sorted(w) != list(range(1, len(w) + 1)):  # 1-based for users
+        raise ValueError(f"expected a permutation of 1..{len(w)}, got {v!r}")
+    return tuple(i - 1 for i in w)
 
 
 def _coord(v, text: bool) -> complex:

@@ -29,14 +29,13 @@ one point, and for the eigen residuals of eigen_residual and `verify`,
 in one call, one row or all n! basis elements at z and at the points
 z_I -> q z_I that D^m reads, which operators._shifts builds.  Each
 ratio gets one table of powers per point, read through the cached
-exponent columns of multi_indices order; the monomials are formed in
-one numpy pass and summed in that order, so value and tail are bit for
-bit the term-by-term sum, and the top two strata that set the geometric
-tail estimate are the last entries.  The complex products are written
-as float ufuncs, (ar br - ai bi, ar bi + ai br): CPython rounds each
-product, while numpy's complex multiply may fuse a multiply-add on CPUs
-with FMA.  Where evaluate raises, the kernel holds the exception in
-place of the value, as qcore's batched q-products do.
+exponent columns of multi_indices order; the monomials of all points
+form one complex matrix, and the value and the moduli of the top two
+strata, which set the geometric tail estimate, are its contractions
+with the coefficient rows.  The value is the term-by-term sum to within
+a few eps |prefactor| sum_p |a(p) r^p|.  Where evaluate raises, the
+kernel holds the exception in place of the value, as qcore's batched
+q-products do.
 """
 
 from __future__ import annotations
@@ -127,15 +126,6 @@ class HCSolution:
     @property
     def prefactor_exponent(self) -> tuple[complex, ...]:
         return self.spectral.eta_plus_rho
-
-    @functools.cached_property
-    def _parts(self) -> np.ndarray:
-        """The real and imaginary parts of coeffs as the (1, 2, M) float
-        array the series kernel reads, read-only."""
-        coeffs = np.array(self.coeffs, dtype=complex)
-        parts = np.stack([coeffs.real, coeffs.imag])[None]
-        parts.setflags(write=False)
-        return parts
 
 
 def _stencil(n: int, t: float):
@@ -286,19 +276,13 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     converge slightly beyond |z_i/z_{i+1}| = 1 (checkable a posteriori
     through the tail estimate); it must be finite and positive.
 
-    This is the series kernel _series_values at one row and one point:
-    every monomial is a(p) * r_1^p_1 * r_2^p_2 * ..., multiplied left to
-    right, and the sums run in coefficient order, so value and tail are
-    bit for bit those of a term-by-term loop.  DomainError at z_i = 0,
-    the branch point of the prefactor, and at an infinite z_i; ZoneError
-    unless the largest ratio modulus is below max_ratio, which NaN and a
-    modulus past the float range are not; ConvergenceError when the value
-    or the tail is not finite.
+    This is the series kernel _series_values at one row and one point.
+    DomainError at z_i = 0, the branch point of the prefactor, and at an
+    infinite z_i; ZoneError unless the largest ratio modulus is below
+    max_ratio, which NaN and a modulus past the float range are not;
+    ConvergenceError when the value or the tail is not finite.
     """
     return EvalResult(*_checked(_series_values([sol], [z], max_ratio)[0][0]))
-
-
-_BATCH = 1 << 14  # (point, row, monomial) entries per chunk: 256 KB arrays
 
 
 def _series_values(sols, points, max_ratio: float) -> list[list]:
@@ -307,16 +291,12 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
     n and N, as the solutions of solve_basis do.
 
     The ratios z_i/z_{i+1}, their power lists r ** j, j <= N, the
-    prefactors and the tails are taken in Python.  The monomials of every
-    row at every point are formed in one numpy pass, left to right over
-    the ratios, and summed in coefficient order from a leading zero by
-    np.add.accumulate, which adds in sequence; the strata |p| = N - 1 and
-    N that set the tail are the last entries, from start and mid on, and
-    their moduli are np.hypot, as abs() is.  Each complex product is
-    written in float ufuncs, (ar br - ai bi, ar bi + ai br): CPython
-    rounds each product, while numpy's own complex multiply may fuse a
-    multiply-add on CPUs with FMA.  Points go in chunks of at most _BATCH
-    (point, row, monomial) entries.
+    prefactors and the tails are taken in Python.  The (points, M)
+    monomial matrix is the product of the powers over the exponent
+    columns; the value and the moduli of the strata |p| = N and N - 1,
+    summed as |a(p)| |r^p|, are its contractions with the coefficient
+    rows.  einsum, not @: complex @ goes to BLAS, whose kernel the CPU
+    picks at run time.
     """
     n, N = sols[0].n, sols[0].max_degree
     out = [None] * len(points)
@@ -334,42 +314,23 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
             out[j] = [_result(sol, pt, rho_max, _OVERFLOW) for sol in sols]
     columns = _columns(n - 1, N)
     M = columns.shape[1]
-    top = math.comb(N + n - 2, n - 2)  # entries with |p| = N
-    mid = M - top
+    mid = M - math.comb(N + n - 2, n - 2)  # entries with |p| = N from mid on
     start = mid - math.comb(N + n - 3, n - 2) if N else mid
-    parts = (sols[0]._parts if len(sols) == 1
-             else np.concatenate([sol._parts for sol in sols]))
-    step = max(1, _BATCH // (len(sols) * M))
-    for lo in range(0, len(summed), step):
-        chunk = summed[lo:lo + step]
-        power = np.array([pw for *_, pw in chunk], dtype=complex).reshape(
-            len(chunk), n - 1, 1, 1, N + 1)
-        # totals[p, r]: a leading 0, then the real and imaginary parts of
-        # the monomials; moduli[p, r]: those of the top stratum, and of
-        # the one before it after leading zeros
-        totals = np.zeros((len(chunk), len(sols), 2, M + 1))
-        moduli = np.zeros((len(chunk), len(sols), 2, top))
-        monos = parts
-        # overflow and inf * 0 become non-finite values, checked in _result
-        with np.errstate(all="ignore"):
-            for l in range(n - 1):
-                # (a + ib)(x + iy) = (ax - by) + i(ay + bx)
-                g = power[:, l].take(columns[l], axis=-1)
-                by_x, by_y = monos * g.real, monos * g.imag
-                monos = (totals[..., 1:] if l == n - 2
-                         else np.empty(by_x.shape))
-                np.subtract(by_x[..., 0, :], by_y[..., 1, :],
-                            out=monos[..., 0, :])
-                np.add(by_y[..., 0, :], by_x[..., 1, :], out=monos[..., 1, :])
-            np.hypot(monos[..., 0, mid:], monos[..., 1, mid:],
-                     out=moduli[..., 0, :])
-            np.hypot(monos[..., 0, start:mid], monos[..., 1, start:mid],
-                     out=moduli[..., 1, top - (mid - start):])
-            totals = np.add.accumulate(totals, axis=-1)[..., -1].tolist()
-            moduli = np.add.accumulate(moduli, axis=-1)[..., -1].tolist()
-        for (j, pt, rho_max, _), *sums in zip(chunk, totals, moduli):
-            out[j] = [_result(sol, pt, rho_max, total + modulus)
-                      for sol, total, modulus in zip(sols, *sums)]
+    coeffs = np.array([sol.coeffs for sol in sols], dtype=complex).T
+    power = np.array([pw for *_, pw in summed]).reshape(len(summed), n - 1,
+                                                         N + 1)
+    # overflow and inf * 0 become non-finite values, checked in _result
+    with np.errstate(all="ignore"):
+        monos = power[:, 0, columns[0]]
+        for l in range(1, n - 1):
+            monos = monos * power[:, l, columns[l]]
+        moduli, sizes = np.abs(monos), np.abs(coeffs)
+        value = np.einsum("pm,mr->pr", monos, coeffs)
+        top = np.einsum("pm,mr->pr", moduli[:, mid:], sizes[mid:])
+        prev = np.einsum("pm,mr->pr", moduli[:, start:mid], sizes[start:mid])
+    sums = np.stack([value.real, value.imag, top, prev], axis=-1).tolist()
+    for (j, pt, rho_max, _), row in zip(summed, sums):
+        out[j] = [_result(sol, pt, rho_max, s) for sol, s in zip(sols, row)]
     return out
 
 
@@ -598,9 +559,12 @@ def _residue_sum(first: complex, ratio, limit: float, eps: float,
     where ratio maps an int array of m to the array of term ratios and
     limit < 1 is the limit of |ratio(m)| as m grows.
 
-    Returns the partial sum at the first m >= 5 with
-    |t_m| < eps max(1, |partial sum|); ConvergenceError(message) when
-    none comes within _MAX_RESIDUES terms.  The terms come in chunks, one
+    Stops at the first m >= 5 with |t_m| < eps max(1, |partial sum|)
+    and returns the partial sum plus the geometric tail
+    t_m r_m / (1 - r_m), r_m = ratio(m), so that the terms left out do not
+    cost about eps / (1 - |r_m|) of the sum near q = 1;
+    ConvergenceError(message) when none comes within _MAX_RESIDUES terms
+    or the sum is not finite.  The terms come in chunks, one
     np.multiply.accumulate of the ratios and one np.add.accumulate of the
     terms each.  The first chunk holds the log(eps)/log(limit) terms that
     a geometric tail of ratio limit needs, plus 16 and at least 32, so it
@@ -622,7 +586,11 @@ def _residue_sum(first: complex, ratio, limit: float, eps: float,
             small = np.abs(terms) < eps * np.maximum(1.0, np.abs(sums))
             done = np.flatnonzero(small & (m >= 5))
             if done.size:
-                return complex(sums[done[0]])
+                i = done[0]
+                total = complex(sums[i] + terms[i] * r[i] / (1.0 - r[i]))
+                if not cmath.isfinite(total):
+                    break
+                return total
             term, total = terms[-1] * r[-1], sums[-1]
             start, size = start + len(m), 2 * size
     raise ConvergenceError(message)

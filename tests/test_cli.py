@@ -211,6 +211,25 @@ class TestConfigAndErrors:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "DomainError"
 
+    # verify reads no w, and solve checked it 0-based after parsing
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("w", [[3, 1], [1, 1], [0, 1], [2, 3, 3]])
+    def test_w_is_checked_when_parsed(self, capsys, tmp_path, command, w):
+        flag = ",".join(map(str, w))
+        n = len(w)
+        code, out = run_cli(capsys, command, "--lambda=0.3,-0.3",
+                            f"--w={flag}")
+        assert (code, json.loads(out)["error"]) == (2, {
+            "type": "DomainError",
+            "message": f"could not parse --w: expected a permutation of "
+                       f"1..{n}, got {flag!r}"})
+        code, out = run_config(capsys, tmp_path, command,
+                               {"lambda": [0.3, -0.3], "w": w})
+        assert (code, json.loads(out)["error"]) == (2, {
+            "type": "DomainError",
+            "message": f"could not parse config key 'w': expected a "
+                       f"permutation of 1..{n}, got {w!r}"})
+
     @pytest.mark.parametrize("command", ["solve", "macpoly", "connect"])
     def test_non_finite_lambda_exit(self, capsys, command):
         code, out = run_cli(capsys, command, "--lambda=inf,-inf")

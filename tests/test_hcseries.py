@@ -21,7 +21,8 @@ from qmacdonald.hcseries import (_eigen_residuals, _stencil, default_depth,
                                  solution_to_dict,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
-from qmacdonald.operators import eigenvalue_c, macdonald_apply_numeric
+from qmacdonald.operators import (_shifts, eigenvalue_c,
+                                  macdonald_apply_numeric)
 from qmacdonald.qcore import _cpow, qpochhammer_inf, theta
 
 LAM2 = (0.27, -0.27)
@@ -312,8 +313,9 @@ class TestEvaluation:
 
 
 def _evaluate_by_terms(sol, z, max_ratio=1.0):
-    """The term-by-term loop that evaluate's numpy pass replaced, kept as
-    the oracle the pass must match bit for bit."""
+    """The term-by-term loop the series kernel is checked against: the
+    value, the tail estimate, and |prefactor| sum_p |a(p) r^p|, the scale
+    of the value's rounding error."""
     z = tuple(complex(c) for c in z)
     n = sol.n
     ratios = [z[i] / z[i + 1] for i in range(n - 1)]
@@ -325,9 +327,36 @@ def _evaluate_by_terms(sol, z, max_ratio=1.0):
     total = complex(0.0)
     top = 0.0
     prev = 0.0
+    size = 0.0
     N = sol.max_degree
     for p, a in _table(sol).items():
         mono = a
+        for r, pl in zip(ratios, p):
+            mono *= r ** pl
+        total += mono
+        size += abs(mono)
+        if sum(p) == N:
+            top += abs(mono)
+        elif sum(p) == N - 1:
+            prev += abs(mono)
+    s = min(0.95, top / prev) if prev > 0 and top < prev else min(0.95, rho_max)
+    tail = abs(pref) * top * s / (1.0 - s)
+    return pref * total, tail, abs(pref) * size
+
+
+def _evaluate_by_mpmath(mp, sol, z):
+    """The value and tail estimate of the same truncated series summed in
+    mpmath at the working precision, from the float ratios z_i/z_(i+1) and
+    the float prefactor, so that only the kernel's arithmetic differs."""
+    z = tuple(complex(c) for c in z)
+    ratios = [mp.mpc(z[i] / z[i + 1]) for i in range(sol.n - 1)]
+    pref = complex(1.0)
+    for zi, e in zip(z, sol.prefactor_exponent):
+        pref *= _cpow(zi, e)
+    total, top, prev = mp.mpc(0), mp.mpf(0), mp.mpf(0)
+    N = sol.max_degree
+    for p, a in _table(sol).items():
+        mono = mp.mpc(a)
         for r, pl in zip(ratios, p):
             mono *= r ** pl
         total += mono
@@ -335,9 +364,26 @@ def _evaluate_by_terms(sol, z, max_ratio=1.0):
             top += abs(mono)
         elif sum(p) == N - 1:
             prev += abs(mono)
-    s = min(0.95, top / prev) if prev > 0 and top < prev else min(0.95, rho_max)
-    tail = abs(pref) * top * s / (1.0 - s)
-    return pref * total, tail
+    rho_max = max(abs(r) for r in ratios)
+    s = min(0.95, top / prev if prev > 0 and top < prev else rho_max)
+    return mp.mpc(pref) * total, abs(pref) * top * s / (1 - s)
+
+
+EPS = np.finfo(float).eps
+# The kernel against the term loop, which rounds the same powers r ** j
+# but multiplies and sums in another order: |value - loop| <= VALUE_BOUND
+# eps |prefactor| sum_p |a(p) r^p|, and the tails within TAIL_BOUND of
+# each other, relatively.  Measured at most 0.59 eps and 8.1e-15 on the
+# grid of test_equals_term_loop (x86-64, numpy 2.4); the margin leaves room
+# for another platform's summation order.  Against the 30-digit sum the
+# rounding of the powers r ** j counts too (CPython's complex power takes
+# up to 2 log2 j products), so that bound is MP_VALUE_BOUND eps; measured
+# at most 2.2 eps on the grid of test_against_mpmath, and 11.2 eps over
+# a wider draw of BIT_CASES points at the three (q, k) of
+# test_equals_term_loop.
+VALUE_BOUND = 4
+TAIL_BOUND = 1e-13
+MP_VALUE_BOUND = 16
 
 
 def _zone_point(rng, n, largest):
@@ -357,18 +403,26 @@ BIT_CASES = [(LAM2, (1, 0)), (LAM3, (2, 0, 1)),
 
 
 class TestEvaluationBits:
+    """evaluate against the term loop and a 30-digit sum of the same
+    truncated series, under the stated bounds."""
+
     @pytest.mark.parametrize("lam,w", BIT_CASES,
                              ids=[f"n{len(w)}" for _, w in BIT_CASES])
     @pytest.mark.parametrize("depth", ["zero", "one", "typical"])
     def test_equals_term_loop(self, p, rng, lam, w, depth):
         n = len(lam)
         N = {"zero": 0, "one": 1, "typical": default_depth(n)}[depth]
-        sol = solve_coefficients(SpectralData.make(lam, p, w=w), p, N=N)
-        for largest, max_ratio in [(0.35, 1.0), (0.8, 1.0), (0.95, 1.0),
-                                   (1.1, 1.2), (1.19, 1.2)]:
-            z = _zone_point(rng, n, largest)
-            assert tuple(evaluate(sol, z, max_ratio=max_ratio)) == \
-                _evaluate_by_terms(sol, z, max_ratio=max_ratio), z
+        for params in (p, QParams(q=0.9, k=0.7), QParams(q=0.2, k=0.15)):
+            sol = solve_coefficients(SpectralData.make(lam, params, w=w),
+                                     params, N=N)
+            for largest, max_ratio in [(0.35, 1.0), (0.8, 1.0), (0.95, 1.0),
+                                       (1.1, 1.2), (1.19, 1.2)]:
+                z = _zone_point(rng, n, largest)
+                value, tail = evaluate(sol, z, max_ratio=max_ratio)
+                ref, ref_tail, scale = _evaluate_by_terms(
+                    sol, z, max_ratio=max_ratio)
+                assert abs(value - ref) <= VALUE_BOUND * EPS * scale, z
+                assert abs(tail - ref_tail) <= TAIL_BOUND * ref_tail, z
 
     def test_equals_term_loop_on_a_loaded_table(self, p):
         # a table read back from JSON, with hand-set entries in both strata
@@ -377,7 +431,26 @@ class TestEvaluationBits:
         back = _with_entries(solution_from_dict(doc),
                              {(5, 0): 3.0 - 2.0j, (2, 2): -1.5e3})
         z = (0.4 + 0.3j, 1.0, 1.1 - 0.2j)
-        assert tuple(evaluate(back, z)) == _evaluate_by_terms(back, z)
+        value, tail = evaluate(back, z)
+        ref, ref_tail, scale = _evaluate_by_terms(back, z)
+        assert abs(value - ref) <= VALUE_BOUND * EPS * scale
+        assert abs(tail - ref_tail) <= TAIL_BOUND * ref_tail
+
+    @pytest.mark.parametrize("lam,w", BIT_CASES,
+                             ids=[f"n{len(w)}" for _, w in BIT_CASES])
+    def test_against_mpmath(self, p, rng, lam, w):
+        mp = pytest.importorskip("mpmath")
+        n = len(lam)
+        sol = solve_coefficients(SpectralData.make(lam, p, w=w), p,
+                                 N=default_depth(n))
+        with mp.workdps(30):
+            for largest, max_ratio in [(0.35, 1.0), (0.95, 1.0), (1.19, 1.2)]:
+                z = _zone_point(rng, n, largest)
+                value, tail = evaluate(sol, z, max_ratio=max_ratio)
+                ref, ref_tail = _evaluate_by_mpmath(mp, sol, z)
+                scale = _evaluate_by_terms(sol, z, max_ratio=max_ratio)[2]
+                assert abs(value - ref) <= MP_VALUE_BOUND * EPS * scale, z
+                assert abs(tail - ref_tail) <= TAIL_BOUND * ref_tail, z
 
 
 class TestEvaluationErrors:
@@ -474,19 +547,38 @@ def _one_at_a_time(sols, z):
 
 
 def _by_terms(sols, z):
-    """The residuals with every series value from the term loop."""
+    """The residuals with every series value from the term loop, each
+    with its condition: (sum_I |w_I| scale_I + |c| scale_z) / |c phi(z)|,
+    w_I the weight D^m gives the point z_I, found by applying D^m to the
+    indicator of z_I, and scale the third value of _evaluate_by_terms."""
+    p, n = sols[0].params, sols[0].n
+    shifts = {m: [pt for _, pt in _shifts(z, m, p.q)] for m in range(1, n + 1)}
+    weights = {m: [abs(macdonald_apply_numeric(
+        lambda zz, pt=pt: float(zz == pt), m, z, p)) for pt in points]
+        for m, points in shifts.items()}
     out = []
     for sol in sols:
-        def phi(zz, sol=sol):
-            return _evaluate_by_terms(sol, zz)[0]
+        terms = {pt: _evaluate_by_terms(sol, pt)
+                 for pt in [z, *itertools.chain(*shifts.values())]}
+        phi, _, scale = terms[z]
         row = []
-        for m in range(1, sol.n + 1):
-            c = eigenvalue_c(sol.spectral.lam_plus_rho, m, sol.params)
-            ref = c * phi(z)
-            lhs = macdonald_apply_numeric(phi, m, z, sol.params)
-            row.append(abs(lhs - ref) / abs(ref))
+        for m in range(1, n + 1):
+            c = eigenvalue_c(sol.spectral.lam_plus_rho, m, p)
+            ref = c * phi
+            lhs = macdonald_apply_numeric(lambda zz: terms[zz][0], m, z, p)
+            spread = sum(w * terms[pt][2]
+                         for w, pt in zip(weights[m], shifts[m]))
+            row.append((abs(lhs - ref) / abs(ref),
+                        (spread + abs(c) * scale) / abs(ref)))
         out.append(row)
     return out
+
+
+# |residual - term-loop residual| <= RESIDUAL_BOUND eps times its
+# condition: VALUE_BOUND for the series values, and as much again for
+# D^m's own sum, which rounds the two sets of values apart.  Measured at
+# most 0.52 eps times a condition of at most 53 (x86-64, numpy 2.4).
+RESIDUAL_BOUND = 2 * VALUE_BOUND
 
 
 # (lam, z, q, N) and the error eigen_residual raised there when each
@@ -514,7 +606,7 @@ SAME_ERROR = [
 class TestBasisEigenBits:
     """_eigen_residuals over the rows of solve_basis and the orders 1..n,
     against eigen_residual per (sol, m) by repr, and against the term
-    loop in the zone."""
+    loop in the zone within RESIDUAL_BOUND."""
 
     @pytest.mark.parametrize("q,k", [(0.5, 0.4), (0.9, 0.7), (0.2, 0.15)])
     @pytest.mark.parametrize("n,N", [(2, 24), (2, 96), (3, 12), (4, 6),
@@ -532,7 +624,11 @@ class TestBasisEigenBits:
             assert got == _outcome(lambda: _one_at_a_time(sols, z)), z
             assert isinstance(got, str) == inside
             if inside:
-                assert got == repr(_by_terms(sols, tuple(z))), z
+                residuals = _eigen_residuals(sols, z, range(1, n + 1))
+                for row, ref_row in zip(residuals,
+                                        _by_terms(sols, tuple(z))):
+                    for r, (ref, cond) in zip(row, ref_row):
+                        assert abs(r - ref) <= RESIDUAL_BOUND * EPS * cond, z
 
     # the ids these cases had before error and message joined them, so
     # that test runs compare by id
@@ -904,18 +1000,18 @@ class TestResidueSums:
     """The residue series of residue_integral_prop6 and integral_rep_fq,
     summed as numpy term chains, against the same series in mpmath."""
 
-    # the worst relative error on this grid per q of the per-term loops
-    # the chains replaced, rounded up to two digits (x86-64, Python 3.11);
-    # the chains read within 1.1% of the loops, above them by at most 0.3%
-    # (q = 0.75, integral_rep_fq), and still under these two-digit bounds.
-    # The stopping rule's truncation sets most of it: the last term kept is
-    # about eps of the sum.
+    # the worst relative error on this grid per q, rounded up to two
+    # digits (x86-64, Python 3.11, numpy 2.4), over numpy's X86_V4, X86_V3
+    # and baseline dispatch levels, whose complex products round the term
+    # chains apart in the last bits.  The geometric tail added at the stop
+    # holds them near eps; without it the stopping rule left about
+    # eps / (1 - |r|) of the sum, 1.6e-12 (prop6) and 9.9e-12 at q = 0.99.
     BOUNDS = {  # q: (prop6, integral_rep_fq)
-        0.5: (1.5e-14, 1.4e-13),
-        0.75: (5.1e-14, 3.5e-13),
-        0.9: (1.6e-13, 9.4e-13),
-        0.95: (3.2e-13, 2.0e-12),
-        0.99: (1.7e-12, 1.0e-11),
+        0.5: (6.3e-16, 1.9e-15),
+        0.75: (2.9e-16, 7.8e-15),
+        0.9: (1.9e-16, 6.7e-15),
+        0.95: (2.8e-15, 6.1e-15),
+        0.99: (9.5e-15, 1.8e-14),
     }
 
     @pytest.mark.parametrize("q", sorted(BOUNDS))
@@ -949,7 +1045,9 @@ class TestResidueSums:
             term *= 0.9
             m += 1
         assert 224 < m < 480
-        assert abs(got - total) <= 1e-14 * total
+        # the loop's partial sum and the geometric tail at its stop
+        assert abs(got - (total + term * 0.9 / 0.1)) <= 1e-14 * total
+        assert abs(got - 20.0) <= 1e-15 * 20.0
 
     def test_stopping_rule(self):
         # terms 1, 1e-20, 1e-40, ...: the sum stops at m = 5, not at m = 1
@@ -961,6 +1059,14 @@ class TestResidueSums:
         assert hcseries._residue_sum(1.0, ratio, 1e-20, 1e-14, "unused") \
             == 1.0 + 1e-20
         assert calls == [32]
+
+    def test_infinite_tail(self):
+        # terms 1, 1e-20, ..., then ratios of 1 from m = 5: the sum stops
+        # at m = 5, where the geometric tail t_5 / (1 - 1) is not finite
+        with pytest.raises(ConvergenceError, match="^no sum$"):
+            hcseries._residue_sum(
+                1.0, lambda m: np.where(m < 5, 1e-20, 1.0), 1e-20, 1e-14,
+                "no sum")
 
     @pytest.mark.parametrize("ratio", [1.0, math.nan])
     def test_term_cap(self, ratio):
