@@ -27,15 +27,16 @@ for the contour integrals.
 One kernel, _series_values, sums the series: for evaluate, one row at
 one point, and for the eigen residuals of eigen_residual and `verify`,
 in one call, one row or all n! basis elements at z and at the points
-z_I -> q z_I that D^m reads, which operators._shifts builds.  Each
-ratio gets one table of powers per point, read through the cached
-exponent columns of multi_indices order; the monomials of all points
-form one complex matrix, and the value and the moduli of the top two
-strata, which set the geometric tail estimate, are its contractions
-with the coefficient rows.  The value is the term-by-term sum to within
-a few eps |prefactor| sum_p |a(p) r^p|.  Where evaluate raises, the
-kernel holds the exception in place of the value, as qcore's batched
-q-products do.
+z_I -> q z_I that D^m reads, which operators._shifts builds.  The ratios
+of every point in the zone are raised to the powers 0..N in one numpy
+power and read through the cached exponent columns of multi_indices
+order; the monomials of all points form one complex matrix, and the
+value and the moduli of the top two strata, which set the geometric tail
+estimate, are its contractions with the coefficient rows, which each
+solution builds once as a read-only array.  The value is the
+term-by-term sum to within a few eps |prefactor| sum_p |a(p) r^p|.
+Where evaluate raises, the kernel holds the exception in place of the
+value, as qcore's batched q-products do.
 """
 
 from __future__ import annotations
@@ -126,6 +127,14 @@ class HCSolution:
     @property
     def prefactor_exponent(self) -> tuple[complex, ...]:
         return self.spectral.eta_plus_rho
+
+    @functools.cached_property
+    def _row(self) -> np.ndarray:
+        """coeffs as one read-only complex array, built on first use; not
+        a field, so dataclasses.replace gives the copy its own."""
+        row = np.array(self.coeffs, dtype=complex)
+        row.setflags(write=False)
+        return row
 
 
 def _stencil(n: int, t: float):
@@ -290,52 +299,48 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
     returns there, or in its place the exception it raises.  sols share
     n and N, as the solutions of solve_basis do.
 
-    The ratios z_i/z_{i+1}, their power lists r ** j, j <= N, the
-    prefactors and the tails are taken in Python.  The (points, M)
-    monomial matrix is the product of the powers over the exponent
-    columns; the value and the moduli of the strata |p| = N and N - 1,
-    summed as |a(p)| |r^p|, are its contractions with the coefficient
-    rows.  einsum, not @: complex @ goes to BLAS, whose kernel the CPU
-    picks at run time.
+    The ratios z_i/z_{i+1} of every point in the zone are raised to the
+    powers 0..N in one numpy power; the prefactors and the tails are
+    taken in Python.  The (points, M) monomial matrix is the product of
+    the powers over the exponent columns; the value and the moduli of the
+    strata |p| = N and N - 1, summed as |a(p)| |r^p|, are its
+    contractions with the cached coefficient rows.  einsum, not @:
+    complex @ goes to BLAS, whose kernel the CPU picks at run time.
     """
     n, N = sols[0].n, sols[0].max_degree
     out = [None] * len(points)
-    summed = []  # (j, point, rho_max, power lists) of the points summed
+    summed, ratios = [], []  # (j, point, rho_max) and ratios of the summed
     for j, z in enumerate(points):
         try:
-            pt, ratios, rho_max = _zone_point(z, n, max_ratio)
+            pt, rs, rho_max = _zone_point(z, n, max_ratio)
         except Exception as exc:  # raised where the result is read
             out[j] = [exc] * len(sols)
             continue
-        try:
-            summed.append((j, pt, rho_max,
-                           [r ** e for r in ratios for e in range(N + 1)]))
-        except OverflowError:  # a power past the float range
-            out[j] = [_result(sol, pt, rho_max, _OVERFLOW) for sol in sols]
+        summed.append((j, pt, rho_max))
+        ratios += rs
     columns = _columns(n - 1, N)
     M = columns.shape[1]
     mid = M - math.comb(N + n - 2, n - 2)  # entries with |p| = N from mid on
     start = mid - math.comb(N + n - 3, n - 2) if N else mid
-    coeffs = np.array([sol.coeffs for sol in sols], dtype=complex).T
-    power = np.array([pw for *_, pw in summed]).reshape(len(summed), n - 1,
-                                                         N + 1)
-    # overflow and inf * 0 become non-finite values, checked in _result
+    coeffs = np.array([sol._row for sol in sols]).T  # (M, rows)
+    # a power past the float range and inf * 0 become non-finite values,
+    # checked in _result
     with np.errstate(all="ignore"):
+        power = (np.array(ratios, dtype=complex).reshape(len(summed), n - 1, 1)
+                 ** np.arange(N + 1))
         monos = power[:, 0, columns[0]]
         for l in range(1, n - 1):
             monos = monos * power[:, l, columns[l]]
-        moduli, sizes = np.abs(monos), np.abs(coeffs)
+        moduli, sizes = np.abs(monos[:, start:]), np.abs(coeffs[start:])
         value = np.einsum("pm,mr->pr", monos, coeffs)
-        top = np.einsum("pm,mr->pr", moduli[:, mid:], sizes[mid:])
-        prev = np.einsum("pm,mr->pr", moduli[:, start:mid], sizes[start:mid])
+        top = np.einsum("pm,mr->pr", moduli[:, mid - start:],
+                        sizes[mid - start:])
+        prev = np.einsum("pm,mr->pr", moduli[:, :mid - start],
+                         sizes[:mid - start])
     sums = np.stack([value.real, value.imag, top, prev], axis=-1).tolist()
-    for (j, pt, rho_max, _), row in zip(summed, sums):
+    for (j, pt, rho_max), row in zip(summed, sums):
         out[j] = [_result(sol, pt, rho_max, s) for sol, s in zip(sols, row)]
     return out
-
-
-# the sums a power past the float range leaves: the tail is infinite
-_OVERFLOW = (0.0, 0.0, math.inf, math.inf)
 
 
 def _result(sol: HCSolution, pt, rho_max: float, sums):

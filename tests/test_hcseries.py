@@ -1,10 +1,12 @@
 """Tests for the series solver, evaluation, leading coefficients,
 serialization and the residue-summation oracles."""
 
+import copy
 import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +454,48 @@ class TestEvaluationBits:
                 assert abs(value - ref) <= MP_VALUE_BOUND * EPS * scale, z
                 assert abs(tail - ref_tail) <= TAIL_BOUND * ref_tail, z
 
+    # At N = 120 the powers r ** j with j >= 100 are exp(j log r) both in
+    # CPython's power, which the term loop takes, and in numpy's, which
+    # the kernel takes; below 100 both multiply by squaring and agree bit
+    # for bit.  The points stay inside the radius q^(k-1) of the n = 2
+    # series (a 2phi1 in q^(1-k) x): beyond it the top strata, whose
+    # powers carry an error growing with j |log r|, outweigh the rest.
+    DEEP = [(0.5, 0.4), (0.9, 0.7), (0.2, 0.15)]
+
+    def _deep_points(self, rng, q, k):
+        grid = [(0.35, 1.0), (0.8, 1.0), (0.95, 1.0), (1.1, 1.2),
+                (1.19, 1.2)]
+        for largest, max_ratio in grid:
+            if largest < q ** (k - 1.0):
+                for _ in range(4):
+                    yield _zone_point(rng, 2, largest), max_ratio
+
+    @pytest.mark.parametrize("q,k", DEEP)
+    def test_equals_term_loop_past_exponent_100(self, rng, q, k):
+        params = QParams(q=q, k=k)
+        sol = solve_coefficients(SpectralData.make(LAM2, params, w=(1, 0)),
+                                 params, N=120)
+        for z, max_ratio in self._deep_points(rng, q, k):
+            value, tail = evaluate(sol, z, max_ratio=max_ratio)
+            ref, ref_tail, scale = _evaluate_by_terms(sol, z,
+                                                      max_ratio=max_ratio)
+            assert abs(value - ref) <= VALUE_BOUND * EPS * scale, z
+            assert abs(tail - ref_tail) <= TAIL_BOUND * ref_tail, z
+
+    @pytest.mark.parametrize("q,k", DEEP)
+    def test_against_mpmath_past_exponent_100(self, rng, q, k):
+        mp = pytest.importorskip("mpmath")
+        params = QParams(q=q, k=k)
+        sol = solve_coefficients(SpectralData.make(LAM2, params, w=(1, 0)),
+                                 params, N=120)
+        with mp.workdps(30):
+            for z, max_ratio in self._deep_points(rng, q, k):
+                value, tail = evaluate(sol, z, max_ratio=max_ratio)
+                ref, ref_tail = _evaluate_by_mpmath(mp, sol, z)
+                scale = _evaluate_by_terms(sol, z, max_ratio=max_ratio)[2]
+                assert abs(value - ref) <= MP_VALUE_BOUND * EPS * scale, z
+                assert abs(tail - ref_tail) <= TAIL_BOUND * ref_tail, z
+
 
 class TestEvaluationErrors:
     @pytest.mark.parametrize("z", [(1.0, 0.0), (0.0, 1.0), (0j, 0j)])
@@ -511,6 +555,38 @@ class TestEvaluationErrors:
     def test_non_finite_series(self, p, entries, z, max_ratio):
         with pytest.raises(ConvergenceError):
             evaluate(self._sol(p, entries), z, max_ratio=max_ratio)
+
+    def test_every_point_held(self, p):
+        # nothing is summed: the kernel still returns each point's error,
+        # and numpy warns of nothing (an error here, as is any warning)
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=6)
+        points = [(4.0, 2.0, 1.0), (0.0, 1.0, 2.0), (1.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hcseries._series_values([sol, sol], points, 1.0)
+        assert [[_outcome(lambda: hcseries._checked(v)) for v in row]
+                for row in got] == [[_outcome(lambda: evaluate(sol, z))] * 2
+                                    for z in points]
+
+    def test_each_slot_as_evaluate_alone(self, p):
+        # a point summed, one outside the zone, and one whose power r ** 2
+        # overflows, in one call
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
+        points = [(0.3 + 0.1j, 1.0), (1e300, 1e-10), (1e200, 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hcseries._series_values([sol], points, 1e300)
+        for z, (held,) in zip(points, got):
+            alone = _outcome(lambda: evaluate(sol, z, max_ratio=1e300))
+            if isinstance(held, Exception):
+                assert (type(held), str(held)) == alone, z
+            else:
+                value, tail = evaluate(sol, z, max_ratio=1e300)
+                ref, ref_tail, scale = _evaluate_by_terms(sol, z, 1e300)
+                assert abs(held[0] - value) <= VALUE_BOUND * EPS * scale
+                assert abs(held[1] - tail) <= TAIL_BOUND * ref_tail
+        assert [type(v) for (v,) in got] == [tuple, ZoneError,
+                                             ConvergenceError]
 
 
 class TestZoneGuard:
@@ -682,6 +758,29 @@ class TestCoefficientLayout:
             sol.coeffs = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             sol.max_degree = 2
+
+    def test_row_is_a_read_only_copy(self, p):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
+        assert np.array_equal(sol._row, np.array(sol.coeffs, dtype=complex))
+        assert sol._row is sol._row  # built once
+        with pytest.raises(ValueError):
+            sol._row[0] = 2.0
+
+    def test_replace_sums_the_new_coefficients(self, p):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
+        z = (0.1, 0.3 + 0.1j, 1.0)
+        value = evaluate(sol, z).value  # sol's row is built and cached
+        doubled = dataclasses.replace(
+            sol, coeffs=tuple(2 * a for a in sol.coeffs))
+        assert evaluate(doubled, z).value == 2 * value
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_copy_evaluates_the_same(self, p, cached):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
+        z = (0.1, 0.3 + 0.1j, 1.0)
+        if cached:
+            sol._row  # built before the copy
+        assert evaluate(copy.copy(sol), z) == evaluate(sol, z)
 
     @pytest.mark.parametrize("n_vars,N,key", [
         (1, 3, (7,)), (2, 2, (1,)), (2, 2, (1, 2)), (2, 2, (-1, 1)),
@@ -1000,18 +1099,20 @@ class TestResidueSums:
     """The residue series of residue_integral_prop6 and integral_rep_fq,
     summed as numpy term chains, against the same series in mpmath."""
 
-    # the worst relative error on this grid per q, rounded up to two
-    # digits (x86-64, Python 3.11, numpy 2.4), over numpy's X86_V4, X86_V3
-    # and baseline dispatch levels, whose complex products round the term
-    # chains apart in the last bits.  The geometric tail added at the stop
-    # holds them near eps; without it the stopping rule left about
-    # eps / (1 - |r|) of the sum, 1.6e-12 (prop6) and 9.9e-12 at q = 0.99.
+    # twice the worst relative error on this grid per q, rounded up to two
+    # digits.  The worst is taken over numpy's X86_V4, X86_V3 and baseline
+    # dispatch levels (x86-64, Python 3.11, numpy 2.4), whose complex
+    # products round the term chains apart in the last bits: at q = 0.99,
+    # prop6 read 9.0e-15 at X86_V4 and 9.5e-15 at the other two.  The
+    # geometric tail added at the stop holds them near eps; without it
+    # the stopping rule leaves about eps / (1 - |r|) of the sum, 3.1e-13
+    # and 1.9e-12 at q = 0.95, 1.6e-12 and 9.9e-12 at q = 0.99.
     BOUNDS = {  # q: (prop6, integral_rep_fq)
-        0.5: (6.3e-16, 1.9e-15),
-        0.75: (2.9e-16, 7.8e-15),
-        0.9: (1.9e-16, 6.7e-15),
-        0.95: (2.8e-15, 6.1e-15),
-        0.99: (9.5e-15, 1.8e-14),
+        0.5: (1.3e-15, 3.7e-15),
+        0.75: (5.7e-16, 1.6e-14),
+        0.9: (3.7e-16, 1.4e-14),
+        0.95: (5.5e-15, 1.3e-14),
+        0.99: (1.9e-14, 3.6e-14),
     }
 
     @pytest.mark.parametrize("q", sorted(BOUNDS))
