@@ -130,17 +130,14 @@ def _shifts(z, m: int, q: complex) -> list:
             for sel in itertools.combinations(range(len(z)), m)]
 
 
-def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
-    """Apply D^m with explicit shift base q and weight parameter t.
-
-    D^m f = t^(m(m+1)/2) sum_{|I|=m} [prod_{i in I, j not in I}
-            (t z_i - z_j)/(z_i - z_j)] f(z with z_I -> q z_I),
-    calling f once at each point of _shifts(z, m, q), in that order.
+def _weighted_points(z, m: int, q: complex, t: complex) -> list:
+    """The points of _shifts(z, m, q), in its order, each after the weight
+    D^m gives it, prod_{i in I, j not in I} (t z_i - z_j)/(z_i - z_j):
+    a list of (weight, point) that serves any number of functions at z.
     SingularConfigurationError when two coordinates are equal or closer
     than _COINCIDENCE_TOL times the largest modulus; DomainError when a
     modulus leaves the float range, and then when a coordinate of z or of
-    a shifted point is not finite, before f is called.
-    """
+    a shifted point is not finite."""
     z = _as_complex_vector(z)
     n = len(z)
     shifts = _shifts(z, m, q)
@@ -156,15 +153,36 @@ def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
     if not all(cmath.isfinite(c) and cmath.isfinite(q * c) for c in z):
         raise DomainError(f"a coordinate of {z} or of a point q-shifted "
                           "from it is not finite")
-    total = complex(0.0)
+    out = []
     for sel, shifted in shifts:
         weight = complex(1.0)
         for i in sel:
             for j in range(n):
                 if j not in sel:
                     weight *= (t * z[i] - z[j]) / (z[i] - z[j])
+        out.append((weight, shifted))
+    return out
+
+
+def _weighted_sum(weighted, f, m: int, t: complex) -> complex:
+    """t^(m(m+1)/2) sum_I w_I f(z_I) over the (w_I, z_I) of
+    _weighted_points, calling f at each point in that order."""
+    total = complex(0.0)
+    for weight, shifted in weighted:
         total += weight * f(shifted)
     return t ** (m * (m + 1) / 2.0) * total
+
+
+def macdonald_apply_raw(f, m: int, z, q: complex, t: complex) -> complex:
+    """Apply D^m with explicit shift base q and weight parameter t.
+
+    D^m f = t^(m(m+1)/2) sum_{|I|=m} [prod_{i in I, j not in I}
+            (t z_i - z_j)/(z_i - z_j)] f(z with z_I -> q z_I),
+    calling f once at each point of _shifts(z, m, q), in that order,
+    after the checks of _weighted_points, whose errors it raises before
+    f is called.
+    """
+    return _weighted_sum(_weighted_points(z, m, q, t), f, m, t)
 
 
 def macdonald_apply_numeric(f, m: int, z, p: QParams) -> complex:
@@ -172,7 +190,11 @@ def macdonald_apply_numeric(f, m: int, z, p: QParams) -> complex:
 
     ConvergenceError when the value is not finite, as where the weighted
     sum of finite values of f overflows."""
-    value = macdonald_apply_raw(f, m, z, p.q, p.t)
+    return _finite_image(macdonald_apply_raw(f, m, z, p.q, p.t), m, z)
+
+
+def _finite_image(value: complex, m: int, z) -> complex:
+    """value, the image of D^m at z; ConvergenceError unless it is finite."""
     if not cmath.isfinite(value):
         raise ConvergenceError(f"D^{m} f at {z} is not finite")
     return value
