@@ -29,7 +29,7 @@ from .continuation import (BoltzmannWeights, ConnectionMatrix, boltzmann_w,
 from .macpoly import (as_partition, degeneration_check, macdonald_a1,
                       macdonald_poly)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "QMacdonaldError", "DomainError", "PoleError", "ZoneError",

@@ -55,7 +55,7 @@ def fq_connection(a: complex, b: complex, c: complex, z: complex,
         raise ZoneError("z outside the mutual convergence annulus")
     if _theta_vanishes(z, q):
         raise ZoneError("Theta_q(z) vanishes: z lies on q^Z")
-    lhs = fq(a, b, c, z, q, p.eps)
+    lhs = fq(a, b, c, z, q)
 
     def half(a1, b1):
         # Gamma_q(b1-a1)/Gamma_q(b1) in pole-free product form: it must
@@ -64,14 +64,14 @@ def fq_connection(a: complex, b: complex, c: complex, z: complex,
         x = _cpow(q, b1 - a1)
         if _theta_vanishes(x, q):
             raise PoleError("Gamma_q(b-a) pole in a connection coefficient")
-        num = qpochhammer_inf(_cpow(q, b1), q, p.eps)
-        den = qpochhammer_inf(x, q, p.eps)
+        num = qpochhammer_inf(_cpow(q, b1), q)
+        den = qpochhammer_inf(x, q)
         coeff = _cpow(1.0 - q, a1) * num / den
         if abs(coeff) == 0.0:
             return 0.0
         return (qgamma(c, q) * coeff / qgamma(c - a1, q)
                 * theta(_cpow(q, a1) * z, q) / theta(z, q)
-                * fq(a1, a1 - c + 1.0, a1 - b1 + 1.0, zi, q, p.eps))
+                * fq(a1, a1 - c + 1.0, a1 - b1 + 1.0, zi, q))
 
     rhs = half(a, b) + half(b, a)
     return lhs, rhs
@@ -108,12 +108,13 @@ def _theta_vanishes(x: complex, base: float) -> bool:
 
     Tests the argument, not |Theta|: near base = 1 every theta value is
     below any fixed absolute tolerance.  ZoneError when x lies so far from
-    1 that base^-m leaves the floating-point range.
+    1 that base^-m leaves the floating-point range, and for an x that is
+    0, inf or NaN.
     """
-    m = round(cmath.log(x).real / math.log(base))
     try:
+        m = round(cmath.log(x).real / math.log(base))
         return abs(1.0 - x * base ** -m) < _RESONANCE_TOL
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: log(0), round(NaN)
         raise ZoneError(f"theta argument {x} is outside the floating-point "
                         "range") from None
 

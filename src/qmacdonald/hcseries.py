@@ -61,8 +61,9 @@ from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
 from .operators import (SpectralData, _finite_image, _shifts, _weighted_points,
                         _weighted_sum, eigenvalue_c)
-from .qcore import (QParams, XRMode, _checked, _cpow, _qpochhammers, _qq_inf,
-                    _xr_mode, fq, qgamma, qpochhammer_inf, theta)
+from .qcore import (DEFAULT_EPS, QParams, XRMode, _checked, _cpow,
+                    _qpochhammers, _qq_inf, _xr_mode, fq, qgamma,
+                    qpochhammer_inf, theta)
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
@@ -565,7 +566,7 @@ def residue_integral_prop6(n_pow: int, lam12: complex, p: QParams) -> complex:
     return pref * _residue_sum(
         1.0,
         lambda m: ratio * (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1)),
-        abs(ratio), p.eps,
+        abs(ratio),
         "residue series for the one-point integral did not converge")
 
 
@@ -598,7 +599,7 @@ def one_point_integral_binomial_route(n_pow: int, lam12: complex, p: QParams) ->
         inner *= qhalf ** M
         contrib = outer * inner
         total += contrib
-        if m > 4 and abs(contrib) < p.eps * max(1.0, abs(total)):
+        if m > 4 and abs(contrib) < DEFAULT_EPS * max(1.0, abs(total)):
             return total
         outer *= (1.0 - _cpow(q, l12 + m)) / (1.0 - q ** (m + 1)) * qhalf
     raise ConvergenceError("binomial-route series did not converge")
@@ -619,9 +620,10 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     t_(m+1) = t_m q^(l2-l1+k) (1 - q^(m+1-k)) / (1 - q^(m+1))
               * (1 - xc q^m) / (1 - xb q^m),
     with the y/z2 kernel kern = (xb;q)_inf/(xc;q)_inf taken once at
-    m = 0, summed by _residue_sum.  ConvergenceError where the series
-    diverges, and near q = 1 where the theta denominator of
-    _residue_base underflows (from about q = 0.995 at k = 0.4).
+    m = 0, summed by _residue_sum.  DomainError at z2 = 0 unless z1 = 0;
+    ConvergenceError where the series diverges, and near q = 1 where the
+    theta denominator of _residue_base underflows (from about q = 0.995
+    at k = 0.4).
     """
     q, k = p.q, p.k
     l1, l2 = complex(lam[0]), complex(lam[1])
@@ -630,6 +632,8 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
         # only the Gamma prefactor survives
         return (qgamma(1.0 - k, q)
                 / (qgamma(l1 - l2 + 1.0 - k, q) * qgamma(l2 - l1 + 1.0, q)))
+    if z2 == 0:
+        raise DomainError("z2 must be nonzero")
     arg = q ** (1.0 - k) * z1 / z2
     if abs(arg) >= 1.0:
         raise ZoneError("z1/z2 outside the convergence region")
@@ -648,7 +652,7 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
         base * kern,
         lambda m: (gain * (1.0 - q ** (m + 1 - k)) / (1.0 - q ** (m + 1))
                    * (1.0 - xc * q ** m) / (1.0 - xb * q ** m)),
-        abs(gain), p.eps,
+        abs(gain),
         "residue series for the two-point integral did not converge")
 
 
@@ -663,27 +667,26 @@ def _residue_base(a: complex, p: QParams) -> complex:
     return num / den * (qpochhammer_inf(q ** k, q) / _qq_inf(q))
 
 
-def _residue_sum(first: complex, ratio, limit: float, eps: float,
-                 message: str) -> complex:
+def _residue_sum(first: complex, ratio, limit: float, message: str) -> complex:
     """sum_m t_m of the term chain t_0 = first, t_(m+1) = t_m ratio(m),
     where ratio maps an int array of m to the array of term ratios and
     limit < 1 is the limit of |ratio(m)| as m grows.
 
-    Stops at the first m >= 5 with |t_m| < eps max(1, |partial sum|)
-    and returns the partial sum plus the geometric tail
+    Stops at the first m >= 5 with |t_m| < DEFAULT_EPS max(1, |partial
+    sum|) and returns the partial sum plus the geometric tail
     t_m r_m / (1 - r_m), r_m = ratio(m), so that the terms left out do not
-    cost about eps / (1 - |r_m|) of the sum near q = 1;
+    cost about DEFAULT_EPS / (1 - |r_m|) of the sum near q = 1;
     ConvergenceError(message) when none comes within _MAX_RESIDUES terms
     or the sum is not finite.  The terms come in chunks, one
     np.multiply.accumulate of the ratios and one np.add.accumulate of the
-    terms each.  The first chunk holds the log(eps)/log(limit) terms that
-    a geometric tail of ratio limit needs, plus 16 and at least 32, so it
-    usually ends the series; later chunks double.
+    terms each.  The first chunk holds the log(DEFAULT_EPS)/log(limit)
+    terms that a geometric tail of ratio limit needs, plus 16 and at
+    least 32, so it usually ends the series; later chunks double.
     """
     size = 32
     if 0.0 < limit < 1.0:
-        size = min(max(size, int(math.log(eps) / math.log(limit)) + 16),
-                   _MAX_RESIDUES)
+        need = int(math.log(DEFAULT_EPS) / math.log(limit)) + 16
+        size = min(max(size, need), _MAX_RESIDUES)
     start, term, total = 0, complex(first), 0j
     # an overflowing or NaN chain never meets the stopping rule, so it
     # ends at the term cap rather than in a NumPy warning
@@ -693,7 +696,7 @@ def _residue_sum(first: complex, ratio, limit: float, eps: float,
             r = ratio(m)
             terms = np.multiply.accumulate(np.concatenate(([term], r[:-1])))
             sums = total + np.add.accumulate(terms)
-            small = np.abs(terms) < eps * np.maximum(1.0, np.abs(sums))
+            small = np.abs(terms) < DEFAULT_EPS * np.maximum(1.0, np.abs(sums))
             done = np.flatnonzero(small & (m >= 5))
             if done.size:
                 i = done[0]
@@ -714,7 +717,7 @@ def integral_rep_fq_reference(lam, z1: complex, z2: complex,
     return (qgamma(1.0 - k, q)
             / (qgamma(l1 - l2 + 1.0 - k, q) * qgamma(l2 - l1 + 1.0, q))
             * fq(k, l2 - l1 + k, l2 - l1 + 1.0,
-                 q ** (1.0 - k) * z1 / z2, q, p.eps))
+                 q ** (1.0 - k) * z1 / z2, q))
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,18 @@ def _check_order(m, n: int) -> None:
 
 
 def eigenvalue_c(gamma, m: int, p: QParams) -> complex:
-    """c^m_gamma = sum_{i1<...<im} prod_s q^(gamma_{i_s}) t^(i_s), i_s 1-based."""
+    """c^m_gamma = sum_{i1<...<im} prod_s q^(gamma_{i_s}) t^(i_s), i_s 1-based.
+
+    DomainError where c^m is not finite, as for a gamma holding NaN."""
     gamma = _as_complex_vector(gamma)
     n = len(gamma)
     _check_order(m, n)
     q, t = p.q, p.t
-    return _elementary([_cpow(q, g) * t ** (i + 1)
-                        for i, g in enumerate(gamma)], m)
+    value = _elementary([_cpow(q, g) * t ** (i + 1)
+                         for i, g in enumerate(gamma)], m)
+    if not cmath.isfinite(value):
+        raise DomainError(f"c^{m} is not finite at gamma = {gamma}")
+    return value
 
 
 def _elementary(xs, m: int) -> complex:
@@ -266,7 +271,7 @@ def _weight(v, i: int, tt) -> complex:
                  for j in range(len(v)) if j != i)
 
 
-def conjugation_identity_residual(y, p: QParams, f=None) -> float:
+def conjugation_identity_residual(y, p: QParams) -> float:
     """Relative residual of the symmetric-kernel conjugation identity
 
         [sum_i T_{q,y_i} prod_{j!=i} ((1/t)y_i - y_j)/(y_i - y_j)] Delta
@@ -274,16 +279,15 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
 
     with Delta(y) = prod_{l<s} (y_l/y_s;q)(y_s/y_l;q)
                     / ((t y_l/y_s;q)(t y_s/y_l;q)),
-    applied to the test function f (a generic default is supplied).
+    applied to the test function f(y) = prod_j (1 + (0.3 + 0.1i (j+1)) y_j).
     ConvergenceError when a q-product of Delta falls below the normal
     float range, as near q = 1.
     """
     y = _as_complex_vector(y)
     n = len(y)
     q, t = p.q, p.t
-    if f is None:
-        f = lambda yy: _prod(1.0 + (0.3 + 0.1j * (j + 1)) * c
-                             for j, c in enumerate(yy))
+    f = lambda yy: _prod(1.0 + (0.3 + 0.1j * (j + 1)) * c
+                         for j, c in enumerate(yy))
 
     def delta(yy):
         out = complex(1.0)
@@ -291,7 +295,7 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
             for s in range(l + 1, n):
                 u, v = yy[l] / yy[s], yy[s] / yy[l]
                 a, b, c, d = map(_checked, _qpochhammers(
-                    (u, v, t * u, t * v), q, p.eps))
+                    (u, v, t * u, t * v), q))
                 if min(map(abs, (a, b, c, d))) < sys.float_info.min:
                     raise ConvergenceError(
                         "q-products in Delta underflow near q = 1")
@@ -307,23 +311,23 @@ def conjugation_identity_residual(y, p: QParams, f=None) -> float:
     return abs(lhs - rhs) / abs(lhs)
 
 
-def gauge_transform_residual(z, p: QParams, f=None) -> float:
+def gauge_transform_residual(z, p: QParams) -> float:
     """Relative residual of the gauge conjugation turning the t-weighted
     first-order operator into the (q/t)-weighted one:
 
         [sum_i prod_{j!=i} (t z_i - z_j)/(z_i - z_j) T_{q,z_i}] G
         = G sum_i prod_{j!=i} ((q/t) z_i - z_j)/(z_i - z_j) T_{q,z_i}
 
-    with G(z) = prod_{i<j} z_j^(1-2k) (t z_i/z_j;q)/(q^(1-k) z_i/z_j;q).
+    with G(z) = prod_{i<j} z_j^(1-2k) (t z_i/z_j;q)/(q^(1-k) z_i/z_j;q),
+    applied to f(z) = prod_j (1 + (0.2 - 0.15i (j+1)) z_j).
     ConvergenceError when a q-product of G falls below the normal float
     range, as near q = 1.
     """
     z = _as_complex_vector(z)
     n = len(z)
     q, t, k = p.q, p.t, p.k
-    if f is None:
-        f = lambda zz: _prod(1.0 + (0.2 - 0.15j * (j + 1)) * c
-                             for j, c in enumerate(zz))
+    f = lambda zz: _prod(1.0 + (0.2 - 0.15j * (j + 1)) * c
+                         for j, c in enumerate(zz))
 
     def gauge(zz):
         out = complex(1.0)
@@ -331,7 +335,7 @@ def gauge_transform_residual(z, p: QParams, f=None) -> float:
             for j in range(i + 1, n):
                 u = zz[i] / zz[j]
                 num, den = map(_checked, _qpochhammers(
-                    (t * u, q ** (1.0 - k) * u), q, p.eps))
+                    (t * u, q ** (1.0 - k) * u), q))
                 if min(abs(num), abs(den)) < sys.float_info.min:
                     raise ConvergenceError(
                         "q-products in G underflow near q = 1")

@@ -61,7 +61,7 @@ _BLOCK = 4096  # a row block of _qpochhammers holds 4 * _BLOCK entries
 # A double product takes its rows with |z p1^i| >= _RHO as q-products
 # and the corner below them as a log series in w = z p1^rows.  The series
 # falls like _RHO^m, so at 1/2 it ends within about 50-60 terms at
-# eps = 1e-14; a smaller _RHO adds rows, each a q-product of hundreds of
+# DEFAULT_EPS; a smaller _RHO adds rows, each a q-product of hundreds of
 # factors near q = 1, and one nearer 1 adds terms without bound.
 _RHO = 0.5
 # A _qpochhammers call with at most this many factors in all takes the
@@ -89,21 +89,18 @@ def _cpow(base: complex, expo: complex) -> complex:
 class QParams:
     """Base parameters q, k with t = q**k derived.
 
-    q and k are real in (0,1); eps is the truncation tolerance used by the
-    infinite products and series built on top of these parameters.
+    q and k are real in (0,1).  The infinite products and series built
+    on top of these parameters truncate at DEFAULT_EPS.
     """
 
     q: float
     k: float
-    eps: float = DEFAULT_EPS
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
             raise DomainError(f"q must lie in (0,1), got {self.q}")
         if not (0.0 < self.k < 1.0):
             raise DomainError(f"k must lie in (0,1), got {self.k}")
-        if not (self.eps > 0.0):
-            raise DomainError(f"eps must be positive, got {self.eps}")
 
     @property
     def t(self) -> float:
@@ -127,19 +124,17 @@ def _xr_mode(mode) -> XRMode:
 
 @dataclass(frozen=True)
 class XRParams:
-    """The (x, r) view of the base parameters, q = x**(2r).  mode is
-    stored as an XRMode, given as a member or as "A" or "B"."""
+    """The (x, r) view of the base parameters, q = x**(2r).  from_qparams
+    takes r from k by an XRMode, given as a member or as "A" or "B"."""
 
     x: float
     r: float
-    mode: XRMode = XRMode.A
 
     def __post_init__(self):
         if not (0.0 < self.x < 1.0):
             raise DomainError(f"x must lie in (0,1), got {self.x}")
         if not self.r > 1.0:
             raise DomainError(f"r must exceed 1, got {self.r}")
-        object.__setattr__(self, "mode", _xr_mode(self.mode))
 
     @property
     def q(self) -> float:
@@ -150,21 +145,25 @@ class XRParams:
         mode = _xr_mode(mode)
         r = 1.0 / (1.0 - p.k) if mode is XRMode.A else 1.0 / p.k
         x = p.q ** (1.0 / (2.0 * r))
-        xr = cls(x=x, r=r, mode=mode)
+        xr = cls(x=x, r=r)
         assert abs(xr.q - p.q) < 1e-13 * max(1.0, p.q)
         return xr
 
 
-def qpochhammer_inf(z: complex, q: float, eps: float = DEFAULT_EPS) -> complex:
+def qpochhammer_inf(z: complex, q: float) -> complex:
     """(z; q)_inf = prod_{i>=0} (1 - z q^i).
 
-    Keeps the factors with |z q^i| >= eps, whose number is known from
-    logs up front, then corrects by the first-order tail
+    Keeps the factors with |z q^i| >= DEFAULT_EPS, whose number is known
+    from logs up front, then corrects by the first-order tail
     exp(-z q^terms/(1-q)) ~ prod of the remaining factors.
+    ConvergenceError at the term cap and for a z or product not finite.
     """
     if not abs(q) < 1.0:
         raise DomainError(f"|q| must be < 1 for (z;q)_inf, got q={q}")
-    return _checked(_qpochhammers((z,), q, eps)[0])
+    value = _checked(_qpochhammers((z,), q)[0])
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"({z};q)_inf is not finite in floating point")
+    return value
 
 
 def _checked(value):
@@ -175,11 +174,11 @@ def _checked(value):
     return value
 
 
-def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
+def _qpochhammers(zs, q: float) -> list:
     """(z; q)_inf for each z in zs, |q| < 1, each bit for bit the loop
 
         prod = 1; zq = z
-        repeat _terms(|z|, q, eps) times: prod *= 1 - zq; zq *= q
+        repeat _terms(|z|, q, DEFAULT_EPS) times: prod *= 1 - zq; zq *= q
         return prod * exp(-zq/(1-q))
 
     or, in its place, the exception the loop raises before it starts:
@@ -200,7 +199,7 @@ def _qpochhammers(zs, q: float, eps: float = DEFAULT_EPS) -> list:
     terms = []
     for z in zs:
         try:
-            terms.append(_terms(_modulus(z), q, eps))
+            terms.append(_terms(_modulus(z), q, DEFAULT_EPS))
         except ConvergenceError as exc:
             terms.append(exc)
     rows_of = [0 if isinstance(t, Exception) else t for t in terms]
@@ -335,28 +334,26 @@ def _theta_values(xs, q: float) -> list:
     return out
 
 
-def double_pochhammer(z: complex, p1: float, p2: float,
-                      eps: float = DEFAULT_EPS) -> complex:
+def double_pochhammer(z: complex, p1: float, p2: float) -> complex:
     """(z; p1, p2)_inf = prod_{i1,i2>=0} (1 - p1^i1 p2^i2 z).
 
     The rows i1 with |z p1^i1| >= _RHO are the q-products
     (z p1^i1; p2)_inf of _qpochhammers.  The corner below them,
     (w; p1, p2)_inf with w = z p1^rows and |w| < _RHO, is exp of the
     series -sum_m w^m / (m (1-p1^m)(1-p2^m)), cut where the terms left
-    sum to less than eps.  DomainError for a base of modulus >= 1;
-    ConvergenceError at the term cap of the factor-by-factor product (its
-    row count or the length of its top row), for a z that is NaN or inf
-    or whose modulus is past the float range, and when the product is not
-    finite.
+    sum to less than DEFAULT_EPS.  DomainError for a base of modulus
+    >= 1; ConvergenceError at the term cap of the factor-by-factor
+    product (its row count or the length of its top row), for a z that is
+    NaN or inf or whose modulus is past the float range, and when the
+    product is not finite.
     """
-    return _double_products((z,), p1, p2, eps)[0]
+    return _double_products((z,), p1, p2)[0]
 
 
 _NOT_FINITE = "(z;p1,p2)_inf is not finite in floating point"
 
 
-def _double_products(zs, p1: float, p2: float,
-                     eps: float = DEFAULT_EPS) -> list:
+def _double_products(zs, p1: float, p2: float) -> list:
     """(z; p1, p2)_inf for each z in zs, computed as in double_pochhammer,
     or the first error of a z raised in the order of zs.  The rows of
     every z go through one _qpochhammers call and the corners through
@@ -370,8 +367,8 @@ def _double_products(zs, p1: float, p2: float,
             az = _modulus(z)
             # the term caps of the factor-by-factor product: its row
             # count and the length of its top row
-            _terms(az, p1, eps)
-            _terms(az, p2, eps)
+            _terms(az, p1, DEFAULT_EPS)
+            _terms(az, p2, DEFAULT_EPS)
             if not cmath.isfinite(z):  # two zero bases pass those caps
                 raise ConvergenceError(_NOT_FINITE)
             count = _terms(az, p1, _RHO)
@@ -381,8 +378,8 @@ def _double_products(zs, p1: float, p2: float,
         plans.append((len(rows), count))
         rows += [z * p1 ** i for i in range(count)]
         corners.append(z * p1 ** count)
-    row_values = _qpochhammers(rows, p2, eps)
-    corner_sums = iter(_corner_sums(corners, p1, p2, eps))
+    row_values = _qpochhammers(rows, p2)
+    corner_sums = iter(_corner_sums(corners, p1, p2))
     out = []
     for plan in plans:
         first, count = _checked(plan)
@@ -398,7 +395,7 @@ def _double_products(zs, p1: float, p2: float,
     return out
 
 
-def _corner_sums(ws, p1: float, p2: float, eps: float) -> list:
+def _corner_sums(ws, p1: float, p2: float) -> list:
     """-log (w; p1, p2)_inf for each w in ws, |w| < 1, bit for bit the loop
 
         total, wm, p1m, p2m = -0j, w, p1, p2
@@ -407,14 +404,14 @@ def _corner_sums(ws, p1: float, p2: float, eps: float) -> list:
             total += complex(wm.real / d, wm.imag / d)
             wm *= w; p1m *= p1; p2m *= p2
 
-    where terms counts the m with |w|^m >= eps (1-_RHO)(1-|p1|)(1-|p2|),
-    so the terms after it sum to less than eps for |w| < _RHO.  The ws
-    are the columns of one array: np.multiply.accumulate takes the powers
-    down its rows with CPython's scalar products, the terms are float
-    ufuncs, np.add.accumulate sums them in order, and column j reads the
-    row of its own term count.
+    where terms counts the m with |w|^m >= tol, tol = DEFAULT_EPS
+    (1-_RHO)(1-|p1|)(1-|p2|), so the terms after it sum to less than
+    DEFAULT_EPS for |w| < _RHO.  The ws are the columns of one array:
+    np.multiply.accumulate takes the powers down its rows with CPython's
+    scalar products, the terms are float ufuncs, np.add.accumulate sums
+    them in order, and column j reads the row of its own term count.
     """
-    tol = eps * (1.0 - _RHO) * (1.0 - abs(p1)) * (1.0 - abs(p2))
+    tol = DEFAULT_EPS * (1.0 - _RHO) * (1.0 - abs(p1)) * (1.0 - abs(p2))
     terms = [0 if abs(w) < tol else int(math.log(tol) / math.log(abs(w)))
              for w in ws]
     height = max(terms, default=0)
@@ -460,7 +457,7 @@ def kernel_s(z: complex, p: QParams) -> complex:
     products from one call of _qpochhammers."""
     q, k = p.q, p.k
     num, den = _qpochhammers((q ** ((1.0 + k) / 2.0) * z,
-                              q ** ((1.0 - k) / 2.0) * z), q, p.eps)
+                              q ** ((1.0 - k) / 2.0) * z), q)
     return _checked(num) / _checked(den)
 
 
@@ -468,7 +465,7 @@ def kernel_t(z: complex, p: QParams) -> complex:
     """t(z) = (1-z) (q^(1-k) z; q)_inf / (q^k z; q)_inf, both products
     from one call of _qpochhammers."""
     q, k = p.q, p.k
-    num, den = _qpochhammers((q ** (1.0 - k) * z, q ** k * z), q, p.eps)
+    num, den = _qpochhammers((q ** (1.0 - k) * z, q ** k * z), q)
     return (1.0 - z) * _checked(num) / _checked(den)
 
 
@@ -506,24 +503,29 @@ def _brackets(vs, xr: XRParams) -> list:
 
 
 def _is_nonpositive_qinteger(a: complex, q: float) -> int | None:
-    """Return m >= 0 if q^a ~ q^(-m) (i.e. a is a nonpositive integer), else None."""
-    m = round(-complex(a).real)
-    if m >= 0 and abs(1.0 - _cpow(q, complex(a) + m)) < _POLE_TOL:
+    """Return m >= 0 if q^a ~ q^(-m) (i.e. a is a nonpositive integer),
+    else None; DomainError when the real part of a is not finite."""
+    a = complex(a)
+    if not math.isfinite(a.real):
+        raise DomainError(f"exponent {a} is not finite")
+    m = round(-a.real)
+    if m >= 0 and abs(1.0 - _cpow(q, a + m)) < _POLE_TOL:
         return m
     return None
 
 
-def fq(a: complex, b: complex, c: complex, z: complex, q: float,
-       eps: float = DEFAULT_EPS) -> complex:
+def fq(a: complex, b: complex, c: complex, z: complex, q: float) -> complex:
     """Basic q-hypergeometric series
 
         F_q(a,b,c,z) = sum_n prod_{j<n} [(1-q^(a+j))(1-q^(b+j))]
                                         / [(1-q^(1+j))(1-q^(c+j))] z^n.
 
     Terminating cases (q^a or q^b a nonpositive q-integer q^(-m)) are
-    summed exactly to their last term z^m; otherwise |z| < 1 is required.
-    A pole (q^c = q^(-j)) before the last term raises PoleError, and a
-    sum that is not finite ConvergenceError.
+    summed exactly to their last term z^m; otherwise |z| < 1 is required
+    and the sum ends at a term below DEFAULT_EPS max(1, |sum|).  A pole
+    (q^c = q^(-j)) before the last term raises PoleError, an a, b or c of
+    non-finite real part DomainError, and a sum that is not finite
+    ConvergenceError.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
@@ -547,7 +549,7 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float,
                  / ((1.0 - q * qj) * (1.0 - qc * qj)) * z)
         total += term
         qj *= q
-        if last is None and abs(term) < eps * max(1.0, abs(total)):
+        if last is None and abs(term) < DEFAULT_EPS * max(1.0, abs(total)):
             break
     else:
         if last is None:
@@ -557,9 +559,9 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float,
     return total
 
 
-def qbinomial_series(a: complex, z: complex, q: float,
-                     eps: float = DEFAULT_EPS) -> complex:
-    """(q^a z; q)_inf / (z; q)_inf summed as the q-binomial series."""
+def qbinomial_series(a: complex, z: complex, q: float) -> complex:
+    """(q^a z; q)_inf / (z; q)_inf summed as the q-binomial series, to a
+    term below DEFAULT_EPS max(1, |sum|)."""
     if abs(z) >= 1.0:
         raise DomainError(f"q-binomial series requires |z| < 1, got |z|={abs(z)}")
     qa = _cpow(q, a)
@@ -570,6 +572,6 @@ def qbinomial_series(a: complex, z: complex, q: float,
         term *= (1.0 - qa * qj) / (1.0 - q * qj) * z
         total += term
         qj *= q
-        if abs(term) < eps * max(1.0, abs(total)):
+        if abs(term) < DEFAULT_EPS * max(1.0, abs(total)):
             return total
     raise ConvergenceError("q-binomial series did not converge")

@@ -1421,7 +1421,7 @@ class TestResidueSums:
         # a limit of 0.1 sizes the first chunk at 32 terms; the ratios
         # stay at 0.9, so the sum takes four chunks (32, 64, 128, 256)
         got = hcseries._residue_sum(2.0, lambda m: np.full(len(m), 0.9),
-                                    0.1, 1e-14, "unused")
+                                    0.1, "unused")
         term, total, m = 2.0, 0.0, 0
         while True:  # the loop the chunks replace
             total += term
@@ -1441,7 +1441,7 @@ class TestResidueSums:
         def ratio(m):
             calls.append(len(m))
             return np.full(len(m), 1e-20)
-        assert hcseries._residue_sum(1.0, ratio, 1e-20, 1e-14, "unused") \
+        assert hcseries._residue_sum(1.0, ratio, 1e-20, "unused") \
             == 1.0 + 1e-20
         assert calls == [32]
 
@@ -1450,12 +1450,11 @@ class TestResidueSums:
         # at m = 5, where the geometric tail t_5 / (1 - 1) is not finite
         with pytest.raises(ConvergenceError, match="^no sum$"):
             hcseries._residue_sum(
-                1.0, lambda m: np.where(m < 5, 1e-20, 1.0), 1e-20, 1e-14,
-                "no sum")
+                1.0, lambda m: np.where(m < 5, 1e-20, 1.0), 1e-20, "no sum")
 
     @pytest.mark.parametrize("ratio", [1.0, math.nan])
     def test_term_cap(self, ratio):
         # a series whose terms never fall, or are NaN, ends at the cap
         with pytest.raises(ConvergenceError, match="^no sum$"):
             hcseries._residue_sum(1.0, lambda m: np.full(len(m), ratio),
-                                  0.5, 1e-14, "no sum")
+                                  0.5, "no sum")

@@ -2,6 +2,9 @@
 deliberate edit of this list."""
 
 import dataclasses
+import inspect
+
+import pytest
 
 import qmacdonald
 
@@ -40,3 +43,27 @@ def test_solution_fields_are_pinned():
     # are derived from spectral and params where they are needed
     assert [f.name for f in dataclasses.fields(qmacdonald.HCSolution)] == [
         "spectral", "params", "max_degree", "coeffs"]
+
+
+def test_params_fields_are_pinned():
+    # the truncation tolerance is qcore.DEFAULT_EPS, and the mode only
+    # chooses r in XRParams.from_qparams
+    assert [f.name for f in dataclasses.fields(qmacdonald.QParams)] == [
+        "q", "k"]
+    assert [f.name for f in dataclasses.fields(qmacdonald.XRParams)] == [
+        "x", "r"]
+
+
+SIGNATURES = {
+    qmacdonald.qpochhammer_inf: ["z", "q"],
+    qmacdonald.double_pochhammer: ["z", "p1", "p2"],
+    qmacdonald.fq: ["a", "b", "c", "z", "q"],
+    qmacdonald.qbinomial_series: ["a", "z", "q"],
+    qmacdonald.operators.conjugation_identity_residual: ["y", "p"],
+    qmacdonald.operators.gauge_transform_residual: ["z", "p"],
+}
+
+
+@pytest.mark.parametrize("func", list(SIGNATURES), ids=lambda f: f.__name__)
+def test_parameters_are_pinned(func):
+    assert list(inspect.signature(func).parameters) == SIGNATURES[func]

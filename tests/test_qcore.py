@@ -474,13 +474,6 @@ class TestParams:
         with pytest.raises(DomainError):
             XRParams.from_qparams(QParams(q=0.5, k=0.4), "C")
 
-    def test_xr_constructor_converts_mode(self):
-        xr = XRParams(0.5, 2.0, mode="B")
-        assert xr.mode is XRMode.B
-        assert xr == XRParams(0.5, 2.0, mode=XRMode.B)
-        with pytest.raises(DomainError):
-            XRParams(0.5, 2.0, mode="C")
-
 
 def _loop_pochhammer(z, q, eps=1e-14):
     """The term loop that the batched kernel replaced, kept as the oracle
@@ -540,7 +533,12 @@ class TestBatchedProductBits:
         for q, zs in _grid(seed, 12):
             want = [repr(_loop_pochhammer(z, q)) for z in zs]
             assert [repr(v) for v in _qpochhammers(zs, q)] == want
-            assert repr(qpochhammer_inf(zs[0], q)) == want[0]
+            # qpochhammer_inf raises where the loop's value is not finite
+            if cmath.isfinite(_loop_pochhammer(zs[0], q)):
+                assert repr(qpochhammer_inf(zs[0], q)) == want[0]
+            else:
+                with pytest.raises(ConvergenceError):
+                    qpochhammer_inf(zs[0], q)
 
     def test_rows_in_blocks(self):
         # 400 columns of about 3000 rows take several row blocks; the
@@ -656,9 +654,9 @@ class TestBatchedProductBits:
         loops = _count_loops(monkeypatch)
         kernel = qcore._qpochhammers
 
-        def recording(zs, q, eps=qcore.DEFAULT_EPS):
+        def recording(zs, q):
             before = len(loops)
-            out = kernel(zs, q, eps)
+            out = kernel(zs, q)
             calls.append((len(zs), len(loops) - before))
             return out
         monkeypatch.setattr(qcore, "_qpochhammers", recording)
