@@ -20,8 +20,9 @@ then lies within a stated multiple of eps L(P) of the recursion summed
 offset by offset, L(P) the scale of its step (_solve).
 Higher-order equations are verified numerically, not imposed.
 
-A solution holds its coefficients as one tuple in multi_indices order, so
-position j is the j-th multi-index and nothing else knows the key layout.
+A solution holds its coefficients as one tuple in table order, |p| <= N
+graded by |p| and lexicographic within a degree; only _columns and
+_stratum state that layout, and every reader takes it from them.
 A solution holds only what the solver computes; the closed-form leading
 coefficients are computed where they are asked for, as the JSON writer
 does.  Also holds JSON round-tripping and the residue-summation oracles
@@ -32,7 +33,7 @@ one point, and for the eigen residuals of eigen_residual and `verify`,
 in one call, one row or all n! basis elements at z and at the points
 z_I -> q z_I that D^m reads, which operators._shifts builds.  The ratios
 of every point in the zone are raised to the powers 0..N in one numpy
-power and read through the cached exponent columns of multi_indices
+power and read through the cached exponent columns in table
 order; the monomials of all points form one complex matrix, and the
 value and the moduli of the top two strata, which set the geometric tail
 estimate, are its contractions with the coefficient rows, which each
@@ -75,27 +76,28 @@ def default_depth(n: int) -> int:
 
 
 def multi_indices(n_vars: int, max_total: int):
-    """All p in Z_+^(n_vars) with |p| <= max_total, by increasing |p|."""
-    for total in range(max_total + 1):
-        for cuts in itertools.combinations(range(total + n_vars - 1),
-                                           n_vars - 1):
-            p = []
-            prev = -1
-            for c in cuts:
-                p.append(c - prev - 1)
-                prev = c
-            p.append(total + n_vars - 1 - prev - 1)
-            yield tuple(p)
+    """All p in Z_+^(n_vars) with |p| <= max_total, in table order: the
+    columns of _columns as tuples."""
+    return zip(*_columns(n_vars, max_total).tolist())
 
 
 @functools.cache
 def _columns(n_vars: int, max_total: int) -> np.ndarray:
-    """The exponent columns of multi_indices(n_vars, max_total) as one
-    read-only int array: row i holds p_i of every multi-index, in table
-    order."""
-    columns = np.array(tuple(zip(*multi_indices(n_vars, max_total))))
+    """The table as one read-only int array, column j the j-th p: the grid
+    positions with |p| <= max_total, lexicographic in row-major order,
+    stably sorted by |p|; only |p| is held per grid point."""
+    total = sum(np.indices((max_total + 1,) * n_vars, sparse=True))
+    flat = np.flatnonzero(total <= max_total)
+    flat = flat[np.argsort(total.ravel()[flat], kind="stable")]
+    columns = np.array(np.unravel_index(flat, total.shape))
     columns.setflags(write=False)
     return columns
+
+
+def _stratum(n_vars: int, D: int) -> slice:
+    """The positions of the multi-indices with |p| = D in _columns."""
+    return slice(math.comb(D + n_vars - 1, n_vars),
+                 math.comb(D + n_vars, n_vars))
 
 
 def _check_depth(N) -> int:
@@ -120,7 +122,7 @@ class HCSolution:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        size = math.comb(self.max_degree + self.n - 1, self.n - 1)
+        size = _stratum(self.n - 1, self.max_degree).stop
         if len(self.coeffs) != size:
             raise DomainError(
                 f"{len(self.coeffs)} coefficients for a table of {size} "
@@ -256,11 +258,10 @@ def _degree_loop(reach, src, weights, q_epr, q_kappa, den, c, t
     a[0] = 1.0
     parts = a.view(float)  # row P: the real and imaginary parts of a(P)
     for D in range(1, len(reach)):
-        lo, hi = math.comb(D + n - 2, n - 1), math.comb(D + n - 1, n - 1)
-        r = reach[D]
+        stratum, r = _stratum(n - 1, D), reach[D]
         step = max(1, _GATHER // (r * rows))
-        for start in range(lo, hi, step):
-            blk = slice(start, min(start + step, hi))
+        for start in range(stratum.start, stratum.stop, step):
+            blk = slice(start, min(start + step, stratum.stop))
             y = np.einsum("kd,dx->kx", weights[:, :r],
                           parts[src[:r, blk]].reshape(r, -1))
             np.divide(np.einsum("kpr,kpr->pr", coef[:, blk],
@@ -418,9 +419,8 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
         summed.append((j, pt, rho_max))
         ratios += rs
     columns = _columns(n - 1, N)
-    M = columns.shape[1]
-    mid = M - math.comb(N + n - 2, n - 2)  # entries with |p| = N from mid on
-    start = mid - math.comb(N + n - 3, n - 2) if N else mid
+    mid = _stratum(n - 1, N).start  # entries with |p| = N from mid on
+    start = _stratum(n - 1, max(N - 1, 0)).start  # and N - 1 from start
     coeffs = np.array([sol._row for sol in sols]).T  # (M, rows)
     # a power past the float range and inf * 0 become non-finite values,
     # checked in _result

@@ -13,7 +13,7 @@ import operator
 import numpy as np
 
 from .errors import DomainError, ResonanceError
-from .hcseries import solve_coefficients
+from .hcseries import multi_indices, solve_coefficients
 from .operators import (LaurentPoly, SpectralData, _action, _symmetrize,
                         dominance_ideal, eigenvalue_c)
 from .qcore import QParams, _cpow
@@ -107,6 +107,6 @@ def degeneration_check(m: int, p: QParams) -> float:
     s = SpectralData.make(lam, p)
     sol = solve_coefficients(s, p, N=m)
     poly = LaurentPoly(2)
-    for j, a in enumerate(sol.coeffs):  # position j holds p = (j,) at n = 2
+    for (j,), a in zip(multi_indices(1, m), sol.coeffs):
         poly[(j, m - j)] = a
     return poly.max_abs_diff(macdonald_a1(m, p))

@@ -278,10 +278,13 @@ def _qq_inf(q: float) -> complex:
 
 
 def qgamma(a: complex, q: float) -> complex:
-    """Gamma_q(a) = (q;q)_inf (1-q)^(1-a) / (q^a;q)_inf."""
+    """Gamma_q(a) = (q;q)_inf (1-q)^(1-a) / (q^a;q)_inf; DomainError for
+    an a that is not finite."""
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise DomainError(f"exponent {a} is not finite")
     m = _is_nonpositive_qinteger(a, q)
     if m is not None:
         raise PoleError(f"Gamma_q pole at a ~ {-m}", location=-m)
@@ -479,15 +482,19 @@ def bracket_v(v: complex, xr: XRParams) -> complex:
 def _brackets(vs, xr: XRParams) -> list:
     """[v] for each v in vs, or in its place the exception the formula
     raises first there: that of the power x^(v^2/r - v), then that of the
-    theta argument x^(2v), then that of theta.  Every theta value comes
-    from one call of _theta_values, which is bit for bit theta one
-    argument at a time."""
+    theta argument x^(2v), which also fails where it underflows to 0,
+    then that of theta.  Every theta value comes from one call of
+    _theta_values, which is bit for bit theta one argument at a time."""
     x, r = xr.x, xr.r
     base = x ** (2.0 * r)
     parts = []  # (power, theta argument) per v, or the error of a power
     for v in vs:
         try:
-            parts.append((_cpow(x, v * v / r - v), _cpow(x, 2.0 * v)))
+            power, arg = _cpow(x, v * v / r - v), _cpow(x, 2.0 * v)
+            if arg == 0:  # x^(2v) is never 0 in exact arithmetic
+                raise DomainError(f"{x:.6g}**{2.0 * v:.6g} underflows the "
+                                  "floating-point range")
+            parts.append((power, arg))
         except (DomainError, ValueError) as exc:  # from _cpow or cmath.exp
             parts.append(exc)
     thetas = iter(_theta_values(
@@ -523,9 +530,9 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float) -> complex:
     Terminating cases (q^a or q^b a nonpositive q-integer q^(-m)) are
     summed exactly to their last term z^m; otherwise |z| < 1 is required
     and the sum ends at a term below DEFAULT_EPS max(1, |sum|).  A pole
-    (q^c = q^(-j)) before the last term raises PoleError, an a, b or c of
-    non-finite real part DomainError, and a sum that is not finite
-    ConvergenceError.
+    (q^c = q^(-j)) before the last term raises PoleError, an a, b, c or z
+    that is not finite DomainError unless the sum has no term, and a sum
+    that is not finite ConvergenceError.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")
@@ -538,6 +545,10 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float) -> complex:
     if pole is not None and (last is None or pole < last):
         raise PoleError("F_q pole: c + j hits a nonpositive integer",
                         location=pole)
+    # a sum of no terms is 1 whatever the other arguments hold
+    if last != 0 and not all(map(cmath.isfinite, (a, b, c, z))):
+        raise DomainError(f"F_q at a = {a}, b = {b}, c = {c}, z = {z}: an "
+                          f"argument is not finite")
     qa = _cpow(q, a)
     qb = _cpow(q, b)
     qc = _cpow(q, c)
@@ -561,10 +572,15 @@ def fq(a: complex, b: complex, c: complex, z: complex, q: float) -> complex:
 
 def qbinomial_series(a: complex, z: complex, q: float) -> complex:
     """(q^a z; q)_inf / (z; q)_inf summed as the q-binomial series, to a
-    term below DEFAULT_EPS max(1, |sum|)."""
+    term below DEFAULT_EPS max(1, |sum|).  DomainError for |z| >= 1 and
+    for a q^a or z that is not finite."""
     if abs(z) >= 1.0:
         raise DomainError(f"q-binomial series requires |z| < 1, got |z|={abs(z)}")
     qa = _cpow(q, a)
+    # q^a is finite at a = +inf, where the series is that of 1/(z;q)_inf
+    if not (cmath.isfinite(qa) and cmath.isfinite(z)):
+        raise DomainError(f"q-binomial series at q^a = {qa}, z = {z}: an "
+                          f"argument is not finite")
     qj = 1.0
     term = complex(1.0)
     total = complex(1.0)

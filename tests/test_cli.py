@@ -85,6 +85,16 @@ class TestSolve:
         _, out2 = run_cli(capsys, "solve", "--lambda", "0.27,-0.27", "--N", "6")
         assert out1 == out2
 
+    def test_deep_solve_names_the_first_coefficient_out_of_range(self, capsys):
+        # the table of 100,001 multi-indices is built before the solve,
+        # which then fails where the coefficients leave the float range
+        code, out = run_cli(capsys, "solve", "--lambda=0.3,-0.3",
+                            "--N", "100000")
+        assert code == 4
+        assert json.loads(out)["error"]["message"] == (
+            "series coefficient at p=(1024,) is not finite at q = 0.5, "
+            "w = (0, 1)")
+
 
 class TestEval:
     def test_points(self, capsys):

@@ -19,7 +19,8 @@ from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
                         solve_coefficients)
 from qmacdonald import hcseries
 from qmacdonald.hcseries import (_columns, _eigen_residuals, _stencil,
-                                 _weights, default_depth, multi_indices,
+                                 _stratum, _weights, default_depth,
+                                 multi_indices,
                                  solution_from_dict,
                                  solution_to_dict,
                                  integral_rep_fq_reference,
@@ -1035,13 +1036,41 @@ class TestCoefficientLayout:
         with pytest.raises(dataclasses.FrozenInstanceError):
             sol.max_degree = 2
 
+    @staticmethod
+    def _grid(n):
+        return (0, 1, 7, default_depth(n)) + ((2000,) if n == 2 else ())
+
+    @staticmethod
+    def _reference(n_vars, max_total):
+        """The table as the solver first built it: for each |p| by
+        increasing degree, the cuts of itertools.combinations, which
+        come in lexicographic order of p."""
+        for total in range(max_total + 1):
+            for cuts in itertools.combinations(range(total + n_vars - 1),
+                                               n_vars - 1):
+                edges = (-1,) + cuts + (total + n_vars - 1,)
+                yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_columns_are_the_multi_indices(self, n):
-        for N in (0, 1, 7, default_depth(n)):
-            assert (tuple(map(tuple, _columns(n - 1, N).tolist()))
-                    == tuple(zip(*multi_indices(n - 1, N))))
+        for N in self._grid(n):
+            reference = tuple(self._reference(n - 1, N))
+            assert tuple(zip(*_columns(n - 1, N).tolist())) == reference
+            assert tuple(multi_indices(n - 1, N)) == reference
         # kept for every (n, N) in use: verify alone meets about 80
         assert _columns.cache_info().maxsize is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_strata_tile_the_table(self, n):
+        for N in self._grid(n):
+            columns = _columns(n - 1, N)
+            stop = 0
+            for D in range(N + 1):
+                stratum = _stratum(n - 1, D)
+                assert stratum.start == stop < stratum.stop
+                assert (columns[:, stratum].sum(axis=0) == D).all()
+                stop = stratum.stop
+            assert stop == columns.shape[1]
 
     def test_row_is_a_read_only_copy(self, p):
         sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=4)
