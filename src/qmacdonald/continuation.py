@@ -12,12 +12,14 @@ are evaluated at the concrete ratio z_i/z_{i+1} with principal branches;
 evaluation points in tests keep arguments well away from the cut.
 
 A braid computation first forms every crossing it needs, with its
-checks and its nine theta arguments, then computes all those theta
-values in one batch (qcore._theta_values) and assembles the matrices
-from that table.  The table holds, for each argument, its value or the
-exception theta raises there, which a lookup raises.  The entries are
-bit for bit those of qcore.theta, and an error is the one the crossings
-taken one at a time would raise first.
+checks and its nine theta arguments, then computes the log theta of all
+those arguments in one batch (qcore._log_theta_values) and assembles the
+matrices from that table.  The table holds, for each argument, its log
+theta or the exception that rejects it, which a lookup raises, so an
+error is the one the crossings taken one at a time would raise first.
+Each entry is one exp of its theta quotients' logs and its powers' logs,
+so it stays finite near q = 1 and far from ratio 1, where the thetas
+themselves leave the float range.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +36,8 @@ from .errors import (ConvergenceError, DomainError, PoleError,
                      ResonanceError, ZoneError)
 from .operators import SpectralData
 from .qcore import (QParams, XRParams, _brackets, _checked, _cpow,
-                    _theta_values, fq, g1, qgamma, qpochhammer_inf, theta)
+                    _log_theta_ratio, _log_theta_values, _theta_ratio, fq,
+                    g1, qgamma, qpochhammer_inf)
 
 _RESONANCE_TOL = 1e-10
 
@@ -70,7 +72,7 @@ def fq_connection(a: complex, b: complex, c: complex, z: complex,
         if abs(coeff) == 0.0:
             return 0.0
         return (qgamma(c, q) * coeff / qgamma(c - a1, q)
-                * theta(_cpow(q, a1) * z, q) / theta(z, q)
+                * _theta_ratio(_cpow(q, a1) * z, z, a1, q)
                 * fq(a1, a1 - c + 1.0, a1 - b1 + 1.0, zi, q))
 
     rhs = half(a, b) + half(b, a)
@@ -120,17 +122,16 @@ def _theta_vanishes(x: complex, base: float) -> bool:
 
 
 def _theta_table(q: float, args) -> dict:
-    """{x: theta(x, q), or the exception theta raises there} for the
-    arguments args of one call of braid_matrix, braid_action or
-    verify_braid_relations, from one batch of qcore._theta_values; each
-    distinct argument is computed once, and of equal arguments the first
-    is the key."""
+    """{x: the _log_theta_values entry of x in base q} for the arguments
+    args of one call of braid_matrix, braid_action or
+    verify_braid_relations, from one batch; each distinct argument is
+    computed once, and of equal arguments the first is the key."""
     xs = list(dict.fromkeys(args))
-    return dict(zip(xs, _theta_values(xs, q)))
+    return dict(zip(xs, _log_theta_values(xs, q)))
 
 
 class _Crossing(NamedTuple):
-    """What braid_matrix computes before its theta values: zeta =
+    """What braid_matrix computes before its thetas: zeta =
     z_i/z_{i+1}, d = eta_{i+1} - eta_i and the nine theta arguments, in
     the order the entries look them up."""
 
@@ -154,22 +155,22 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
         diag = Theta(q^k)/Theta(q^(ed)) Theta(q^(ed) u)/Theta(q^k u) zeta^(k-ed)
         off  = q^(-ked) Theta(q^(k-ed))/Theta(q^(-ed)) Theta(u)/Theta(q^k u) zeta^k
 
-    so the matrix takes nine distinct theta values: Theta(q^k),
-    Theta(q^(+-d)), Theta(q^(+-d) u), Theta(q^k u), Theta(u) and
-    Theta(q^(k-+d)).  They come from a table of theta values keyed by
-    their argument and filled in one batch, so every entry is
-    bit-identical to the formula evaluated with qcore.theta.
-    ResonanceError is raised when a denominator theta vanishes,
-    ConvergenceError when one underflows near q = 1, and ZoneError when a
-    theta argument is too far from 1 for floating point.
+    so the matrix takes nine distinct thetas: Theta(q^k), Theta(q^(+-d)),
+    Theta(q^(+-d) u), Theta(q^k u), Theta(u) and Theta(q^(k-+d)).  Their
+    logs come from a table keyed by their argument and filled in one
+    batch, and each entry is the exp of a sum of theta quotients' logs
+    (qcore._log_theta_ratio) and powers' logs.  ResonanceError is raised
+    when a denominator theta vanishes, ZoneError when a theta argument is
+    too far from 1 for floating point, and ConvergenceError when an entry
+    is not finite.
     """
     c = _crossing(s, i, z, p)
-    return _braid_entries(c, p, _theta_table(p.q, c.args))
+    return _braid_entries(c, p, _theta_table(p.q, c.args), {})
 
 
 def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
-    """The checks of braid_matrix that come before its theta values, and
-    the arguments of those values."""
+    """The checks of braid_matrix that come before its thetas, and the
+    arguments of those thetas."""
     n = s.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"i must lie in 1..{n - 1}")
@@ -193,23 +194,39 @@ def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
                                      _cpow(q, -d + k), _cpow(q, d + k)))
 
 
-def _braid_entries(c: _Crossing, p: QParams, table: dict) -> ConnectionMatrix:
-    """The braid matrix of the crossing c, its theta values from table;
-    a rejected theta raises its error where it is looked up."""
-    zeta, d, q, k = c.zeta, c.d, p.q, p.k
+def _braid_entries(c: _Crossing, p: QParams, table: dict,
+                   quotients: dict) -> ConnectionMatrix:
+    """The braid matrix of the crossing c, its log thetas from table; a
+    rejected theta raises its error, the first in the order of c.args.
+    Each log theta quotient is formed once per call and kept in
+    quotients under its two arguments and its exponent a, since the
+    crossings of one call share most of them (40 distinct of 147 in an
+    n = 3 braid check).  ConvergenceError where an entry overflows."""
+    zeta, d, k = c.zeta, c.d, p.k
+    eps = -math.log(p.q)
+    for x in c.args:
+        _checked(table[x])
     qk, qd, qmd, u, qku, qdu, qmdu, qkmd, qkpd = c.args
-    th = table.__getitem__
-    th_k, th_d, th_md = _checked(th(qk)), _checked(th(qd)), _checked(th(qmd))
-    th_u, th_ku = _checked(th(u)), _checked(th(qku))
-    if min(abs(th_d), abs(th_md), abs(th_ku)) < sys.float_info.min:
-        raise ConvergenceError("theta denominators underflow near q = 1")
-    zeta_k = _cpow(zeta, k)
-    diag0 = th_k / th_d * _checked(th(qdu)) / th_ku * _cpow(zeta, -d + k)
-    diag1 = th_k / th_md * _checked(th(qmdu)) / th_ku * _cpow(zeta, d + k)
-    off0 = (_cpow(q, -k * d) * _checked(th(qkmd)) / th_md * th_u / th_ku
-            * zeta_k)
-    off1 = (_cpow(q, k * d) * _checked(th(qkpd)) / th_d * th_u / th_ku
-            * zeta_k)
+
+    def ratio(x1, x2, a):  # log Theta(x1) / Theta(x2), x1 = q^a x2
+        value = quotients.get((x1, x2, a))
+        if value is None:
+            value = quotients[x1, x2, a] = _log_theta_ratio(
+                table[x1], table[x2], a, eps)
+        return value
+    log_zeta = cmath.log(zeta)
+    u_ku = ratio(u, qku, -k) + k * log_zeta
+    try:
+        diag0, off0, off1, diag1 = map(cmath.exp, (
+            ratio(qk, qd, k - d) + ratio(qdu, qku, d - k)
+            + (k - d) * log_zeta,
+            k * d * eps + ratio(qkmd, qmd, k) + u_ku,
+            -k * d * eps + ratio(qkpd, qd, k) + u_ku,
+            ratio(qk, qmd, k + d) + ratio(qmdu, qku, -d - k)
+            + (k + d) * log_zeta))
+    except OverflowError:
+        raise ConvergenceError("a braid matrix entry is not finite in "
+                               "floating point") from None
     return ConnectionMatrix(
         i=c.i, w=c.s.w, ratio=zeta,
         entries=[[diag0, off0], [off1, diag1]],
@@ -220,7 +237,7 @@ def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
     """The full n!-dimensional continuation matrix for wall i, on the basis
     of solutions ordered as in s_list (a list of SpectralData sharing lam).
 
-    Its 2x2 blocks share one table of theta values, filled in one batch,
+    Its 2x2 blocks share one table of log thetas, filled in one batch,
     so each distinct theta argument is computed once and every entry
     equals braid_matrix's, bit for bit."""
     return _braid_actions(s_list, [(i, z)], p)[0]
@@ -228,7 +245,7 @@ def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
 
 def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
     """braid_action(s_list, i, z, p) for each (i, z) of walls, in order,
-    with one theta table for all their blocks.
+    with one table of log thetas for all their blocks.
 
     The crossings of all blocks are formed first, up to the first error
     one raises.  The blocks before it are assembled from one table, and
@@ -256,9 +273,10 @@ def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
     except Exception as exc:  # raised again after the blocks before it
         error = exc
     table = _theta_table(p.q, [x for _, c in blocks for x in c.args])
+    quotients = {}
     out = [np.zeros((dim, dim), dtype=complex) for _ in walls]
     for (m, j, j2), c in blocks:
-        cm = _braid_entries(c, p, table)
+        cm = _braid_entries(c, p, table, quotients)
         M = out[m]
         M[j, j], M[j, j2] = cm.entries[0]
         M[j2, j], M[j2, j2] = cm.entries[1]
@@ -274,7 +292,7 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
     reduced words of the longest element and compares the products; for
     any n checks that crossing wall 1 forth and back is the identity.
     Returns a report with the max deviations.  All the braid_action
-    matrices share one table of theta values, filled in one batch: the
+    matrices share one table of log thetas, filled in one batch: the
     points differ only by transpositions, so their theta arguments
     repeat, and each is computed once with entries bit-identical to
     braid_action's.  The wall-1 matrix M1 at z, the first factor of the

@@ -63,8 +63,8 @@ from .errors import (ConvergenceError, DomainError, NondegeneracyError,
 from .operators import (SpectralData, _finite_image, _shifts, _weighted_points,
                         _weighted_sum, eigenvalue_c)
 from .qcore import (DEFAULT_EPS, QParams, XRMode, _checked, _cpow,
-                    _qpochhammers, _qq_inf, _xr_mode, fq, qgamma,
-                    qpochhammer_inf, theta)
+                    _qpochhammers, _qq_inf, _theta_ratio, _xr_mode, fq,
+                    qgamma, qpochhammer_inf)
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
@@ -553,8 +553,8 @@ def residue_integral_prop6(n_pow: int, lam12: complex, p: QParams) -> complex:
     t_(m+1) = t_m q^(l21+n+k) (1 - q^(m+1-k)) / (1 - q^(m+1)), summed by
     _residue_sum, times the m = 0 prefactor q^((1-k)n/2)
     _residue_base(l21).  ConvergenceError where the series diverges, and
-    near q = 1 where the theta denominator of _residue_base underflows
-    (from about q = 0.995 at k = 0.4)."""
+    near q = 1 where the q-products of _residue_base underflow (from
+    about q = 0.9977 at k = 0.4)."""
     q, k = p.q, p.k
     l21 = -complex(lam12)
     pref = _cpow(q, (1.0 - k) / 2.0 * n_pow) * _residue_base(l21, p)
@@ -622,8 +622,8 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
     with the y/z2 kernel kern = (xb;q)_inf/(xc;q)_inf taken once at
     m = 0, summed by _residue_sum.  DomainError at z2 = 0 unless z1 = 0;
     ConvergenceError where the series diverges, and near q = 1 where the
-    theta denominator of _residue_base underflows (from about q = 0.995
-    at k = 0.4).
+    q-products of _residue_base underflow (from about q = 0.9977 at
+    k = 0.4).
     """
     q, k = p.q, p.k
     l1, l2 = complex(lam[0]), complex(lam[1])
@@ -658,13 +658,15 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
 
 def _residue_base(a: complex, p: QParams) -> complex:
     """Theta_q(q^(a+k)) / Theta_q(q^k) * (q^k;q)_inf / (q;q)_inf, the
-    m = 0 factor of both residue series.  ConvergenceError where the
-    theta denominator underflows near q = 1."""
+    m = 0 factor of both residue series, the theta quotient in closed
+    form (qcore._theta_ratio).  ConvergenceError where (q^k;q)_inf or
+    (q;q)_inf underflows near q = 1."""
     q, k = p.q, p.k
-    num, den = theta(_cpow(q, a + k), q), theta(q ** k, q)
-    if abs(den) < sys.float_info.min:
-        raise ConvergenceError("theta denominator underflows near q = 1")
-    return num / den * (qpochhammer_inf(q ** k, q) / _qq_inf(q))
+    qk, qq = qpochhammer_inf(q ** k, q), _qq_inf(q)
+    if min(abs(qk), abs(qq)) < sys.float_info.min:
+        raise ConvergenceError("(q^k;q)_inf / (q;q)_inf underflows near "
+                               "q = 1")
+    return _theta_ratio(_cpow(q, a + k), q ** k, a, q) * (qk / qq)
 
 
 def _residue_sum(first: complex, ratio, limit: float, message: str) -> complex:
@@ -759,15 +761,21 @@ def solution_from_dict(doc: dict) -> HCSolution:
     """The solution a solution_to_dict document describes.  Each entry of
     "coeffs" goes to the position of its "p" in multi_indices order, and
     every p of the table must occur exactly once.  DomainError for a
-    missing key, a value of the wrong type, a "p" that is missing,
-    repeated or outside the table, or a(0) other than exactly 1.  The
-    derived keys "prefactor_exponent" and "leading_coefficient_mode*" are
-    not read."""
+    missing key, a value of the wrong type, a count of "coeffs" other
+    than the table's size (checked before the table is built), a "p"
+    that is missing, repeated or outside the table, or a(0) other than
+    exactly 1.  The derived keys "prefactor_exponent" and
+    "leading_coefficient_mode*" are not read."""
     try:
         p = QParams(q=doc["q"], k=doc["k"])
         lam = tuple(complex(re, im) for re, im in doc["lambda"])
         s = SpectralData(n=doc["n"], lam=lam, w=tuple(doc["w"]), k=p.k)
         N = _check_depth(doc["N"])
+        size = _stratum(s.n - 1, N).stop
+        if len(doc["coeffs"]) != size:
+            raise DomainError(f"the table of {s.n - 1} variables with "
+                              f"|p| <= {N} has {size} multi-indices, the "
+                              f"document {len(doc['coeffs'])} coefficients")
         position = {key: j for j, key in enumerate(multi_indices(s.n - 1, N))}
         coeffs = [None] * len(position)
         for entry in doc["coeffs"]:

@@ -1,41 +1,22 @@
-"""Scalar q-special-function kernel.
+"""Scalar q-special-function kernel: infinite q-products, the q-Gamma
+and Theta functions, double (two-base) products, the bracket function,
+vertex contraction kernels and the basic q-hypergeometric series, each a
+pure function of its arguments, truncated deterministically.
 
-Infinite q-products, the q-Gamma and Theta functions, double (two-base)
-products, the bracket function, vertex contraction kernels and the basic
-q-hypergeometric series.  Everything here is a pure function of its
-arguments; all products/series are truncated deterministically, the
-q-products with a first-order analytic tail correction.  An infinite
-product's truncation length is computed from logs before it is formed,
-so the term cap is checked without running to it, and (q;q)_inf is
-computed once per base q and shared by every theta and q-Gamma value in
-that base.
+Every (z;q)_inf comes from one batched kernel, _qpochhammers (the term
+loop for a small batch, numpy accumulations for a large one, bit for
+bit alike), with an argument's error held in its place for _checked to
+raise.  A double product is its leading rows, q-products, times the
+corner below them as exp of its log series (Gasper and Rahman, Basic
+Hypergeometric Series, ch. 1).
 
-Every (z;q)_inf comes from one kernel, _qpochhammers, which takes one of
-two engines by the size of its batch.  A batch of at most _LOOP_FACTORS
-factors in all runs the term loop in Python, as a numpy pass costs more
-than that many factors.  A larger batch is the columns of one array: z
-q^i and the running product of the factors 1 - z q^i are each one
-np.multiply.accumulate down its rows, and each column reads the row of
-its own truncation length.  accumulate multiplies row by row with the
-scalar complex product, the formula CPython uses, so either engine is
-bit for bit the one-at-a-time loop; numpy's elementwise complex multiply
-may fuse a multiply-add on CPUs with FMA and is not.  An argument the
-kernel rejects, at the term cap say, leaves its exception in its
-column on either engine, so it fails only itself; qpochhammer_inf, the
-kernel with one column, raises it.  kernel_s and kernel_t take their two
-products in one call.  In the same way _theta_values holds every check
-and value of theta for a batch of arguments, each value or its
-exception, and theta is it with one argument; a braid computation takes
-all its theta values from one call, and _brackets takes the brackets [v]
-of a batch from one such call.
-
-A double product (z; p1, p2)_inf is its few leading rows
-(z p1^i; p2)_inf, those with |z p1^i| >= _RHO, times the corner
-(w; p1, p2)_inf below them, w = z p1^rows, taken as exp of its
-convergent log series -sum_m w^m / (m (1-p1^m)(1-p2^m)) (Gasper and
-Rahman, Basic Hypergeometric Series, ch. 1).  The rows of a batch go
-through one _qpochhammers call and the corners through one numpy pass,
-so memory stays within a few blocks of rows as q -> 1.
+Theta takes no q-product.  _log_theta_values gives log Theta from
+Jacobi's imaginary transformation, a Gaussian sum of a few terms at any
+q, and theta is its exp.  A quotient of thetas with arguments q^a apart
+(braid matrices, residue bases, the connection of F_q) is the exp of a
+difference of logs whose quadratic parts cancel in closed form
+(_log_theta_ratio), and a bracket [v] is one exp of its power and log
+theta, so they stay finite where the thetas leave the float range.
 
 Conventions: 0 < q < 1 throughout, complex powers use the principal
 branch, and theta functions always carry their base explicitly.
@@ -58,24 +39,18 @@ DEFAULT_EPS = 1e-14
 _POLE_TOL = 1e-10
 _MAX_TERMS = 200_000
 _BLOCK = 4096  # a row block of _qpochhammers holds 4 * _BLOCK entries
-# A double product takes its rows with |z p1^i| >= _RHO as q-products
-# and the corner below them as a log series in w = z p1^rows.  The series
-# falls like _RHO^m, so at 1/2 it ends within about 50-60 terms at
-# DEFAULT_EPS; a smaller _RHO adds rows, each a q-product of hundreds of
-# factors near q = 1, and one nearer 1 adds terms without bound.
+# A double product's corner series, |w| < _RHO, ends within 50-60 terms
+# at 1/2; a smaller _RHO adds rows of hundreds of factors near q = 1.
 _RHO = 0.5
-# A _qpochhammers call with at most this many factors in all takes the
-# term loop in Python, at about 0.17-0.2 us a factor; a numpy pass costs
-# about 20-27 us, and 1.5-2 us more a column, so on 1, 2 and 4 columns the
-# two meet at 120-150 factors (x86-64, Python 3.11, numpy 2.4).
+# Below this many factors in all the Python term loop (0.17-0.2 us a
+# factor) beats a numpy pass (20-27 us, 1.5-2 us a column; x86-64,
+# Python 3.11, numpy 2.4).
 _LOOP_FACTORS = 128
 
 
 def _cpow(base: complex, expo: complex) -> complex:
-    """Principal-branch power, with 0**0 = 1.
-
-    DomainError when the power leaves the floating-point range.
-    """
+    """Principal-branch power, with 0**0 = 1; DomainError when it
+    leaves the floating-point range."""
     if base == 0:
         return 1.0 if expo == 0 else 0.0
     try:
@@ -87,11 +62,7 @@ def _cpow(base: complex, expo: complex) -> complex:
 
 @dataclass(frozen=True)
 class QParams:
-    """Base parameters q, k with t = q**k derived.
-
-    q and k are real in (0,1).  The infinite products and series built
-    on top of these parameters truncate at DEFAULT_EPS.
-    """
+    """Base parameters q, k, real in (0,1), with t = q**k derived."""
 
     q: float
     k: float
@@ -151,13 +122,10 @@ class XRParams:
 
 
 def qpochhammer_inf(z: complex, q: float) -> complex:
-    """(z; q)_inf = prod_{i>=0} (1 - z q^i).
-
-    Keeps the factors with |z q^i| >= DEFAULT_EPS, whose number is known
-    from logs up front, then corrects by the first-order tail
-    exp(-z q^terms/(1-q)) ~ prod of the remaining factors.
-    ConvergenceError at the term cap and for a z or product not finite.
-    """
+    """(z; q)_inf = prod_{i>=0} (1 - z q^i): the factors with
+    |z q^i| >= DEFAULT_EPS, counted from logs, times the first-order tail
+    exp(-z q^terms/(1-q)).  ConvergenceError at the term cap and for a z
+    or product not finite."""
     if not abs(q) < 1.0:
         raise DomainError(f"|q| must be < 1 for (z;q)_inf, got q={q}")
     value = _checked(_qpochhammers((z,), q)[0])
@@ -167,8 +135,7 @@ def qpochhammer_inf(z: complex, q: float) -> complex:
 
 
 def _checked(value):
-    """value, unless a batch left the exception of its argument in its
-    place: then that exception is raised."""
+    """value, or the exception a batch left in its place, raised."""
     if isinstance(value, Exception):
         raise value
     return value
@@ -185,16 +152,13 @@ def _qpochhammers(zs, q: float) -> list:
     ConvergenceError at the term cap and for a |z| that is NaN, inf or
     past the float range.
 
-    A call whose factors total at most _LOOP_FACTORS runs that loop
-    itself, since a numpy pass has a fixed cost of many factors.  Above
-    it the zs are the columns of one array: np.multiply.accumulate down
-    its rows takes zq = z q^i, and a second one the running product of
-    the factors 1 - zq; column j reads the row of its own truncation
-    length, and the tail stays in Python.  accumulate multiplies each row
-    by the one before it with the scalar complex product, as CPython
-    does, so no fused multiply-add changes a bit.  Rows go in blocks of
-    at most _BLOCK * 4 entries (256 KB of complex128 per array), so
-    memory stays bounded as q -> 1.
+    A call of at most _LOOP_FACTORS factors in all runs that loop.  Above
+    it the zs are the columns of one array: one np.multiply.accumulate
+    down its rows takes zq = z q^i, a second the running product of the
+    1 - zq, and column j reads the row of its own length.  accumulate
+    multiplies rows with the scalar complex product, as CPython does, so
+    no fused multiply-add changes a bit.  Rows go in blocks of at most
+    _BLOCK * 4 entries, so memory stays bounded as q -> 1.
     """
     terms = []
     for z in zs:
@@ -255,10 +219,8 @@ def _modulus(z: complex) -> float:
 
 
 def _terms(az: float, q: float, eps: float) -> int:
-    """The number of factors with |z q^i| >= eps in (z;q)_inf, |z| = az.
-
-    ConvergenceError at the term cap, and for NaN or inf az.
-    """
+    """The number of factors with |z q^i| >= eps in (z;q)_inf, |z| = az;
+    ConvergenceError at the term cap, and for NaN or inf az."""
     if az < eps:
         terms = 0
     elif q == 0:
@@ -273,7 +235,7 @@ def _terms(az: float, q: float, eps: float) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _qq_inf(q: float) -> complex:
-    """(q;q)_inf, shared by every theta and q-Gamma value in base q."""
+    """(q;q)_inf, shared by every q-Gamma value in base q."""
     return qpochhammer_inf(q, q)
 
 
@@ -295,61 +257,103 @@ def qgamma(a: complex, q: float) -> complex:
 
 
 def theta(z: complex, q: float) -> complex:
-    """Theta_q(z) = (z;q)_inf (q/z;q)_inf (q;q)_inf.
+    """Theta_q(z) = (z;q)_inf (q/z;q)_inf (q;q)_inf, the exp of its
+    _log_theta_values entry.  c^2 / (2 eps) dominates near q = 1, so c's
+    rounding (two sums, and pi - math.pi) enters it to first order.
+    ConvergenceError where |Theta| leaves the normal float range."""
+    c, s = _checked(_log_theta_values((z,), q)[0])
+    eps, w = -math.log(q), cmath.log(z)
+    turn = math.copysign(math.pi, w.imag)
+    big, small = sorted((0.5 * eps, w.real), key=abs, reverse=True)
+    # the exact rounding errors of c's two sums (Dekker's fast two-sum)
+    low = complex(small - (c.real - big), w.imag - (c.imag + turn)
+                  - math.copysign(1.2246467991473532e-16, w.imag))
+    value = _exp(c * (c + 2.0 * low) / (2.0 * eps) + s, f"Theta_q({z})")
+    if abs(value) < sys.float_info.min:
+        raise ConvergenceError(f"Theta_q({z}) underflows the float range")
+    return value
 
-    ConvergenceError when the product leaves the floating-point range,
-    as it does for |z| or |q/z| far above 1.
+
+def _log_theta_values(xs, q: float) -> list:
+    """log Theta_q(x) = c^2 / (2 eps) + s, eps = -log q, as the pair
+    (c, s) for each x in xs, or in its place the exception that rejects
+    x: DomainError at x = 0 and for q outside (0,1), ConvergenceError for
+    an x that is not finite.
+
+    Poisson summation of Jacobi's triple product sum_n (-1)^n
+    q^(n(n-1)/2) x^n gives sqrt(2 pi / eps) sum_m exp((b - 2 pi i m)^2 /
+    (2 eps)), b = eps/2 + log x + i pi (Gasper and Rahman, (1.6.1);
+    Whittaker and Watson, 21.51).  c is b moved to |Im c| <= pi and
+    s = log(2 pi / eps) / 2 + log S, S = sum_m exp(((c - 2 pi i m)^2 -
+    c^2) / (2 eps)), whose term m is at most exp(-2 pi^2 |m|(|m|-1) / eps):
+    S keeps |m| <= M, the first left out below float eps (M <= 2, q >= 0.3).
     """
-    return _checked(_theta_values((z,), q)[0])
-
-
-def _theta_values(xs, q: float) -> list:
-    """theta(x, q) for each x in xs, or in its place the exception that
-    rejects x: DomainError at x = 0 and for q outside (0,1), the error of
-    (x;q)_inf, (q/x;q)_inf or (q;q)_inf, in that order, and
-    ConvergenceError for a value that is not finite.  Every x and q/x
-    go through one call of _qpochhammers."""
-    live = [x for x in xs if x != 0] if 0.0 < q < 1.0 else []
-    products = _qpochhammers([*live, *(q / x for x in live)], q)
-    factors = zip(products, products[len(live):])
-    qq = None
-    if live:
-        try:
-            qq = _qq_inf(q)
-        except ConvergenceError as exc:  # (q;q)_inf is at the term cap
-            qq = exc
+    if not 0.0 < q < 1.0:
+        return [DomainError(f"q must lie in (0,1), got {q}") if x != 0
+                else DomainError("Theta_q is not defined at z = 0")
+                for x in xs]
+    eps = -math.log(q)
+    need = eps * -math.log(sys.float_info.epsilon) / (2.0 * math.pi ** 2)
+    width = max(1, math.ceil(math.sqrt(0.25 + need) - 0.5))  # M
+    half = 0.5 * math.log(2.0 * math.pi / eps)
+    steps = [(2.0 * math.pi * m / eps, math.pi * m)
+             for m in range(1, width + 1)]
     out = []
     for x in xs:
         if x == 0:
-            value = DomainError("Theta_q is not defined at z = 0")
-        elif not 0.0 < q < 1.0:
-            value = DomainError(f"q must lie in (0,1), got {q}")
+            out.append(DomainError("Theta_q is not defined at z = 0"))
+        elif not cmath.isfinite(x):
+            out.append(ConvergenceError(
+                f"Theta_q({x}) is not finite in floating point"))
         else:
-            a, b = next(factors)
-            value = next((v for v in (a, b, qq) if isinstance(v, Exception)),
-                         None)
-            if value is None:
-                value = a * b * qq
-                if not cmath.isfinite(value):
-                    value = ConvergenceError(
-                        f"Theta_q({x}) is not finite in floating point")
-        out.append(value)
+            w = cmath.log(x)  # theta forms the same c from the same w
+            re = 0.5 * eps + w.real
+            im = w.imag - math.copysign(math.pi, w.imag)
+            total = 1.0
+            for f, pi_m in steps:  # the terms m and -m of S
+                total += (cmath.exp(complex(f * (im - pi_m), -f * re))
+                          + cmath.exp(complex(-f * (im + pi_m), f * re)))
+            c = complex(re, im)
+            # S = 0 only where the terms cancel exactly, at a zero of Theta
+            out.append((c, half + (cmath.log(total) if total else -math.inf)))
     return out
 
 
-def double_pochhammer(z: complex, p1: float, p2: float) -> complex:
-    """(z; p1, p2)_inf = prod_{i1,i2>=0} (1 - p1^i1 p2^i2 z).
+def _log_theta_ratio(num: tuple, den: tuple, a: complex,
+                     eps: float) -> complex:
+    """log Theta_q(x1) / Theta_q(x2) from the _log_theta_values pairs of
+    x1 = q^a x2 and x2.  c1 - c2 is D = -a eps up to 2 pi i's, and
+    (c1^2 - c2^2) / (2 eps) = D (2 c2 + D) / (2 eps), -a c2 + a^2 eps / 2
+    on one branch, has no 1/eps factor, unlike each c^2 / (2 eps)."""
+    (c1, s1), (c2, s2) = num, den
+    d = -a * eps
+    d += 1j * math.tau * round((c1.imag - c2.imag - d.imag) / math.tau)
+    return d * (2.0 * c2 + d) / (2.0 * eps) + s1 - s2
 
-    The rows i1 with |z p1^i1| >= _RHO are the q-products
-    (z p1^i1; p2)_inf of _qpochhammers.  The corner below them,
-    (w; p1, p2)_inf with w = z p1^rows and |w| < _RHO, is exp of the
-    series -sum_m w^m / (m (1-p1^m)(1-p2^m)), cut where the terms left
-    sum to less than DEFAULT_EPS.  DomainError for a base of modulus
-    >= 1; ConvergenceError at the term cap of the factor-by-factor
-    product (its row count or the length of its top row), for a z that is
-    NaN or inf or whose modulus is past the float range, and when the
-    product is not finite.
-    """
+
+def _theta_ratio(x1: complex, x2: complex, a: complex, q: float) -> complex:
+    """exp(_log_theta_ratio) for x1 = q^a x2; ConvergenceError on overflow."""
+    num, den = map(_checked, _log_theta_values((x1, x2), q))
+    return _exp(_log_theta_ratio(num, den, a, -math.log(q)),
+                f"Theta_q({x1}) / Theta_q({x2})")
+
+
+def _exp(log: complex, what: str) -> complex:
+    """exp(log); ConvergenceError naming what where it overflows."""
+    try:
+        return cmath.exp(log)
+    except OverflowError:
+        raise ConvergenceError(f"{what} is not finite in floating point") \
+            from None
+
+
+def double_pochhammer(z: complex, p1: float, p2: float) -> complex:
+    """(z; p1, p2)_inf = prod_{i1,i2>=0} (1 - p1^i1 p2^i2 z): the rows
+    (z p1^i1; p2)_inf with |z p1^i1| >= _RHO, times the corner below them
+    (_corner_sums).  DomainError for a base of modulus >= 1;
+    ConvergenceError at the term cap of the factor-by-factor product (its
+    row count or the length of its top row), for a z not finite or of
+    modulus past the float range, and for a product not finite."""
     return _double_products((z,), p1, p2)[0]
 
 
@@ -357,10 +361,9 @@ _NOT_FINITE = "(z;p1,p2)_inf is not finite in floating point"
 
 
 def _double_products(zs, p1: float, p2: float) -> list:
-    """(z; p1, p2)_inf for each z in zs, computed as in double_pochhammer,
-    or the first error of a z raised in the order of zs.  The rows of
-    every z go through one _qpochhammers call and the corners through
-    one _corner_sums call."""
+    """(z; p1, p2)_inf for each z in zs, as in double_pochhammer, or the
+    first error in the order of zs raised; all rows take one
+    _qpochhammers call and all corners one _corner_sums call."""
     if not (abs(p1) < 1.0 and abs(p2) < 1.0):
         raise DomainError("both bases must have modulus < 1")
     plans, rows, corners = [], [], []
@@ -368,9 +371,7 @@ def _double_products(zs, p1: float, p2: float) -> list:
         z = complex(z)
         try:
             az = _modulus(z)
-            # the term caps of the factor-by-factor product: its row
-            # count and the length of its top row
-            _terms(az, p1, DEFAULT_EPS)
+            _terms(az, p1, DEFAULT_EPS)  # the caps of double_pochhammer
             _terms(az, p2, DEFAULT_EPS)
             if not cmath.isfinite(z):  # two zero bases pass those caps
                 raise ConvergenceError(_NOT_FINITE)
@@ -407,12 +408,11 @@ def _corner_sums(ws, p1: float, p2: float) -> list:
             total += complex(wm.real / d, wm.imag / d)
             wm *= w; p1m *= p1; p2m *= p2
 
-    where terms counts the m with |w|^m >= tol, tol = DEFAULT_EPS
-    (1-_RHO)(1-|p1|)(1-|p2|), so the terms after it sum to less than
-    DEFAULT_EPS for |w| < _RHO.  The ws are the columns of one array:
-    np.multiply.accumulate takes the powers down its rows with CPython's
-    scalar products, the terms are float ufuncs, np.add.accumulate sums
-    them in order, and column j reads the row of its own term count.
+    terms counting the m with |w|^m >= tol = DEFAULT_EPS (1-_RHO)
+    (1-|p1|)(1-|p2|), so the rest sums to less than DEFAULT_EPS for
+    |w| < _RHO.  The ws are the columns of one array: accumulate takes
+    the powers with CPython's scalar products and sums the float terms
+    in order, and column j reads the row of its own term count.
     """
     tol = DEFAULT_EPS * (1.0 - _RHO) * (1.0 - abs(p1)) * (1.0 - abs(p2))
     terms = [0 if abs(w) < tol else int(math.log(tol) / math.log(abs(w)))
@@ -434,16 +434,10 @@ def _corner_sums(ws, p1: float, p2: float) -> list:
 
 
 def g1(z: complex, x: float, r: float, n: int) -> complex:
-    """The vertex contraction ratio g_1(z) of four double products.
-
-    g_1(z) = {x^2 z}{x^(2r+2n-2) z} / ({x^(2r) z}{x^(2n) z}) with
-    {w} = (w; x^(2r), x^(2n))_inf, taken as two ratios of double products
-    so that their product does not underflow.  The four products come
-    from one call of _double_products, so their rows take one
-    _qpochhammers call and their corners one series pass.  Near q = 1 the
-    double products themselves leave the normal float range;
-    ConvergenceError is raised there.
-    """
+    """The vertex contraction ratio g_1(z) = {x^2 z}{x^(2r+2n-2) z} /
+    ({x^(2r) z}{x^(2n) z}), {w} = (w; x^(2r), x^(2n))_inf, as two ratios
+    of the four double products of one _double_products call.
+    ConvergenceError where a double product underflows near q = 1."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     p1 = x ** (2.0 * r)
@@ -473,45 +467,53 @@ def kernel_t(z: complex, p: QParams) -> complex:
 
 
 def bracket_v(v: complex, xr: XRParams) -> complex:
-    """[v] = x^(v^2/r - v) Theta_{x^(2r)}(x^(2v)); antiperiodic, [v+r]=-[v].
-
-    The one-argument case of _brackets."""
+    """[v] = x^(v^2/r - v) Theta_{x^(2r)}(x^(2v)), antiperiodic,
+    [v+r] = -[v]: the one-argument case of _brackets."""
     return _checked(_brackets((v,), xr)[0])
 
 
 def _brackets(vs, xr: XRParams) -> list:
-    """[v] for each v in vs, or in its place the exception the formula
-    raises first there: that of the power x^(v^2/r - v), then that of the
-    theta argument x^(2v), which also fails where it underflows to 0,
-    then that of theta.  Every theta value comes from one call of
-    _theta_values, which is bit for bit theta one argument at a time."""
+    """[v] for each v in vs, or in its place the error of its theta
+    argument x^(2v) (DomainError also where it underflows to 0), of its
+    log theta (one _log_theta_values call), or ConvergenceError where [v]
+    overflows.  With eps = -log x^(2r), the c of x^(2v) is g + h,
+    g = eps (1/2 - v/r), h an odd multiple of i pi; the power's log
+    cancels the quadratic part of g^2 / (2 eps), so log [v] = eps/8 +
+    h (1/2 - v/r) + h^2 / (2 eps) + s."""
     x, r = xr.x, xr.r
     base = x ** (2.0 * r)
-    parts = []  # (power, theta argument) per v, or the error of a power
+    eps = -math.log(base)
+    args = []  # theta argument per v, or its error
     for v in vs:
         try:
-            power, arg = _cpow(x, v * v / r - v), _cpow(x, 2.0 * v)
+            arg = _cpow(x, 2.0 * v)
             if arg == 0:  # x^(2v) is never 0 in exact arithmetic
                 raise DomainError(f"{x:.6g}**{2.0 * v:.6g} underflows the "
                                   "floating-point range")
-            parts.append((power, arg))
         except (DomainError, ValueError) as exc:  # from _cpow or cmath.exp
-            parts.append(exc)
-    thetas = iter(_theta_values(
-        [p[1] for p in parts if not isinstance(p, Exception)], base))
+            arg = exc
+        args.append(arg)
+    logs = iter(_log_theta_values(
+        [a for a in args if not isinstance(a, Exception)], base))
     out = []
-    for part in parts:
-        if isinstance(part, Exception):
-            out.append(part)
-            continue
-        th = next(thetas)
-        out.append(th if isinstance(th, Exception) else part[0] * th)
+    for v, arg in zip(vs, args):
+        entry = arg if isinstance(arg, Exception) else next(logs)
+        if not isinstance(entry, Exception):
+            c, s = entry
+            g = eps * (0.5 - v / r)
+            h = 1j * math.pi * (2 * round((c - g).imag / math.tau - 0.5) + 1)
+            try:
+                entry = _exp(eps / 8.0 + h * (0.5 - v / r)
+                             + h * h / (2.0 * eps) + s, f"[{v}]")
+            except ConvergenceError as exc:
+                entry = exc
+        out.append(entry)
     return out
 
 
 def _is_nonpositive_qinteger(a: complex, q: float) -> int | None:
-    """Return m >= 0 if q^a ~ q^(-m) (i.e. a is a nonpositive integer),
-    else None; DomainError when the real part of a is not finite."""
+    """m >= 0 where q^a ~ q^(-m), else None; DomainError when the real
+    part of a is not finite."""
     a = complex(a)
     if not math.isfinite(a.real):
         raise DomainError(f"exponent {a} is not finite")
@@ -522,17 +524,14 @@ def _is_nonpositive_qinteger(a: complex, q: float) -> int | None:
 
 
 def fq(a: complex, b: complex, c: complex, z: complex, q: float) -> complex:
-    """Basic q-hypergeometric series
+    """Basic q-hypergeometric series F_q(a,b,c,z) = sum_n prod_{j<n}
+    [(1-q^(a+j))(1-q^(b+j))] / [(1-q^(1+j))(1-q^(c+j))] z^n.
 
-        F_q(a,b,c,z) = sum_n prod_{j<n} [(1-q^(a+j))(1-q^(b+j))]
-                                        / [(1-q^(1+j))(1-q^(c+j))] z^n.
-
-    Terminating cases (q^a or q^b a nonpositive q-integer q^(-m)) are
-    summed exactly to their last term z^m; otherwise |z| < 1 is required
-    and the sum ends at a term below DEFAULT_EPS max(1, |sum|).  A pole
-    (q^c = q^(-j)) before the last term raises PoleError, an a, b, c or z
-    that is not finite DomainError unless the sum has no term, and a sum
-    that is not finite ConvergenceError.
+    A terminating sum (q^a or q^b some q^(-m)) runs to its last term z^m;
+    otherwise |z| < 1 is required and it ends at a term below
+    DEFAULT_EPS max(1, |sum|).  PoleError for q^c = q^(-j) before the last
+    term, DomainError for an a, b, c or z not finite unless the sum has
+    no term, ConvergenceError for a sum not finite.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0,1), got {q}")

@@ -249,20 +249,23 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("argv, code, error", [
         # a theta argument at the edge of the float range
         (("connect", "--points=1e308,1"), 2, "ZoneError"),
-        # Theta_q(1/zeta) overflows
-        (("connect", "--points=1e200,1"), 4, "ConvergenceError"),
+        # Theta_q(1/zeta) overflows, but not the theta quotients of the
+        # entries (test_far_and_near_one_matrices)
+        (("connect", "--points=1e200,1"), 0, None),
         # q^(-1e300) overflows in the eigenvalue
         (("solve", "--lambda=1e300,-1e300"), 2, "DomainError"),
         (("verify", "--lambda=1e300,-1e300"), 2, "DomainError"),
-        # (q^a;q)_inf in the written leading coefficients and the theta
-        # denominators underflow near q = 1
+        # (q^a;q)_inf in the written leading coefficients underflows near
+        # q = 1
         (("solve", "--q", "0.999"), 4, "ConvergenceError"),
-        (("connect", "--q", "0.999"), 4, "ConvergenceError"),
+        # the thetas underflow near q = 1, but not their quotients
+        (("connect", "--q", "0.999"), 0, None),
         # the default points q^(-3i) overflow
         (("connect", "--q", "1e-300"), 2, "DomainError"),
         (("verify", "--q", "1e-300"), 2, "DomainError"),
-        # the theta denominators of the braid check underflow near q = 1
-        (("verify", "--q", "0.999"), 4, "ConvergenceError"),
+        # the braid check passes near q = 1; the eigen checks at the
+        # default point, whose ratio q^3 lies near the radius 1, do not
+        (("verify", "--q", "0.999"), 1, None),
         # abs() of a ratio, and of a coordinate in D^m's coincidence test,
         # overflows
         (("eval", "--points=1.5e308+1.5e308j,1"), 2, "ZoneError"),
@@ -271,7 +274,27 @@ class TestConfigAndErrors:
     def test_float_range_errors_are_typed(self, capsys, argv, code, error):
         got, out = run_cli(capsys, *argv)
         assert got == code
-        assert json.loads(out)["error"]["type"] == error
+        assert json.loads(out).get("error", {}).get("type") == error
+
+    def test_far_and_near_one_matrices(self, capsys):
+        # connect at 1e200 equals connect at 1e200 q^665 in (q, 1] (the
+        # entries are q-periodic in the ratio), and at q = 0.999 the
+        # default point's ratio q^3 gives the identity; each within twice
+        # the deviation measured (3.9e-13 and 3.3e-13)
+        def entries(*argv):
+            code, out = run_cli(capsys, "connect", *argv)
+            assert code == 0
+            return [complex(e["re"], e["im"])
+                    for row in json.loads(out)["entries"] for e in row]
+        far = entries("--points=1e200,1")
+        near = entries(f"--points={1e200 * 0.5 ** 665!r},1")
+        assert max(abs(a - b) for a, b in zip(far, near)) <= 8e-13
+        assert max(abs(a - b) for a, b in zip(entries("--q", "0.999"),
+                                               (1, 0, 0, 1))) <= 7e-13
+        code, out = run_cli(capsys, "verify", "--q", "0.999")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["double_crossing"]["residual"] <= 1e-12
+        assert not checks["eigen_w12_m1"]["pass"]
 
     @pytest.mark.parametrize("argv, code, error", [
         # the coefficients overflow at q = 1e-300

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +14,13 @@ from qmacdonald import (ConvergenceError, DomainError, PoleError,
                         boltzmann_w, braid_action, braid_matrix, bracket_v,
                         evaluate, fq_connection, g1, leading_coefficient,
                         solve_coefficients, theta, verify_braid_relations)
-from qmacdonald import qcore
+from qmacdonald import continuation, qcore
 from qmacdonald.qcore import _cpow
 
+from conftest import mp_theta, theta_exponent
+
 LAM3 = (0.31, -0.11, -0.20)
+EPS = np.finfo(float).eps
 
 
 def _basis(lam, p):
@@ -89,6 +93,12 @@ class TestFqConnection:
 
 
 class TestBraidMatrix:
+    # q: twice the deviation measured at 1e200, rounded up (8.6e-13,
+    # 5.4e-13 and 7.2e-13).  The phases of the dual sum's terms are
+    # 2 pi log|u| / eps, and log|u| = -460 carries 460 times the rounding
+    # of a log near 1
+    PERIODIC_BOUND = {0.3: 1.8e-12, 0.5: 1.1e-12, 0.9: 1.5e-12}
+
     def test_dual_zone_agreement_n2(self):
         # continue the series solutions across the wall and compare with
         # direct evaluation inside the overlap annulus
@@ -137,16 +147,36 @@ class TestBraidMatrix:
         s = SpectralData.make((0.27, -0.27), p)
         with pytest.raises(ZoneError):
             braid_matrix(s, 1, (1e308, 1.0), p)
-        # Theta_q(1/zeta) and its partners overflow
-        with pytest.raises(ConvergenceError):
-            braid_matrix(s, 1, (1e200, 1.0), p)
+        # Theta_q(1/zeta) and its partners overflow, but the entries are
+        # their quotients, q-periodic in zeta: the matrix at 1e200 is the
+        # one at 1e200 q^j in (q, 1], within BOUND of the largest entry
+        for q, bound in self.PERIODIC_BOUND.items():
+            p = QParams(q=q, k=0.4)
+            s = SpectralData.make((0.27, -0.27), p)
+            j = math.ceil(math.log(1e200) / -math.log(q))
+            assert q < 1e200 * q ** j <= 1.0
+            far = braid_matrix(s, 1, (1e200, 1.0), p).as_array()
+            near = braid_matrix(s, 1, (1e200 * q ** j, 1.0), p).as_array()
+            assert (np.max(np.abs(far - near))
+                    <= bound * np.max(np.abs(near)))
 
     def test_underflow_near_one_is_typed(self):
-        # every theta denominator underflows to 0 at q = 0.999
-        p = QParams(q=0.999, k=0.4)
-        s = SpectralData.make((0.27, -0.27), p)
-        with pytest.raises(ConvergenceError):
-            braid_matrix(s, 1, (1.3, 1.0), p)
+        # every theta of the matrix underflows the float range at
+        # q = 0.999, and theta raises a typed error there; the entries,
+        # exps of their quotients' logs, do not underflow.  Crossing back
+        # is the inverse within twice the deviation measured here (4.6e-13
+        # at q = 0.999, 2.3e-12 at q = 0.9999), where the product route
+        # raised ConvergenceError
+        for q, bound in ((0.999, 1e-12), (0.9999, 5e-12)):
+            p = QParams(q=q, k=0.4)
+            s = SpectralData.make((0.27, -0.27), p)
+            with pytest.raises(ConvergenceError, match="underflows"):
+                theta(q ** p.k, q)
+            z = (1.3 * cmath.exp(0.2j), 1.0)
+            there = braid_matrix(s, 1, z, p).as_array()
+            back = braid_matrix(s, 1, z[::-1], p).as_array()
+            assert np.all(np.isfinite(there))
+            assert np.max(np.abs(there @ back - np.eye(2))) <= bound
 
     def test_integer_gap_rejected_near_one(self):
         # d = -1 puts q^d on the theta zero lattice; near q = 1 the test
@@ -188,33 +218,43 @@ class TestBraidMatrix:
         assert np.max(np.abs(M - ref) / np.abs(ref)) < 1e-13
 
 
-def nine_theta_entries(s, i, z, p):
-    """The nine-theta formula of braid_matrix's docstring, each theta
-    computed afresh with qcore.theta, in the same order of operations."""
+def nine_theta_entries(mp, s, i, z, p, cache):
+    """The nine-theta formula of braid_matrix's docstring at 150 digits,
+    each theta from conftest.mp_theta at the float argument braid_matrix
+    takes (cached in cache), and the largest theta exponent E of the
+    nine arguments."""
     zeta = complex(z[i - 1]) / complex(z[i])
     d = s.eta[i] - s.eta[i - 1]
     q, k = p.q, p.k
     u = 1.0 / zeta
     qk, qd, qmd = q ** k, _cpow(q, d), _cpow(q, -d)
-    th_k, th_d, th_md = theta(qk, q), theta(qd, q), theta(qmd, q)
-    th_u, th_ku = theta(u, q), theta(qk * u, q)
-    zeta_k = _cpow(zeta, k)
-    diag0 = th_k / th_d * theta(qd * u, q) / th_ku * _cpow(zeta, -d + k)
-    diag1 = th_k / th_md * theta(qmd * u, q) / th_ku * _cpow(zeta, d + k)
-    off0 = (_cpow(q, -k * d) * theta(_cpow(q, -d + k), q) / th_md
-            * th_u / th_ku * zeta_k)
-    off1 = (_cpow(q, k * d) * theta(_cpow(q, d + k), q) / th_d
-            * th_u / th_ku * zeta_k)
-    return np.array([[diag0, off0], [off1, diag1]])
+    args = (qk, qd, qmd, u, qk * u, qd * u, qmd * u, _cpow(q, -d + k),
+            _cpow(q, d + k))
+    for x in args:
+        if x not in cache:
+            cache[x] = mp_theta(mp, x, q)
+    th_k, th_d, th_md, th_u, th_ku, th_du, th_mdu, th_kmd, th_kpd = (
+        cache[x] for x in args)
+    with mp.workdps(40):
+        Z, Q, K, D = mp.mpc(zeta), mp.mpf(q), mp.mpf(k), mp.mpc(d)
+        diag0 = th_k / th_d * th_du / th_ku * mp.power(Z, K - D)
+        diag1 = th_k / th_md * th_mdu / th_ku * mp.power(Z, K + D)
+        off0 = (mp.power(Q, -K * D) * th_kmd / th_md * th_u / th_ku
+                * mp.power(Z, K))
+        off1 = (mp.power(Q, K * D) * th_kpd / th_d * th_u / th_ku
+                * mp.power(Z, K))
+    return ([[diag0, off0], [off1, diag1]],
+            max(theta_exponent(x, q) for x in args))
 
 
-def nine_theta_action(basis, i, z, p):
+def block_action(basis, i, z, p):
+    """braid_action assembled from one braid_matrix call per 2x2 block."""
     index = {sd.w: j for j, sd in enumerate(basis)}
     M = np.zeros((len(basis), len(basis)), dtype=complex)
     for j, sd in enumerate(basis):
         j2 = index[sd.swap(i - 1).w]
         if j2 > j:
-            M[np.ix_((j, j2), (j, j2))] = nine_theta_entries(sd, i, z, p)
+            M[np.ix_((j, j2), (j, j2))] = braid_matrix(sd, i, z, p).entries
     return M
 
 
@@ -223,7 +263,16 @@ def bits(a):
 
 
 class TestThetaTable:
-    """Sharing one theta table per call must not change a single bit."""
+    """braid_matrix against the nine-theta formula at 150 digits, and one
+    theta table per call against a braid_matrix call per block, bit for
+    bit."""
+
+    # twice the worst error over these cases, rounded up, in units of
+    # float eps (1 + E) times the largest entry, E the largest theta
+    # exponent of the nine arguments: 2.1 at q = 0.5 (and 1.7, 0.9, 0.5
+    # at q = 0.3, 0.9, 0.99 on the n = 3 and n = 4 cases); the product
+    # route read 1.6 to 1.9
+    BOUND = 4.5
 
     CASES = [
         (LAM3, (1.0 * cmath.exp(0.1j), 2.0 * cmath.exp(0.05j),
@@ -244,21 +293,28 @@ class TestThetaTable:
         return basis, z, p
 
     def test_braid_matrix_and_action(self, case):
+        mp = pytest.importorskip("mpmath")
         basis, z, p = case
+        cache = {}
         for i in range(1, basis[0].n):
             for sd in basis:
-                assert (bits(braid_matrix(sd, i, z, p).entries)
-                        == bits(nine_theta_entries(sd, i, z, p)))
+                got = braid_matrix(sd, i, z, p).entries
+                ref, top = nine_theta_entries(mp, sd, i, z, p, cache)
+                with mp.workdps(40):
+                    err = max(abs(mp.mpc(got[a][b]) - ref[a][b])
+                              for a in range(2) for b in range(2))
+                    scale = max(abs(e) for row in ref for e in row)
+                assert err <= self.BOUND * EPS * (1 + top) * scale
             assert (bits(braid_action(basis, i, z, p))
-                    == bits(nine_theta_action(basis, i, z, p)))
+                    == bits(block_action(basis, i, z, p)))
 
     def test_verify_braid_relations(self, case):
         basis, z, p = case
         n, dim = basis[0].n, len(basis)
         swap = lambda pt, i: pt[:i - 1] + (pt[i], pt[i - 1]) + pt[i + 1:]
         z = tuple(complex(c) for c in z)
-        M1 = nine_theta_action(basis, 1, z, p)
-        M1_back = nine_theta_action(basis, 1, swap(z, 1), p)
+        M1 = block_action(basis, 1, z, p)
+        M1_back = block_action(basis, 1, swap(z, 1), p)
         ref = {"double_crossing": float(
             np.max(np.abs(M1 @ M1_back - np.eye(dim))))}
         if n == 3:
@@ -266,7 +322,7 @@ class TestThetaTable:
             for walls in ([1, 2, 1], [2, 1, 2]):
                 pt, total = z, np.eye(dim, dtype=complex)
                 for i in walls:
-                    total = total @ nine_theta_action(basis, i, pt, p)
+                    total = total @ block_action(basis, i, pt, p)
                     pt = swap(pt, i)
                 ends.append(total)
             A, B = ends
@@ -274,6 +330,17 @@ class TestThetaTable:
             ref["braid_relation"] = float(np.max(np.abs(A - B)) / scale)
         s = basis[0]
         assert verify_braid_relations(s, p, z) == ref
+
+    def test_quotients_shared_across_crossings(self, monkeypatch, p):
+        # the 21 crossings of an n = 3 check use 147 theta quotients, 40
+        # of them distinct; each is formed once per call
+        calls = []
+        ratio = continuation._log_theta_ratio
+        monkeypatch.setattr(continuation, "_log_theta_ratio",
+                            lambda *args: calls.append(args) or ratio(*args))
+        verify_braid_relations(SpectralData.make(LAM3, p), p,
+                               (1.0, 2.0 + 0.1j, 4.5 + 0.3j))
+        assert len(calls) == 40
 
     @pytest.mark.parametrize("lam,z,q,k", [
         (LAM3, (1.0 * cmath.exp(0.1j), 2.0 * cmath.exp(0.05j),
@@ -415,8 +482,8 @@ class TestBoltzmannWeights:
         # [v], [v-1], [1] and, per weight set, [mu], [mu-1], [v-mu]: one
         # batch each, where bracket_v one at a time made nine theta calls
         calls = []
-        kernel = qcore._theta_values
-        monkeypatch.setattr(qcore, "_theta_values",
+        kernel = qcore._log_theta_values
+        monkeypatch.setattr(qcore, "_log_theta_values",
                             lambda *args: calls.append(args) or kernel(*args))
         xr = XRParams.from_qparams(QParams(q=0.75, k=0.2), XRMode.B)
         boltzmann_exchange_matrix(1.3 + 0.2j, 0.37, xr, 2)

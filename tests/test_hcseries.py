@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,8 @@ from qmacdonald.hcseries import (_columns, _eigen_residuals, _stencil,
 from qmacdonald.operators import (_shifts, eigenvalue_c,
                                   macdonald_apply_numeric)
 from qmacdonald.qcore import _cpow, qpochhammer_inf, theta
+
+from conftest import mp_theta
 
 LAM2 = (0.27, -0.27)
 LAM3 = (0.31, -0.11, -0.20)
@@ -1123,6 +1126,23 @@ class TestCoefficientLayout:
         with pytest.raises(DomainError):
             solution_from_dict(doc)
 
+    def test_count_is_checked_before_the_table(self, p):
+        # a document of 6 coefficients at n = 3, N = 1000 took 1.8 s and a
+        # 97 MB peak to be rejected, building the table of 501,501
+        # multi-indices and leaving it in _columns' cache
+        doc = self._doc(p, n=3, N=2)
+        doc["N"] = 1000
+        before = hcseries._columns.cache_info().currsize
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="501501 multi-indices"):
+                solution_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hcseries._columns.cache_info().currsize == before
+        assert peak < 1e6
+
     @staticmethod
     def _edit(doc, key, value=None):
         """Delete doc[key], or set it to value; "coeffs.x" is field x of
@@ -1290,6 +1310,11 @@ class TestSerialization:
 
 
 class TestResidueOracles:
+    # q: twice the worst relative error of _residue_base on its grid,
+    # rounded up; at q = 0.96 mpmath's (q^k;q)_inf / (q;q)_inf and the
+    # library's differ by most of it (4.4e-14 measured)
+    BASE_BOUND = {0.3: 4.6e-15, 0.75: 7.1e-15, 0.9: 8.3e-15, 0.96: 8.9e-14}
+
     def test_one_point_integral_zero_power(self, p):
         lam12 = -0.3
         got = residue_integral_prop6(0, lam12, p)
@@ -1337,13 +1362,44 @@ class TestResidueOracles:
 
     @pytest.mark.parametrize("q", (0.995, 0.999))
     def test_theta_underflow_is_typed(self, q):
-        # Theta_q(q^k) in the prefactor underflows to 0j; both ended in a
-        # bare ZeroDivisionError
+        # Theta_q(q^k) in the prefactor is below the float range at both
+        # q, and theta raises a typed error there (the product route
+        # returned 0j, and both oracles ended in a bare ZeroDivisionError).
+        # The prefactor takes it as one theta quotient, which does not
+        # underflow, so at q = 0.995 the oracles hold as they do at 0.99
+        # (6.0e-14 and 2.5e-13 measured); (q^k;q)_inf and (q;q)_inf
+        # underflow from about q = 0.9977, and there they raise a typed
+        # error
         p = QParams(q=q, k=0.4)
+        with pytest.raises(ConvergenceError, match="underflows"):
+            theta(q ** p.k, q)
+        if q < 0.9977:
+            got = integral_rep_fq((0.1, -0.1), 0.3 + 0.1j, 1.0, p)
+            ref = integral_rep_fq_reference((0.1, -0.1), 0.3 + 0.1j, 1.0, p)
+            assert abs(got - ref) < 1e-11 * abs(ref)
+            got = residue_integral_prop6(3, -0.2, p)
+            ref = one_point_integral_closed_form(3, -0.2, p)
+            assert abs(got - ref) < 1e-12 * abs(ref)
+            return
         with pytest.raises(ConvergenceError, match="underflows"):
             integral_rep_fq((0.1, -0.1), 0.3 + 0.1j, 1.0, p)
         with pytest.raises(ConvergenceError, match="underflows"):
             residue_integral_prop6(3, -0.2, p)
+
+    @pytest.mark.parametrize("q", sorted(BASE_BOUND))
+    def test_residue_base_against_mpmath(self, q):
+        # the m = 0 factor, its theta quotient in closed form, against
+        # 150-digit thetas and mpmath's q-products
+        mp = pytest.importorskip("mpmath")
+        p = QParams(q=q, k=0.4)
+        for a in (0.3, -0.25, 1.7, 0.2 + 0.3j):
+            got = hcseries._residue_base(a, p)
+            with mp.workdps(40):
+                Q = mp.mpf(q)
+                ref = (mp_theta(mp, _cpow(q, a + p.k), q)
+                       / mp_theta(mp, q ** p.k, q)
+                       * mp.qp(Q ** p.k, Q) / mp.qp(Q, Q))
+                assert abs(mp.mpc(got) - ref) <= self.BASE_BOUND[q] * abs(ref)
 
     def test_near_one(self):
         # 4.9e-12 and 2.0e-13 at q = 0.99, about 3,000 residues each
@@ -1381,12 +1437,10 @@ def _mp_chain(mp, ratio, q, k, limit):
 
 def _mp_prop6(mp, n_pow, lam12, p):
     """residue_integral_prop6 with its series summed in mpmath, from the
-    float m = 0 prefactor of the library's q-products."""
+    library's float m = 0 prefactor."""
     q, k = p.q, p.k
     l21 = -complex(lam12)
-    pref = (_cpow(q, (1.0 - k) / 2.0 * n_pow) * theta(_cpow(q, l21 + k), q)
-            / theta(q ** k, q) * qpochhammer_inf(q ** k, q)
-            / qpochhammer_inf(q, q))
+    pref = _cpow(q, (1.0 - k) / 2.0 * n_pow) * hcseries._residue_base(l21, p)
     Q, K = mp.mpf(q), mp.mpf(k)
     ratio = Q ** (-mp.mpf(lam12) + n_pow + K)
     return mp.mpc(pref) * _mp_chain(mp, lambda qm: ratio, Q, K, ratio)
@@ -1394,12 +1448,11 @@ def _mp_prop6(mp, n_pow, lam12, p):
 
 def _mp_integral_rep(mp, lam, z1, p):
     """integral_rep_fq at z2 = 1 with its series summed in mpmath, from the
-    float first term of the library's q-products."""
+    library's float first term."""
     q, k = p.q, p.k
     c_half = q ** ((1.0 - k) / 2.0)
     xb, xc = q ** ((1.0 + k) / 2.0) * c_half * z1, c_half * c_half * z1
-    first = (theta(_cpow(q, lam[1] - lam[0] + k), q) / theta(q ** k, q)
-             * (qpochhammer_inf(q ** k, q) / qpochhammer_inf(q, q))
+    first = (hcseries._residue_base(lam[1] - lam[0], p)
              * (qpochhammer_inf(xb, q) / qpochhammer_inf(xc, q)))
     Q, K = mp.mpf(q), mp.mpf(k)
     gain = Q ** (mp.mpf(lam[1]) - mp.mpf(lam[0]) + K)

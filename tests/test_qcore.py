@@ -11,13 +11,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmacdonald import (ConvergenceError, DomainError, PoleError, QParams,
-                        SpectralData, XRMode, XRParams, bracket_v,
-                        double_pochhammer, fq, g1, kernel_s, kernel_t,
-                        qbinomial_series, qgamma, qpochhammer_inf, theta,
-                        verify_braid_relations)
+                        XRMode, XRParams, bracket_v, double_pochhammer, fq,
+                        g1, kernel_s, kernel_t, qbinomial_series, qgamma,
+                        qpochhammer_inf, theta)
 from qmacdonald import qcore
 from qmacdonald.qcore import (_RHO, _brackets, _cpow, _double_products,
-                              _qpochhammers, _terms, _theta_values)
+                              _log_theta_values, _qpochhammers, _terms,
+                              _theta_ratio)
+
+from conftest import mp_theta, theta_exponent
+
+EPS = np.finfo(float).eps
+
+
+def _log_theta(z, q):
+    """log Theta_q(z) from the kernel, c^2 / (2 eps) + s, as a complex."""
+    c, s = _log_theta_values([z], q)[0]
+    return c * c / (-2.0 * math.log(q)) + s
+
+
+def _log_error(mp, log, z, q):
+    """|log - log Theta_q(z)| against the 150-digit reference, the
+    imaginary part taken modulo 2 pi."""
+    with mp.workdps(40):
+        diff = complex(mp.mpc(log) - mp.log(mp_theta(mp, z, q)))
+    return abs(complex(diff.real, math.remainder(diff.imag, 2 * math.pi)))
+
+
+def _rel_error(mp, value, ref):
+    with mp.workdps(40):
+        return float(abs(mp.mpc(value) - ref) / abs(ref))
 
 
 def _mp_log_double(mp, w, p1, p2):
@@ -71,20 +94,30 @@ class TestQPochhammer:
         z = 1.5e308 + 1.5e308j
         with pytest.raises(ConvergenceError) as ref:
             _terms(math.inf, 0.5, 1e-14)
-        for call in (lambda: qpochhammer_inf(z, 0.5), lambda: theta(z, 0.5),
+        for call in (lambda: qpochhammer_inf(z, 0.5),
                      lambda: double_pochhammer(z, 0.5, 0.3)):
             with pytest.raises(ConvergenceError) as exc:
                 call()
             assert str(exc.value) == str(ref.value)
+        # log z is finite there, so theta has a log, and its value
+        # overflows the float range
+        with pytest.raises(ConvergenceError, match="not finite"):
+            theta(z, 0.5)
+        mp = pytest.importorskip("mpmath")
         for q in (0.5, 0.97):  # the loop and the accumulation
             held = _qpochhammers([0.3, z, 0.2j], q)
             assert isinstance(held[1], ConvergenceError)
             assert [repr(held[j]) for j in (0, 2)] == [
                 repr(_loop_pochhammer(x, q)) for x in (0.3, 0.2j)]
-            held = _theta_values([0.7, z, 0.3j], q)
+            # an inf argument leaves its error in its place alone
+            held = _log_theta_values([0.7, complex(math.inf, 0.0), 0.3j], q)
             assert isinstance(held[1], ConvergenceError)
-            assert [repr(held[j]) for j in (0, 2)] == [
-                repr(theta(x, q)) for x in (0.7, 0.3j)]
+            assert [held[j] for j in (0, 2)] == [
+                _log_theta_values([x], q)[0] for x in (0.7, 0.3j)]
+            for x in (0.7, 0.3j):
+                assert _rel_error(mp, theta(x, q), mp_theta(mp, x, q)) <= (
+                    TestThetaReference.THETA_BOUND * EPS
+                    * (1 + theta_exponent(x, q)))
 
 
 class TestAgainstMpmath:
@@ -143,6 +176,13 @@ class TestQGamma:
 
 
 class TestTheta:
+    @pytest.mark.parametrize("q", (0.995, 0.999, 0.9999))
+    def test_underflow_is_typed(self, q):
+        # |Theta_q(q^0.4)| is about exp(-pi^2 / (2 eps)): 1e-429, 1e-2143
+        # and 1e-21431; the product route returned 0j from q = 0.995
+        with pytest.raises(ConvergenceError, match="underflows"):
+            theta(q ** 0.4, q)
+
     def test_zero_at_one(self):
         assert abs(theta(1.0, 0.5)) < 1e-14
 
@@ -174,6 +214,75 @@ class TestTheta:
         # the product overflows to inf and nan far from |z| = 1
         with pytest.raises(ConvergenceError):
             theta(z, 0.5)
+
+
+class TestThetaReference:
+    """theta and the log theta kernel against the 150-digit triple product
+    sum (conftest.mp_theta), in units of float eps times 1 + the
+    Gaussian exponent |c|^2 / (2 eps) (conftest.theta_exponent)."""
+
+    # twice the worst error on this grid, rounded up.  Both read 13.1
+    # eps (1 + E) at q = 1e-9 and z = exp(0.05i), where Theta is about
+    # 1 - z and cancels 20-fold; the log read at most 2.7 elsewhere.
+    # theta on the batches of TestBatchedProductBits read at most 1.6,
+    # and the brackets of TestBracketBits 0.93.
+    LOG_BOUND = 27.0
+    THETA_BOUND = 27.0
+    QS = (1e-9, 1e-3, 0.1, 0.3, 0.5, 0.75, 0.9, 0.96, 0.99, 0.999, 0.9999)
+    ZS = [r * cmath.exp(1j * phi) for r in (0.05, 0.3, 1.0, 2.9, 20.0)
+          for phi in (0.05, -0.7, 2.0, -2.6, math.pi)]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_against_triple_product(self, q):
+        mp = pytest.importorskip("mpmath")
+        for z, entry in zip(self.ZS, _log_theta_values(self.ZS, q)):
+            unit = EPS * (1 + theta_exponent(z, q))
+            assert entry == _log_theta_values([z], q)[0]
+            assert _log_error(mp, _log_theta(z, q), z, q) <= (
+                self.LOG_BOUND * unit)
+            ref = mp_theta(mp, z, q)
+            try:
+                got = theta(z, q)
+            except ConvergenceError:
+                assert not 1e-300 < abs(complex(ref)) < 1e300
+                continue
+            assert _rel_error(mp, got, ref) <= self.THETA_BOUND * unit
+
+    @pytest.mark.parametrize("q", (1e-9, 0.3, 0.9, 0.96, 0.999, 0.9999))
+    def test_quotients(self, q):
+        # Theta_q(q^a z) / Theta_q(z), the quadratic parts cancelled in
+        # closed form, in units of eps (1 + |a| |c(z)|): the exponent
+        # -a c + a^2 eps / 2 carries no 1/eps.  At most 8.5 measured
+        # (q = 0.3); without the cancellation it read 25 at q = 1e-9 and
+        # 170 to 4.5e6 at q = 0.3 to 0.9999.  Off the positive real axis,
+        # where the terms m = +-1 of S are negligible; also where both
+        # thetas leave the float range (q >= 0.999, |z| = 1e-100)
+        mp = pytest.importorskip("mpmath")
+        eps = -math.log(q)
+        for z in (0.45 + 0.3j, 2.2 * cmath.exp(-2.0j), -1.3, 0.8j,
+                  1e-100 * cmath.exp(0.3j)):
+            for a in (0.3, -1.7, 0.2 + 0.4j):
+                with mp.workdps(40):
+                    ref = (mp_theta(mp, mp.power(q, a) * mp.mpc(z), q)
+                           / mp_theta(mp, z, q))
+                got = _theta_ratio(_cpow(q, a) * z, z, a, q)
+                assert _rel_error(mp, got, ref) <= 18 * EPS * (
+                    1 + abs(a) * math.sqrt(2 * eps * theta_exponent(z, q)))
+
+    def test_reference_sums_agree(self):
+        # the Poisson dual sum, the reference above q = 0.99, is the
+        # triple product sum wherever the latter can be summed
+        mp = pytest.importorskip("mpmath")
+        from conftest import _mp_dual_sum, _mp_triple_product
+        for q in (1e-9, 0.3, 0.9, 0.99):
+            for z in (0.7 + 0.1j, -2.0, 1.3 * cmath.exp(0.05j)):
+                y = math.pi - abs(cmath.phase(z))
+                with mp.workdps(170 + int(y * y / (-2 * math.log(q)
+                                                   * math.log(10)))):
+                    Q, Z = mp.mpf(q), mp.mpc(z)
+                    a = _mp_triple_product(mp, Z, Q)
+                    b = _mp_dual_sum(mp, Z, Q)
+                    assert abs(a - b) <= mp.mpf(10) ** -150 * abs(a)
 
 
 class TestDoublePochhammer:
@@ -503,15 +612,6 @@ def _count_loops(monkeypatch):
     return loops
 
 
-def _loop_theta(z, q):
-    """theta from the term loop; ConvergenceError where theta raises it."""
-    value = (_loop_pochhammer(z, q) * _loop_pochhammer(q / z, q)
-             * _loop_pochhammer(q, q))
-    if not cmath.isfinite(value):
-        raise ConvergenceError("not finite")
-    return value
-
-
 def _grid(seed, count):
     """(q, zs) batches: q in [0.05, 0.999], |z| in [1e-3, 1e3], 1 to 150
     arguments with any phase."""
@@ -550,20 +650,35 @@ class TestBatchedProductBits:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_theta_and_batch(self, seed):
+        # the batch of log thetas, each entry as the argument alone would
+        # get it, and theta against the 150-digit reference wherever its
+        # value is in the float range
+        mp = pytest.importorskip("mpmath")
         for q, zs in _grid(seed, 6):
-            zs = zs + [0j, 1e30, 1e-30, zs[0]]  # rejected ones, a repeat
-            for z, value in zip(zs, _theta_values(zs, q)):
-                try:
-                    want = repr(_loop_theta(z, q))
-                except (ConvergenceError, ZeroDivisionError):
-                    # the batch holds the error theta raises there
-                    assert isinstance(value, (ConvergenceError, DomainError))
-                    with pytest.raises(type(value)) as exc:
+            zs = zs + [0j, complex(math.nan, 1.0), 1e30, zs[0]]  # a repeat
+            held = _log_theta_values(zs, q)
+            for z, value in zip(zs, held):
+                alone = _log_theta_values([z], q)[0]
+                if isinstance(alone, Exception):
+                    assert type(value) is type(alone)
+                    assert str(value) == str(alone)
+                    with pytest.raises(type(alone)) as exc:
                         theta(z, q)
-                    assert str(exc.value) == str(value)
+                    assert str(exc.value) == str(alone)
+                else:
+                    assert value == alone
+            assert [type(v) for v in held[-4:-1]] == [
+                DomainError, ConvergenceError, tuple]
+            for z in zs[:4]:
+                try:
+                    got = theta(z, q)
+                except ConvergenceError:  # |Theta| out of the float range
+                    assert not 1e-300 < abs(complex(mp_theta(mp, z, q))) \
+                        < 1e300
                     continue
-                assert repr(theta(z, q)) == want
-                assert repr(value) == want
+                assert _rel_error(mp, got, mp_theta(mp, z, q)) <= (
+                    TestThetaReference.THETA_BOUND * EPS
+                    * (1 + theta_exponent(z, q)))
 
     def test_qgamma(self):
         rng = np.random.default_rng(5)
@@ -600,9 +715,14 @@ class TestBatchedProductBits:
         with pytest.raises(ConvergenceError) as exc:
             qpochhammer_inf(0.5, 0.9999)
         assert str(exc.value) == str(ref.value)
-        value, = _theta_values([0.5], 0.9999)
-        assert isinstance(value, ConvergenceError)
-        assert str(value) == str(ref.value)
+        # theta takes no product: its log is there, and its value, about
+        # 1e-21431, is a typed underflow
+        mp = pytest.importorskip("mpmath")
+        assert _log_error(mp, _log_theta(0.5, 0.9999), 0.5, 0.9999) <= (
+            TestThetaReference.LOG_BOUND * EPS
+            * (1 + theta_exponent(0.5, 0.9999)))
+        with pytest.raises(ConvergenceError, match="underflows"):
+            theta(0.5, 0.9999)
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -648,8 +768,9 @@ class TestBatchedProductBits:
                 assert repr(value) == repr(_loop_pochhammer(z, q))
 
     def test_engine_by_size(self, monkeypatch):
-        # a one-column product at q = 0.5 takes the loop, and the theta
-        # table of a braid check at n = 3 the accumulation
+        # a one-column product of 47 factors at q = 0.5 takes the loop,
+        # and the products of Gamma_q at q = 0.99, 3,000 factors or more,
+        # the accumulation
         calls = []  # columns and loop products of each kernel call
         loops = _count_loops(monkeypatch)
         kernel = qcore._qpochhammers
@@ -663,11 +784,9 @@ class TestBatchedProductBits:
         qpochhammer_inf(0.3, 0.5)
         assert calls == [(1, 1)]
         calls.clear()
-        p = QParams(q=0.5, k=0.4)
-        verify_braid_relations(SpectralData.make((0.31, -0.11, -0.2), p), p,
-                               (1.0, 2.0 + 0.1j, 4.5 + 0.3j))
-        columns, loop_products = max(calls)
-        assert columns >= 40 and loop_products == 0
+        qcore._qq_inf.cache_clear()  # so (q;q)_inf is formed here too
+        qgamma(1.3, 0.99)
+        assert calls == [(1, 0), (1, 0)]
 
 
 def _loop_corner(w, p1, p2, eps=1e-14):
@@ -739,16 +858,20 @@ class TestCornerSeriesBits:
 
 
 class TestBracketBits:
-    """_brackets against bracket_v one argument at a time."""
+    """_brackets against bracket_v one argument at a time, and against
+    x^(v^2/r - v) times the 150-digit theta."""
 
     @pytest.mark.parametrize("xr", [XRParams(x=0.8, r=2.0),
                                     XRParams.from_qparams(
                                         QParams(q=0.93, k=0.3), XRMode.B)])
     def test_batch_equals_one_at_a_time(self, xr):
+        mp = pytest.importorskip("mpmath")
+        x, r = xr.x, xr.r
+        base = x ** (2.0 * r)
         vs = [0.37, 1.21 + 0.2j, -0.6, 0.0, xr.r, 1.0 - xr.r,  # lattice
-              1e4j,   # x^(v^2/r - v) overflows: DomainError from _cpow
-              -150.0,  # Theta far from 1 is not finite: ConvergenceError
-              1e4,    # x^(2v) underflows to 0: DomainError from theta
+              1e4j,    # [v] overflows: ConvergenceError
+              -150.0,  # Theta(x^(2v)) overflows, [v] does not
+              1e6,     # x^(2v) underflows to 0: DomainError
               math.nan, 0.37]
         held = _brackets(vs, xr)
         assert len(held) == len(vs)
@@ -762,4 +885,13 @@ class TestBracketBits:
                 kinds.add(type(exc))
                 continue
             assert repr(value) == repr(want)
+            if abs(cmath.sin(math.pi * v / r)) < 1e-9:
+                continue  # [v] = 0 at v on r Z: no relative error
+            arg = _cpow(x, 2.0 * v)
+            with mp.workdps(40):
+                ref = (mp.power(mp.mpf(x), mp.mpc(v) ** 2 / r - v)
+                       * mp_theta(mp, arg, base))
+            assert _rel_error(mp, value, ref) <= (
+                TestThetaReference.THETA_BOUND * EPS
+                * (1 + theta_exponent(arg, base)))
         assert kinds == {DomainError, ConvergenceError}
