@@ -52,7 +52,6 @@ import itertools
 import json
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,7 +62,7 @@ from .errors import (ConvergenceError, DomainError, NondegeneracyError,
 from .operators import (SpectralData, _finite_image, _shifts, _weighted_points,
                         _weighted_sum, eigenvalue_c)
 from .qcore import (DEFAULT_EPS, QParams, XRMode, _checked, _cpow,
-                    _qpochhammers, _qq_inf, _theta_ratio, _xr_mode, fq,
+                    _qpochhammer, _qq_inf, _theta_ratio, _xr_mode, fq,
                     qgamma, qpochhammer_inf)
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
@@ -645,8 +644,7 @@ def integral_rep_fq(lam, z1: complex, z2: complex, p: QParams) -> complex:
             "residue series diverges: requires Re(lam2 - lam1 + k) > 0")
     xb = q ** ((1.0 + k) / 2.0) * c_half * z1 / z2
     xc = c_half * c_half * z1 / z2
-    num, den = _qpochhammers((xb, xc), q)
-    kern = _checked(num) / _checked(den)
+    kern = _qpochhammer(xb, q) / _qpochhammer(xc, q)
     gain = shift * q ** k
     return _residue_sum(
         base * kern,
@@ -663,9 +661,6 @@ def _residue_base(a: complex, p: QParams) -> complex:
     (q;q)_inf underflows near q = 1."""
     q, k = p.q, p.k
     qk, qq = qpochhammer_inf(q ** k, q), _qq_inf(q)
-    if min(abs(qk), abs(qq)) < sys.float_info.min:
-        raise ConvergenceError("(q^k;q)_inf / (q;q)_inf underflows near "
-                               "q = 1")
     return _theta_ratio(_cpow(q, a + k), q ** k, a, q) * (qk / qq)
 
 

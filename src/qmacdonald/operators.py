@@ -16,13 +16,12 @@ import functools
 import itertools
 import numbers
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularConfigurationError
-from .qcore import QParams, _checked, _cpow, _qpochhammers, kernel_s
+from .qcore import QParams, _cpow, _qpochhammer, kernel_s
 
 _COINCIDENCE_TOL = 1e-10
 
@@ -294,11 +293,7 @@ def conjugation_identity_residual(y, p: QParams) -> float:
         for l in range(n):
             for s in range(l + 1, n):
                 u, v = yy[l] / yy[s], yy[s] / yy[l]
-                a, b, c, d = map(_checked, _qpochhammers(
-                    (u, v, t * u, t * v), q))
-                if min(map(abs, (a, b, c, d))) < sys.float_info.min:
-                    raise ConvergenceError(
-                        "q-products in Delta underflow near q = 1")
+                a, b, c, d = map(_qpochhammer, (u, v, t * u, t * v), [q] * 4)
                 out *= a * b / (c * d)
         return out
 
@@ -334,11 +329,8 @@ def gauge_transform_residual(z, p: QParams) -> float:
         for i in range(n):
             for j in range(i + 1, n):
                 u = zz[i] / zz[j]
-                num, den = map(_checked, _qpochhammers(
-                    (t * u, q ** (1.0 - k) * u), q))
-                if min(abs(num), abs(den)) < sys.float_info.min:
-                    raise ConvergenceError(
-                        "q-products in G underflow near q = 1")
+                num = _qpochhammer(t * u, q)
+                den = _qpochhammer(q ** (1.0 - k) * u, q)
                 out *= _cpow(zz[j], 1.0 - 2.0 * k) * num / den
         return out
 

@@ -3,12 +3,13 @@ and Theta functions, double (two-base) products, the bracket function,
 vertex contraction kernels and the basic q-hypergeometric series, each a
 pure function of its arguments, truncated deterministically.
 
-Every (z;q)_inf comes from one batched kernel, _qpochhammers (the term
-loop for a small batch, numpy accumulations for a large one, bit for
-bit alike), with an argument's error held in its place for _checked to
-raise.  A double product is its leading rows, q-products, times the
-corner below them as exp of its log series (Gasper and Rahman, Basic
-Hypergeometric Series, ch. 1).
+Every (z;q)_inf is the factors 1 - z q^i with |z q^i| >= _cut(q) times
+the exp of the log series of the rest, -log (w;p1,p2)_inf = sum_m w^m /
+(m (1 - p1^m)(1 - p2^m)) with p2 = 0 (Gasper and Rahman, Basic
+Hypergeometric Series, ch. 1); a double product is its rows, each such a
+product in base p2, times its corner as that series in both bases.  A
+product leaving the float range, underflow included, is a
+ConvergenceError; an exact zero factor gives 0.
 
 Theta takes no q-product.  _log_theta_values gives log Theta from
 Jacobi's imaginary transformation, a Gaussian sum of a few terms at any
@@ -26,26 +27,21 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
 
 DEFAULT_EPS = 1e-14
 _POLE_TOL = 1e-10
 _MAX_TERMS = 200_000
-_BLOCK = 4096  # a row block of _qpochhammers holds 4 * _BLOCK entries
-# A double product's corner series, |w| < _RHO, ends within 50-60 terms
+# A double product's corner series, |w| < _RHO, ends within 50-70 terms
 # at 1/2; a smaller _RHO adds rows of hundreds of factors near q = 1.
 _RHO = 0.5
-# Below this many factors in all the Python term loop (0.17-0.2 us a
-# factor) beats a numpy pass (20-27 us, 1.5-2 us a column; x86-64,
-# Python 3.11, numpy 2.4).
-_LOOP_FACTORS = 128
 
 
 def _cpow(base: complex, expo: complex) -> complex:
@@ -122,16 +118,11 @@ class XRParams:
 
 
 def qpochhammer_inf(z: complex, q: float) -> complex:
-    """(z; q)_inf = prod_{i>=0} (1 - z q^i): the factors with
-    |z q^i| >= DEFAULT_EPS, counted from logs, times the first-order tail
-    exp(-z q^terms/(1-q)).  ConvergenceError at the term cap and for a z
-    or product not finite."""
+    """(z; q)_inf = prod_{i>=0} (1 - z q^i), as _qpochhammer computes it;
+    DomainError for |q| >= 1."""
     if not abs(q) < 1.0:
         raise DomainError(f"|q| must be < 1 for (z;q)_inf, got q={q}")
-    value = _checked(_qpochhammers((z,), q)[0])
-    if not cmath.isfinite(value):
-        raise ConvergenceError(f"({z};q)_inf is not finite in floating point")
-    return value
+    return _qpochhammer(z, q)
 
 
 def _checked(value):
@@ -141,73 +132,81 @@ def _checked(value):
     return value
 
 
-def _qpochhammers(zs, q: float) -> list:
-    """(z; q)_inf for each z in zs, |q| < 1, each bit for bit the loop
-
-        prod = 1; zq = z
-        repeat _terms(|z|, q, DEFAULT_EPS) times: prod *= 1 - zq; zq *= q
-        return prod * exp(-zq/(1-q))
-
-    or, in its place, the exception the loop raises before it starts:
-    ConvergenceError at the term cap and for a |z| that is NaN, inf or
-    past the float range.
-
-    A call of at most _LOOP_FACTORS factors in all runs that loop.  Above
-    it the zs are the columns of one array: one np.multiply.accumulate
-    down its rows takes zq = z q^i, a second the running product of the
-    1 - zq, and column j reads the row of its own length.  accumulate
-    multiplies rows with the scalar complex product, as CPython does, so
-    no fused multiply-add changes a bit.  Rows go in blocks of at most
-    _BLOCK * 4 entries, so memory stays bounded as q -> 1.
-    """
-    terms = []
-    for z in zs:
-        try:
-            terms.append(_terms(_modulus(z), q, DEFAULT_EPS))
-        except ConvergenceError as exc:
-            terms.append(exc)
-    rows_of = [0 if isinstance(t, Exception) else t for t in terms]
-    if sum(rows_of) <= _LOOP_FACTORS:
-        return [t if isinstance(t, Exception) else _loop_product(z, t, q)
-                for z, t in zip(zs, terms)]
-    last, width = max(rows_of, default=0), len(rows_of)
-    rows_of, cols = np.array(rows_of, dtype=np.int64), np.arange(width)
-    height = max(1, 4 * _BLOCK // max(1, width))
-    # at[0] is z q^terms of each column and at[1] its product; row[0] and
-    # row[1] are zq and the product at the end of the block before
-    at = row = np.array([zs, np.ones(width)], dtype=complex)
-    # overflow and inf * 0 in a product are caught as non-finite values by
-    # the callers, not as NumPy warnings
-    with np.errstate(all="ignore"):
-        for top in range(0, last, height):
-            # rows top..top+rows of zq (block[0]) and of the product (block[1])
-            rows = min(height, last - top)
-            block = np.empty((2, rows + 1, width), dtype=complex)
-            block[:, 0], block[0, 1:] = row, q
-            np.multiply.accumulate(block[0], axis=0, out=block[0])
-            np.subtract(1.0, block[0, :-1], out=block[1, 1:])
-            np.multiply.accumulate(block[1], axis=0, out=block[1])
-            if rows == last:  # one block: every column reads from it
-                at = block[:, rows_of, cols]
-            else:
-                if top == 0:
-                    at = row.copy()
-                here = np.flatnonzero((rows_of > top)
-                                      & (rows_of <= top + rows))
-                at[:, here] = block[:, rows_of[here] - top, here]
-            row = block[:, -1]
-    zq_at, prod_at = at.tolist()
-    return [t if isinstance(t, Exception) else p * cmath.exp(-z / (1.0 - q))
-            for t, p, z in zip(terms, prod_at, zq_at)]
+def _qpochhammer(z: complex, q: float) -> complex:
+    """(z; q)_inf, |q| < 1: _factors above _cut(q), then the _log_series.
+    ConvergenceError at the term cap _terms(|z|, q, DEFAULT_EPS), for a
+    |z| that is NaN, inf or past the float range, and from _settle."""
+    _terms(_modulus(z), q, DEFAULT_EPS)  # the term cap
+    w, cut = complex(z), _cut(q)
+    rows = _terms(_modulus(z), q, cut)
+    return _settle(*_factors(w, q, rows),
+                   _log_series(w * q ** rows, q, 0.0, cut), z, "q")
 
 
-def _loop_product(z: complex, terms: int, q: float) -> complex:
-    """(z; q)_inf as the term loop of _qpochhammers with terms factors."""
-    prod, zq = complex(1.0), complex(z)
-    for _ in range(terms):
-        prod *= 1.0 - zq
-        zq *= q
-    return prod * cmath.exp(-zq / (1.0 - q))
+def _cut(q: float) -> float:
+    """exp(-sqrt(eps log(1 / DEFAULT_EPS))), eps = -log |q|, at most 1/2,
+    the |w| below which (w; q)_inf is its log series: it makes the factors
+    log(|z| / cut) / eps plus the terms log(DEFAULT_EPS) / log(cut) least."""
+    if q == 0:
+        return 0.0
+    return min(0.5, math.exp(-math.sqrt(math.log(abs(q))
+                                        * math.log(DEFAULT_EPS))))
+
+
+def _factors(z: complex, q: float, rows: int) -> tuple:
+    """prod (1 - z q^i) over i < rows, each z q^i the one before times q,
+    and whether a factor is exactly 0."""
+    def points():
+        return itertools.islice(itertools.accumulate(
+            itertools.repeat(q), operator.mul, initial=z), rows)
+    prod = math.prod(map((1 + 0j).__sub__, points()))
+    return prod, prod == 0 and 1.0 in points()
+
+
+def _log_series(w: complex, p1: float, p2: float, radius: float) -> complex:
+    """-log (w; p1, p2)_inf = sum_{m>=1} w^m / (m (1 - p1^m)(1 - p2^m)),
+    |w| <= radius < 1, by Horner's rule over the m with |w|^m >= the
+    tolerance of _series; p2 = 0 gives -log (w; p1)_inf."""
+    total = 0j
+    if abs(w) > 0:  # false also for the NaN that z q^rows is at q = 0,
+        # z not finite, where the factors are not finite either
+        log_tol, coefficients = _series(p1, p2, radius)
+        for c in reversed(coefficients[:int(log_tol / math.log(abs(w)))]):
+            total = (total + c) * w
+    return total
+
+
+@functools.lru_cache(maxsize=64)
+def _series(p1: float, p2: float, radius: float) -> tuple:
+    """log tol, tol = (float eps)(1 - radius)(1 - |p1|)(1 - |p2|), and
+    1 / (m (1 - p1^m)(1 - p2^m)) for each m with radius^m >= tol and one
+    more, so the terms left out of _log_series sum below float eps; 1 - p^m
+    is (1 - p)(1 + p + ... + p^(m-1)), which does not cancel near p = 1."""
+    log_tol = math.log(sys.float_info.epsilon * (1.0 - radius)
+                       * (1.0 - abs(p1)) * (1.0 - abs(p2)))
+    out, s1, s2 = [], 1.0, 1.0
+    for m in range(1, int(log_tol / math.log(radius)) + 2):
+        out.append(1.0 / (m * (1.0 - p1) * (1.0 - p2) * s1 * s2))
+        s1, s2 = 1.0 + p1 * s1, 1.0 + p2 * s2
+    return log_tol, tuple(out)
+
+
+def _settle(prod: complex, zero: bool, log: complex, z,
+            bases: str) -> complex:
+    """prod exp(-log), the value of (z; bases)_inf.  ConvergenceError
+    where it is not finite, and where it underflows the float range
+    unless zero says a factor is exactly 0."""
+    try:
+        value = prod * cmath.exp(-log)
+    except OverflowError:  # exp(-log) alone leaves the float range
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        problem = "is not finite in floating point"
+    elif _modulus(value) < sys.float_info.min and not zero:
+        problem = "underflows the float range"
+    else:
+        return value
+    raise ConvergenceError(f"({z};{bases})_inf {problem}")
 
 
 def _modulus(z: complex) -> float:
@@ -251,8 +250,6 @@ def qgamma(a: complex, q: float) -> complex:
     if m is not None:
         raise PoleError(f"Gamma_q pole at a ~ {-m}", location=-m)
     den = qpochhammer_inf(_cpow(q, a), q)
-    if abs(den) < sys.float_info.min:
-        raise ConvergenceError("(q^a;q)_inf in Gamma_q underflows near q = 1")
     return _qq_inf(q) * _cpow(1.0 - q, 1.0 - a) / den
 
 
@@ -350,10 +347,11 @@ def _exp(log: complex, what: str) -> complex:
 def double_pochhammer(z: complex, p1: float, p2: float) -> complex:
     """(z; p1, p2)_inf = prod_{i1,i2>=0} (1 - p1^i1 p2^i2 z): the rows
     (z p1^i1; p2)_inf with |z p1^i1| >= _RHO, times the corner below them
-    (_corner_sums).  DomainError for a base of modulus >= 1;
+    as exp of its log series.  DomainError for a base of modulus >= 1;
     ConvergenceError at the term cap of the factor-by-factor product (its
     row count or the length of its top row), for a z not finite or of
-    modulus past the float range, and for a product not finite."""
+    modulus past the float range, and from the first row where the
+    product leaves the float range."""
     return _double_products((z,), p1, p2)[0]
 
 
@@ -361,76 +359,31 @@ _NOT_FINITE = "(z;p1,p2)_inf is not finite in floating point"
 
 
 def _double_products(zs, p1: float, p2: float) -> list:
-    """(z; p1, p2)_inf for each z in zs, as in double_pochhammer, or the
-    first error in the order of zs raised; all rows take one
-    _qpochhammers call and all corners one _corner_sums call."""
+    """(z; p1, p2)_inf for each z in zs, as in double_pochhammer; the
+    first error in the order of zs is raised."""
     if not (abs(p1) < 1.0 and abs(p2) < 1.0):
         raise DomainError("both bases must have modulus < 1")
-    plans, rows, corners = [], [], []
+    cut = _cut(p2)
+    out = []
     for z in zs:
         z = complex(z)
-        try:
-            az = _modulus(z)
-            _terms(az, p1, DEFAULT_EPS)  # the caps of double_pochhammer
-            _terms(az, p2, DEFAULT_EPS)
-            if not cmath.isfinite(z):  # two zero bases pass those caps
+        az = _modulus(z)
+        _terms(az, p1, DEFAULT_EPS)  # the caps of double_pochhammer
+        _terms(az, p2, DEFAULT_EPS)
+        # each row enters whole, its factors times the exp of its series,
+        # so the running product leaves the float range only where a
+        # product of whole rows does
+        rows, zero, name = _terms(az, p1, _RHO), False, "(z;p1,p2)_inf"
+        value = _exp(-_log_series(z * p1 ** rows, p1, p2, _RHO), name)
+        for w in (z * p1 ** i for i in range(rows)):
+            count = _terms(_modulus(w), p2, cut)
+            factors, vanishes = _factors(w, p2, count)
+            tail = _exp(-_log_series(w * p2 ** count, p2, 0.0, cut), name)
+            value, zero = value * (factors * tail), zero or vanishes
+            if not cmath.isfinite(value):
                 raise ConvergenceError(_NOT_FINITE)
-            count = _terms(az, p1, _RHO)
-        except ConvergenceError as exc:
-            plans.append(exc)
-            continue
-        plans.append((len(rows), count))
-        rows += [z * p1 ** i for i in range(count)]
-        corners.append(z * p1 ** count)
-    row_values = _qpochhammers(rows, p2)
-    corner_sums = iter(_corner_sums(corners, p1, p2))
-    out = []
-    for plan in plans:
-        first, count = _checked(plan)
-        try:
-            value = cmath.exp(-next(corner_sums))
-        except OverflowError:  # the corner alone leaves the float range
-            raise ConvergenceError(_NOT_FINITE) from None
-        for row in row_values[first:first + count]:
-            value *= _checked(row)
-        if not cmath.isfinite(value):
-            raise ConvergenceError(_NOT_FINITE)
-        out.append(value)
+        out.append(_settle(value, zero, 0j, "z", "p1,p2"))
     return out
-
-
-def _corner_sums(ws, p1: float, p2: float) -> list:
-    """-log (w; p1, p2)_inf for each w in ws, |w| < 1, bit for bit the loop
-
-        total, wm, p1m, p2m = -0j, w, p1, p2
-        repeat for m = 1..terms:
-            d = m * (1 - p1m) * (1 - p2m)
-            total += complex(wm.real / d, wm.imag / d)
-            wm *= w; p1m *= p1; p2m *= p2
-
-    terms counting the m with |w|^m >= tol = DEFAULT_EPS (1-_RHO)
-    (1-|p1|)(1-|p2|), so the rest sums to less than DEFAULT_EPS for
-    |w| < _RHO.  The ws are the columns of one array: accumulate takes
-    the powers with CPython's scalar products and sums the float terms
-    in order, and column j reads the row of its own term count.
-    """
-    tol = DEFAULT_EPS * (1.0 - _RHO) * (1.0 - abs(p1)) * (1.0 - abs(p2))
-    terms = [0 if abs(w) < tol else int(math.log(tol) / math.log(abs(w)))
-             for w in ws]
-    height = max(terms, default=0)
-    if height == 0:
-        return [-0j] * len(ws)
-    powers = np.multiply.accumulate(
-        np.broadcast_to(np.array(ws, dtype=complex), (height, len(ws))),
-        axis=0)
-    bases = np.multiply.accumulate(np.full((height, 2), (p1, p2)), axis=0)
-    den = (np.arange(1, height + 1) * (1.0 - bases[:, 0])
-           * (1.0 - bases[:, 1]))[:, None]
-    # -0.0 + x is x for every float x, so the sums start from -0j
-    re = np.add.accumulate(powers.real / den, axis=0)
-    im = np.add.accumulate(powers.imag / den, axis=0)
-    return [complex(re[t - 1, j], im[t - 1, j]) if t else -0j
-            for j, t in enumerate(terms)]
 
 
 def g1(z: complex, x: float, r: float, n: int) -> complex:
@@ -444,26 +397,21 @@ def g1(z: complex, x: float, r: float, n: int) -> complex:
     p2 = float(x) ** (2 * n)
     num1, num2, den1, den2 = _double_products(
         [w * z for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2)], p1, p2)
-    if min(abs(num1), abs(num2), abs(den1), abs(den2)) < sys.float_info.min:
-        raise ConvergenceError("double products in g_1 underflow near q = 1")
     return (num1 / den1) * (num2 / den2)
 
 
 def kernel_s(z: complex, p: QParams) -> complex:
-    """s(z) = (q^((1+k)/2) z; q)_inf / (q^((1-k)/2) z; q)_inf, both
-    products from one call of _qpochhammers."""
+    """s(z) = (q^((1+k)/2) z; q)_inf / (q^((1-k)/2) z; q)_inf."""
     q, k = p.q, p.k
-    num, den = _qpochhammers((q ** ((1.0 + k) / 2.0) * z,
-                              q ** ((1.0 - k) / 2.0) * z), q)
-    return _checked(num) / _checked(den)
+    num = _qpochhammer(q ** ((1.0 + k) / 2.0) * z, q)
+    return num / _qpochhammer(q ** ((1.0 - k) / 2.0) * z, q)
 
 
 def kernel_t(z: complex, p: QParams) -> complex:
-    """t(z) = (1-z) (q^(1-k) z; q)_inf / (q^k z; q)_inf, both products
-    from one call of _qpochhammers."""
+    """t(z) = (1-z) (q^(1-k) z; q)_inf / (q^k z; q)_inf."""
     q, k = p.q, p.k
-    num, den = _qpochhammers((q ** (1.0 - k) * z, q ** k * z), q)
-    return (1.0 - z) * _checked(num) / _checked(den)
+    num = _qpochhammer(q ** (1.0 - k) * z, q)
+    return (1.0 - z) * (num / _qpochhammer(q ** k * z, q))
 
 
 def bracket_v(v: complex, xr: XRParams) -> complex:

@@ -8,8 +8,9 @@ import re
 import pytest
 
 from qmacdonald import (ConvergenceError, DomainError, QParams, XRParams,
-                        ZoneError, boltzmann_w, eigenvalue_c, fq,
-                        integral_rep_fq, qgamma, qpochhammer_inf)
+                        ZoneError, boltzmann_w, double_pochhammer,
+                        eigenvalue_c, fq, integral_rep_fq, kernel_s,
+                        kernel_t, qgamma, qpochhammer_inf)
 from qmacdonald.qcore import bracket_v, qbinomial_series
 
 P = QParams(q=0.5, k=0.4)
@@ -43,6 +44,34 @@ def test_lattice_guards_on_non_finite_input(call, error):
 def test_no_nan_and_no_zero_division(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: qpochhammer_inf(0.99, 0.999),
+    lambda: double_pochhammer(0.9, 0.999, 0.5),
+    lambda: kernel_s(0.9, QParams(0.999, 0.4)),
+    lambda: kernel_t(0.9, QParams(0.999, 0.4)),
+    lambda: kernel_s(0.9, QParams(0.9995, 0.4)),
+    lambda: kernel_t(0.9, QParams(0.9995, 0.4)),
+], ids=["qpochhammer", "double-pochhammer", "kernel-s", "kernel-t",
+        "kernel-s-nearer-one", "kernel-t-nearer-one"])
+def test_underflow_is_a_convergence_error(call):
+    # these returned 0j, or 1+0j and 0j from two products that underflow,
+    # or raised a bare ZeroDivisionError
+    with pytest.raises(ConvergenceError, match="underflows the float range"):
+        call()
+
+
+def test_kernel_t_divides_before_it_scales():
+    # (1 - z) times the numerator overflowed before the division, and
+    # the value, about -1e240, read -inf+nanj
+    assert kernel_t(1e300, QParams(1e-300, 0.4)) == pytest.approx(
+        -1e240, rel=1e-12)
+
+
+def test_an_exact_zero_factor_is_kept():
+    # 1 - 4 * 0.5^2 is exactly 0, as the terminating connection needs
+    assert qpochhammer_inf(4.0, 0.5) == 0
 
 
 @pytest.mark.parametrize("call", [

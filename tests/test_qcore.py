@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,8 @@ from qmacdonald import (ConvergenceError, DomainError, PoleError, QParams,
                         g1, kernel_s, kernel_t, qbinomial_series, qgamma,
                         qpochhammer_inf, theta)
 from qmacdonald import qcore
-from qmacdonald.qcore import (_RHO, _brackets, _cpow, _double_products,
-                              _log_theta_values, _qpochhammers, _terms,
-                              _theta_ratio)
+from qmacdonald.qcore import (_brackets, _cpow, _double_products,
+                              _log_theta_values, _terms, _theta_ratio)
 
 from conftest import mp_theta, theta_exponent
 
@@ -88,13 +88,24 @@ class TestQPochhammer:
         with pytest.raises(ConvergenceError):
             qpochhammer_inf(0.5, 0.9999)
 
+    @pytest.mark.parametrize("z", (math.inf, math.nan))
+    def test_zero_base(self, z):
+        # (w; 0)_inf is the one factor 1 - w; a z that is not finite
+        # passes the term counts of a zero base, and its product is not
+        # finite
+        assert qpochhammer_inf(0.3 + 0.2j, 0.0) == 1 - (0.3 + 0.2j)
+        for call in (lambda: qpochhammer_inf(z, 0.0),
+                     lambda: double_pochhammer(z, 0.0, 0.0)):
+            with pytest.raises(ConvergenceError):
+                call()
+
     def test_modulus_past_the_float_range(self):
-        # abs(z) overflows; the error is that of an inf |z|, held in the
-        # column of z alone
+        # abs(z) overflows; the error is that of an inf |z|
         z = 1.5e308 + 1.5e308j
         with pytest.raises(ConvergenceError) as ref:
             _terms(math.inf, 0.5, 1e-14)
         for call in (lambda: qpochhammer_inf(z, 0.5),
+                     lambda: qpochhammer_inf(z, 0.97),
                      lambda: double_pochhammer(z, 0.5, 0.3)):
             with pytest.raises(ConvergenceError) as exc:
                 call()
@@ -104,11 +115,7 @@ class TestQPochhammer:
         with pytest.raises(ConvergenceError, match="not finite"):
             theta(z, 0.5)
         mp = pytest.importorskip("mpmath")
-        for q in (0.5, 0.97):  # the loop and the accumulation
-            held = _qpochhammers([0.3, z, 0.2j], q)
-            assert isinstance(held[1], ConvergenceError)
-            assert [repr(held[j]) for j in (0, 2)] == [
-                repr(_loop_pochhammer(x, q)) for x in (0.3, 0.2j)]
+        for q in (0.5, 0.97):
             # an inf argument leaves its error in its place alone
             held = _log_theta_values([0.7, complex(math.inf, 0.0), 0.3j], q)
             assert isinstance(held[1], ConvergenceError)
@@ -336,15 +343,31 @@ class TestDoublePochhammer:
             got = double_pochhammer(z, p1, p2)
             assert abs(got - ref) <= 2e-13 * abs(ref)
 
-    def test_one_kernel_call(self, monkeypatch):
-        calls = []
-        kernel = qcore._qpochhammers
-        monkeypatch.setattr(qcore, "_qpochhammers",
-                            lambda *args: calls.append(args) or kernel(*args))
-        double_pochhammer(2.3 + 1.0j, 0.75, 0.89)  # 6 rows and a corner
-        assert len(calls) == 1 and len(calls[0][0]) == 6
-        double_pochhammer(0.3, 0.75, 0.89)  # the corner only
-        assert len(calls) == 2 and len(calls[1][0]) == 0
+    @pytest.mark.parametrize("z", [1e3, 1e5])
+    def test_stops_at_the_first_row_not_finite(self, monkeypatch, z):
+        # the rows of thousands of factors up to |z| overflow from the
+        # first: thousands of rows are left unformed
+        rows = []
+        factors = qcore._factors
+        monkeypatch.setattr(qcore, "_factors",
+                            lambda *args: rows.append(args) or factors(*args))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            double_pochhammer(z, 0.999, 0.999)
+        assert 1 <= len(rows) <= 2
+
+    @pytest.mark.parametrize("k", [9, 11])
+    def test_rows_enter_whole(self, k):
+        # near p2 = 1 the bare factors of a row leave the float range
+        # where the row, its series included, does not: the products
+        # here are about 4e-223 and 7e304
+        mp = pytest.importorskip("mpmath")
+        z = 2.0 * cmath.exp(1j * math.pi * k / 24)
+        got = double_pochhammer(z, 0.5, 0.9993)
+        with mp.workdps(40):
+            ref = _mp_double(mp, z, 0.5, 0.9993)
+        assert _rel_error(mp, got, ref) <= (TestCornerSeriesBits.DOUBLE_BOUND
+                                            * EPS * _double_condition(
+                                                z, 0.5, 0.9993))
 
     @pytest.mark.parametrize("z", (math.nan, math.inf, complex(1.0, math.inf),
                                    complex(math.nan, 0.5)))
@@ -373,10 +396,10 @@ class TestG1:
 
     def test_memory_is_bounded_near_one(self):
         # about 200k factors per double product at q = 0.95 if each were
-        # formed; the rows above |w| = 1/2 and the corner series of
-        # about 56 terms per product keep the peak far below the bound
+        # formed; the rows above |w| = 1/2, each cut short by its own
+        # series, and the corner series keep the peak far below the bound
         xr = XRParams.from_qparams(QParams(q=0.95, k=0.5), XRMode.A)
-        g1(0.3 + 0.2j, xr.x, xr.r, 2)  # warm up lazy numpy state
+        g1(0.3 + 0.2j, xr.x, xr.r, 2)  # fill the series caches
         tracemalloc.start()
         try:
             g1(0.3 + 0.2j, xr.x, xr.r, 2)
@@ -436,16 +459,6 @@ class TestG1:
                     for w in (x ** 2, x ** (2 * r + 2 * n - 2), p1, p2))
                 ref = complex(mp.exp(num1 + num2 - den1 - den2))
             assert abs(g1(z, xr.x, xr.r, n) - ref) <= 4e-13 * abs(ref)
-
-    def test_one_kernel_call(self, monkeypatch):
-        # the rows of all four double products take one _qpochhammers call
-        calls = []
-        kernel = qcore._qpochhammers
-        monkeypatch.setattr(qcore, "_qpochhammers",
-                            lambda *args: calls.append(args) or kernel(*args))
-        xr = XRParams.from_qparams(QParams(q=0.75, k=0.2), XRMode.B)
-        g1(1.7 - 0.4j, xr.x, xr.r, 2)
-        assert len(calls) == 1 and calls[0][0]
 
 
 class TestKernels:
@@ -585,8 +598,8 @@ class TestParams:
 
 
 def _loop_pochhammer(z, q, eps=1e-14):
-    """The term loop that the batched kernel replaced, kept as the oracle
-    it must match bit for bit."""
+    """(z; q)_inf as a float term loop: every factor with |z q^i| >= eps,
+    then the first-order tail exp(-z q^terms / (1 - q))."""
     terms = _terms(abs(z), q, eps)
     prod = complex(1.0)
     zq = complex(z)
@@ -596,20 +609,57 @@ def _loop_pochhammer(z, q, eps=1e-14):
     return prod * cmath.exp(-zq / (1.0 - q))
 
 
-def _with_terms(count, q, phase):
-    """A z with exactly count factors in (z; q)_inf at eps = 1e-14."""
-    z = 1e-14 * q ** (0.5 - count) * cmath.exp(1j * phase)
-    assert _terms(abs(z), q, 1e-14) == count
-    return z
+def _condition(z, q):
+    """1 + sum_i (1 + (i + 1) |z q^i| / |1 - z q^i|) over the factors
+    with |z q^i| >= 1e-14, those of _loop_pochhammer: the multiple of
+    float eps by which rounding each factor and product, and the running
+    z q^i, can move (z; q)_inf.  Error bounds on q-products are stated in
+    units of float eps times this."""
+    total, w, i = 1.0, complex(z), 0
+    while abs(w) >= 1e-14:
+        total += 1.0 + (i + 1) * abs(w) / abs(1.0 - w)
+        w *= q
+        i += 1
+    return total
 
 
-def _count_loops(monkeypatch):
-    """A list that gets one entry per call of qcore._loop_product."""
-    loops = []
-    loop = qcore._loop_product
-    monkeypatch.setattr(qcore, "_loop_product",
-                        lambda *args: loops.append(args) or loop(*args))
-    return loops
+def _double_condition(z, p1, p2):
+    """1 + the _condition of each row (z p1^i; p2)_inf with |z p1^i| >=
+    1/2, plus sum_m |w|^m / (m |1 - p1^m| |1 - p2^m|) for the corner w
+    below them, the size of its log: the unit of float eps for
+    (z; p1, p2)_inf."""
+    total, z = 1.0, complex(z)
+    while abs(z) >= 0.5:
+        total += _condition(z, p2)
+        z *= p1
+    m, wm = 1, abs(z)
+    while wm >= 1e-17:
+        total += wm / (m * abs(1 - p1 ** m) * abs(1 - p2 ** m))
+        m, wm = m + 1, wm * abs(z)
+    return total
+
+
+def _mp_pochhammer(mp, z, q):
+    """(z; q)_inf at the working precision: the factors with |z q^i| >=
+    1/10 times the exp of the log series of the rest (_mp_log_double with
+    p2 = 0), which ends within 32 terms there."""
+    z, q = mp.mpc(z), mp.mpf(q)
+    prod = mp.mpf(1)
+    while abs(z) >= 0.1:
+        prod *= 1 - z
+        z *= q
+    return prod * mp.exp(_mp_log_double(mp, z, q, 0))
+
+
+def _mp_double(mp, z, p1, p2):
+    """(z; p1, p2)_inf at the working precision: the rows (z p1^i; p2)_inf
+    with |z p1^i| >= 1/2 times the exp of the corner's log series."""
+    z, p1, p2 = mp.mpc(z), mp.mpf(p1), mp.mpf(p2)
+    value = mp.mpf(1)
+    while abs(z) >= 0.5:
+        value *= _mp_pochhammer(mp, z, p2)
+        z *= p1
+    return value * mp.exp(_mp_log_double(mp, z, p1, p2))
 
 
 def _grid(seed, count):
@@ -626,28 +676,37 @@ def _grid(seed, count):
 
 
 class TestBatchedProductBits:
-    """The batched q-product kernel against the term loop, by repr."""
+    """The q-products and their callers against the float term loop and
+    40-digit references, in units of float eps times _condition."""
+
+    # twice the worst multiple on these grids, rounded up: 0.31 against
+    # the term loop (q = 0.23 on the grid), and 0.13 against the 40-digit
+    # reference (q = 0.05, z = -0.001)
+    LOOP_BOUND = 0.7
+    MP_BOUND = 0.3
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_kernel_and_qpochhammer(self, seed):
+        mp = pytest.importorskip("mpmath")
         for q, zs in _grid(seed, 12):
-            want = [repr(_loop_pochhammer(z, q)) for z in zs]
-            assert [repr(v) for v in _qpochhammers(zs, q)] == want
-            # qpochhammer_inf raises where the loop's value is not finite
-            if cmath.isfinite(_loop_pochhammer(zs[0], q)):
-                assert repr(qpochhammer_inf(zs[0], q)) == want[0]
-            else:
-                with pytest.raises(ConvergenceError):
-                    qpochhammer_inf(zs[0], q)
-
-    def test_rows_in_blocks(self):
-        # 400 columns of about 3000 rows take several row blocks; the
-        # last has no factor at all
-        zs = [0.3 * cmath.exp(0.1j * j) * 1.01 ** j for j in range(399)]
-        zs.append(1e-20j)
-        want = [repr(_loop_pochhammer(z, 0.99)) for z in zs]
-        assert [repr(v) for v in _qpochhammers(zs, 0.99)] == want
-
+            for j, z in enumerate(zs):
+                want = _loop_pochhammer(z, q)
+                if not (cmath.isfinite(want)
+                        and abs(want) >= sys.float_info.min):
+                    with pytest.raises(ConvergenceError):
+                        qpochhammer_inf(z, q)
+                    continue
+                try:
+                    got = qpochhammer_inf(z, q)
+                except ConvergenceError:  # the loop's value is subnormal
+                    assert abs(want) < 1e-300 or abs(want) > 1e300
+                    continue
+                unit = EPS * _condition(z, q)
+                assert abs(got - want) <= self.LOOP_BOUND * unit * abs(want)
+                if j < 2:
+                    with mp.workdps(40):
+                        assert _rel_error(mp, got, _mp_pochhammer(
+                            mp, z, q)) <= self.MP_BOUND * unit
     @pytest.mark.parametrize("seed", [3, 4])
     def test_theta_and_batch(self, seed):
         # the batch of log thetas, each entry as the argument alone would
@@ -681,40 +740,54 @@ class TestBatchedProductBits:
                     * (1 + theta_exponent(z, q)))
 
     def test_qgamma(self):
+        mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
         for _ in range(40):
             q = float(rng.uniform(0.05, 0.95))
             a = complex(rng.uniform(0.2, 4.0), rng.uniform(-2.0, 2.0))
-            want = (_loop_pochhammer(q, q) * _cpow(1.0 - q, 1.0 - a)
-                    / _loop_pochhammer(_cpow(q, a), q))
-            assert repr(qgamma(a, q)) == repr(want)
+            qa, power = _cpow(q, a), _cpow(1.0 - q, 1.0 - a)
+            unit = EPS * (_condition(q, q) + _condition(qa, q))
+            got = qgamma(a, q)
+            want = _loop_pochhammer(q, q) * power / _loop_pochhammer(qa, q)
+            assert abs(got - want) <= self.LOOP_BOUND * unit * abs(want)
+            with mp.workdps(40):
+                ref = (_mp_pochhammer(mp, q, q) * power
+                       / _mp_pochhammer(mp, qa, q))
+            assert _rel_error(mp, got, ref) <= self.MP_BOUND * unit
 
     def test_kernels(self):
+        mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(6)
         for _ in range(40):
             p = QParams(q=float(rng.uniform(0.05, 0.95)),
                         k=float(rng.uniform(0.05, 0.95)))
             q, k = p.q, p.k
             z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            s = (_loop_pochhammer(q ** ((1.0 + k) / 2.0) * z, q)
-                 / _loop_pochhammer(q ** ((1.0 - k) / 2.0) * z, q))
-            t = ((1.0 - z) * _loop_pochhammer(q ** (1.0 - k) * z, q)
-                 / _loop_pochhammer(q ** k * z, q))
-            assert repr(kernel_s(z, p)) == repr(s)
-            assert repr(kernel_t(z, p)) == repr(t)
+            for kernel, factor, num, den in (
+                    (kernel_s, 1.0, q ** ((1.0 + k) / 2.0) * z,
+                     q ** ((1.0 - k) / 2.0) * z),
+                    (kernel_t, 1.0 - z, q ** (1.0 - k) * z, q ** k * z)):
+                got = kernel(z, p)
+                unit = EPS * (_condition(num, q) + _condition(den, q))
+                want = (factor * _loop_pochhammer(num, q)
+                        / _loop_pochhammer(den, q))
+                assert abs(got - want) <= self.LOOP_BOUND * unit * abs(want)
+                with mp.workdps(40):
+                    ref = (factor * _mp_pochhammer(mp, num, q)
+                           / _mp_pochhammer(mp, den, q))
+                assert _rel_error(mp, got, ref) <= self.MP_BOUND * unit
 
     def test_term_cap_error(self):
         with pytest.raises(ConvergenceError) as ref:
             _terms(0.5, 0.9999, 1e-14)
-        # the batch leaves the error in the column that reaches the cap
-        values = _qpochhammers([1e-7, 0.5, 2e-7j], 0.9999)
-        assert isinstance(values[1], ConvergenceError)
-        assert str(values[1]) == str(ref.value)
-        assert [repr(values[j]) for j in (0, 2)] == [
-            repr(_loop_pochhammer(z, 0.9999)) for z in (1e-7, 2e-7j)]
         with pytest.raises(ConvergenceError) as exc:
             qpochhammer_inf(0.5, 0.9999)
         assert str(exc.value) == str(ref.value)
+        # arguments below the cap at the same q are products as usual
+        for z in (1e-7, 2e-7j):
+            want = _loop_pochhammer(z, 0.9999)
+            assert abs(qpochhammer_inf(z, 0.9999) - want) <= (
+                self.LOOP_BOUND * EPS * _condition(z, 0.9999) * abs(want))
         # theta takes no product: its log is there, and its value, about
         # 1e-21431, is a typed underflow
         mp = pytest.importorskip("mpmath")
@@ -724,104 +797,35 @@ class TestBatchedProductBits:
         with pytest.raises(ConvergenceError, match="underflows"):
             theta(0.5, 0.9999)
 
-    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_engines_at_the_size_rule(self, monkeypatch, q, extra):
-        # batches of _LOOP_FACTORS - 1, _LOOP_FACTORS and _LOOP_FACTORS + 1
-        # factors: the first two take the loop, the last the accumulation
-        total = qcore._LOOP_FACTORS + extra
-        counts = [total // 3, total // 3, total - 2 * (total // 3)]
-        zs = [_with_terms(c, q, 0.9 * j + 0.2) for j, c in enumerate(counts)]
-        assert sum(_terms(abs(z), q, 1e-14) for z in zs) == total
-        loops = _count_loops(monkeypatch)
-        got = [repr(v) for v in _qpochhammers(zs, q)]
-        assert got == [repr(_loop_pochhammer(z, q)) for z in zs]
-        assert len(loops) == (3 if extra <= 0 else 0)
-
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.8, 0.95])
     def test_one_column(self, q):
-        # a short product takes the loop and a long one the accumulation
+        # from no factor above the cut to hundreds of them
+        mp = pytest.importorskip("mpmath")
         for r in (1e-3, 0.3, 0.99, 1.7, 40.0):
             for phase in (0.0, 2.0, -math.pi):
                 z = r * cmath.exp(1j * phase)
-                want = repr(_loop_pochhammer(z, q))
-                assert repr(qpochhammer_inf(z, q)) == want
-                assert [repr(v) for v in _qpochhammers([z], q)] == [want]
-
-    @pytest.mark.parametrize("long", [False, True])
-    def test_held_errors_on_both_engines(self, monkeypatch, long):
-        # at q = 0.9999: 0 and 1 factors, the term cap, NaN, inf and a
-        # modulus past the float range, and with long 6932 factors more
-        q = 0.9999
-        zs = [1e-15, 1.00005e-14j, 0.5, math.nan, complex(math.inf, 0.0),
-              1.5e308 + 1.5e308j] + ([2e-14] if long else [])
-        with pytest.raises(ConvergenceError) as ref:
-            _terms(math.inf, q, 1e-14)
-        loops = _count_loops(monkeypatch)
-        held = _qpochhammers(zs, q)
-        assert len(loops) == (0 if long else 2)
-        for j, (z, value) in enumerate(zip(zs, held)):
-            if 2 <= j <= 5:
-                assert type(value) is ConvergenceError
-                assert str(value) == str(ref.value)
-            else:
-                assert repr(value) == repr(_loop_pochhammer(z, q))
-
-    def test_engine_by_size(self, monkeypatch):
-        # a one-column product of 47 factors at q = 0.5 takes the loop,
-        # and the products of Gamma_q at q = 0.99, 3,000 factors or more,
-        # the accumulation
-        calls = []  # columns and loop products of each kernel call
-        loops = _count_loops(monkeypatch)
-        kernel = qcore._qpochhammers
-
-        def recording(zs, q):
-            before = len(loops)
-            out = kernel(zs, q)
-            calls.append((len(zs), len(loops) - before))
-            return out
-        monkeypatch.setattr(qcore, "_qpochhammers", recording)
-        qpochhammer_inf(0.3, 0.5)
-        assert calls == [(1, 1)]
-        calls.clear()
-        qcore._qq_inf.cache_clear()  # so (q;q)_inf is formed here too
-        qgamma(1.3, 0.99)
-        assert calls == [(1, 0), (1, 0)]
-
-
-def _loop_corner(w, p1, p2, eps=1e-14):
-    """-log (w; p1, p2)_inf from the term loop that the corner series
-    kernel must match bit for bit, with its term count."""
-    tol = eps * (1.0 - _RHO) * (1.0 - abs(p1)) * (1.0 - abs(p2))
-    terms = 0 if abs(w) < tol else int(math.log(tol) / math.log(abs(w)))
-    # -0.0 + x is x for every float x, so the first sum is the first term,
-    # as in the kernel's np.add.accumulate
-    total, wm, p1m, p2m = -0j, w, p1, p2
-    for m in range(1, terms + 1):
-        d = m * (1 - p1m) * (1 - p2m)
-        total += complex(wm.real / d, wm.imag / d)
-        wm *= w
-        p1m *= p1
-        p2m *= p2
-    return total, terms, tol
-
-
-def _loop_double(z, p1, p2):
-    """(z; p1, p2)_inf as exp of the corner loop times the row loops."""
-    z = complex(z)
-    rows = _terms(abs(z), p1, _RHO)
-    value = cmath.exp(-_loop_corner(z * p1 ** rows, p1, p2)[0])
-    for i in range(rows):
-        value *= _loop_pochhammer(z * p1 ** i, p2)
-    return value
+                got = qpochhammer_inf(z, q)
+                unit = EPS * _condition(z, q)
+                want = _loop_pochhammer(z, q)
+                assert abs(got - want) <= self.LOOP_BOUND * unit * abs(want)
+                with mp.workdps(40):
+                    assert _rel_error(mp, got, _mp_pochhammer(
+                        mp, z, q)) <= self.MP_BOUND * unit
 
 
 class TestCornerSeriesBits:
-    """double_pochhammer and g1 against the row and corner term loops, by
-    repr."""
+    """double_pochhammer and g1 against their rows and corner series at
+    40 digits (_mp_double), in units of float eps times
+    _double_condition."""
+
+    # twice the worst multiple on these grids, rounded up: 0.98 for a
+    # double product (|z| = 1e-3, where the unit is about 1), 0.37 for g1
+    DOUBLE_BOUND = 2.0
+    G1_BOUND = 0.8
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_double_products(self, seed):
+        mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(seed)
         for _ in range(20):
             p1, p2 = (float(rng.uniform(0.05, 0.95)) * rng.choice((-1, 1, 1))
@@ -830,31 +834,34 @@ class TestCornerSeriesBits:
                           * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
                   for _ in range(int(rng.integers(1, 6)))]
             zs += [0j, -0.3, complex(-0.3, -0.0), 1.5]  # signed zeros
-            want = [repr(_loop_double(z, p1, p2)) for z in zs]
-            assert [repr(v) for v in _double_products(zs, p1, p2)] == want
-            assert repr(double_pochhammer(zs[0], p1, p2)) == want[0]
-            for z in zs:  # the count keeps the m with |w|^m >= tol
-                w = z * p1 ** _terms(abs(z), p1, _RHO)
-                _, terms, tol = _loop_corner(w, p1, p2)
-                assert abs(w) ** (terms + 1) < tol
-                assert terms == 0 or abs(w) ** terms >= tol
+            for z, value in zip(zs, _double_products(zs, p1, p2)):
+                assert value == double_pochhammer(z, p1, p2)
+                with mp.workdps(40):
+                    ref = _mp_double(mp, z, p1, p2)
+                assert _rel_error(mp, value, ref) <= (
+                    self.DOUBLE_BOUND * EPS * _double_condition(z, p1, p2))
 
     @pytest.mark.parametrize("mode", list(XRMode))
     def test_g1(self, mode):
+        mp = pytest.importorskip("mpmath")
         for q, k, n, z in itertools.product((0.3, 0.75, 0.95), (0.2, 0.8),
                                             (2, 3), (0.3 + 0.2j, 1.7 - 0.4j)):
             xr = XRParams.from_qparams(QParams(q=q, k=k), mode)
             x, r = xr.x, xr.r
             p1, p2 = x ** (2.0 * r), float(x) ** (2 * n)
+            args = [w * z for w in (x ** 2, x ** (2.0 * r + 2 * n - 2),
+                                    p1, p2)]
+            with mp.workdps(40):
+                num1, num2, den1, den2 = (_mp_double(mp, w, p1, p2)
+                                          for w in args)
+                ref = num1 * num2 / (den1 * den2)
             try:
                 got = g1(z, x, r, n)
-            except ConvergenceError:  # near 1 the products underflow
-                assert q == 0.95
+            except ConvergenceError:  # near 1 a double product underflows
+                assert min(map(abs, (num1, num2, den1, den2))) < 1e-300
                 continue
-            num1, num2, den1, den2 = (
-                _loop_double(w * z, p1, p2)
-                for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2))
-            assert repr(got) == repr((num1 / den1) * (num2 / den2))
+            unit = EPS * sum(_double_condition(w, p1, p2) for w in args)
+            assert _rel_error(mp, got, ref) <= self.G1_BOUND * unit
 
 
 class TestBracketBits:
