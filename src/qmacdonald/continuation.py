@@ -11,12 +11,10 @@ the i-th and (i+1)-th coordinates.  All ratio powers and theta arguments
 are evaluated at the concrete ratio z_i/z_{i+1} with principal branches;
 evaluation points in tests keep arguments well away from the cut.
 
-A braid computation first forms every crossing it needs, with its
-checks and its nine theta arguments, then computes the log theta of all
-those arguments in one batch (qcore._log_theta_values) and assembles the
-matrices from that table.  The table holds, for each argument, its log
-theta or the exception that rejects it, which a lookup raises, so an
-error is the one the crossings taken one at a time would raise first.
+braid_matrix, braid_action and verify_braid_relations are one loop over
+2x2 blocks (_braid_actions), which forms each theta, row pairing, ratio,
+spectral difference and block once per call; braid_matrix is its
+two-row case.
 Each entry is one exp of its theta quotients' logs and its powers' logs,
 so it stays finite near q = 1 and far from ratio 1, where the thetas
 themselves leave the float range.
@@ -28,7 +26,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +33,8 @@ from .errors import (ConvergenceError, DomainError, PoleError,
                      ResonanceError, ZoneError)
 from .operators import SpectralData
 from .qcore import (QParams, XRParams, _brackets, _checked, _cpow,
-                    _log_theta_ratio, _log_theta_values, _theta_ratio, fq,
-                    g1, qgamma, qpochhammer_inf)
+                    _log_theta_of, _log_theta_ratio, _theta_ratio, fq, g1,
+                    qgamma, qpochhammer_inf)
 
 _RESONANCE_TOL = 1e-10
 
@@ -121,27 +118,6 @@ def _theta_vanishes(x: complex, base: float) -> bool:
                         "range") from None
 
 
-def _theta_table(q: float, args) -> dict:
-    """{x: the _log_theta_values entry of x in base q} for the arguments
-    args of one call of braid_matrix, braid_action or
-    verify_braid_relations, from one batch; each distinct argument is
-    computed once, and of equal arguments the first is the key."""
-    xs = list(dict.fromkeys(args))
-    return dict(zip(xs, _log_theta_values(xs, q)))
-
-
-class _Crossing(NamedTuple):
-    """What braid_matrix computes before its thetas: zeta =
-    z_i/z_{i+1}, d = eta_{i+1} - eta_i and the nine theta arguments, in
-    the order the entries look them up."""
-
-    s: SpectralData
-    i: int
-    zeta: complex
-    d: complex
-    args: tuple
-
-
 def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
     """Continuation matrix for crossing the wall |z_i| = |z_{i+1}| (1-based i).
 
@@ -156,132 +132,176 @@ def braid_matrix(s: SpectralData, i: int, z, p: QParams) -> ConnectionMatrix:
         off  = q^(-ked) Theta(q^(k-ed))/Theta(q^(-ed)) Theta(u)/Theta(q^k u) zeta^k
 
     so the matrix takes nine distinct thetas: Theta(q^k), Theta(q^(+-d)),
-    Theta(q^(+-d) u), Theta(q^k u), Theta(u) and Theta(q^(k-+d)).  Their
-    logs come from a table keyed by their argument and filled in one
-    batch, and each entry is the exp of a sum of theta quotients' logs
-    (qcore._log_theta_ratio) and powers' logs.  ResonanceError is raised
-    when a denominator theta vanishes, ZoneError when a theta argument is
-    too far from 1 for floating point, and ConvergenceError when an entry
-    is not finite.
+    Theta(q^(+-d) u), Theta(q^k u), Theta(u) and Theta(q^(k-+d)).  Each
+    entry is the exp of a sum of theta quotients' logs
+    (qcore._log_theta_ratio) and powers' logs.  It is braid_action on the
+    two rows s and s_i s.  ResonanceError is raised when a denominator
+    theta vanishes, ZoneError when a theta argument is too far from 1 for
+    floating point, and ConvergenceError when an entry is not finite.
     """
-    c = _crossing(s, i, z, p)
-    return _braid_entries(c, p, _theta_table(p.q, c.args), {})
-
-
-def _crossing(s: SpectralData, i: int, z, p: QParams) -> _Crossing:
-    """The checks of braid_matrix that come before its thetas, and the
-    arguments of those thetas."""
-    n = s.n
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"i must lie in 1..{n - 1}")
-    z = tuple(complex(c) for c in z)
-    if z[i] == 0:
-        raise DomainError("z_{i+1} must be nonzero")
-    zeta = z[i - 1] / z[i]
-    if zeta == 0:
-        raise DomainError("z_i / z_{i+1} must be nonzero")
-    eta = s.eta
-    d = eta[i] - eta[i - 1]  # lambda_{w(i+1)} - lambda_{w(i)}
-    q, k = p.q, p.k
-    u = 1.0 / zeta
-    qk = q ** k
-    qd, qmd = _cpow(q, d), _cpow(q, -d)
-    for name, x in (("Theta_q(q^d)", qd), ("Theta_q(q^k u)", qk * u),
-                    ("Theta_q(q^d)", qmd)):
-        if _theta_vanishes(x, q):
-            raise ResonanceError(f"{name} vanishes: resonant parameters")
-    return _Crossing(s, i, zeta, d, (qk, qd, qmd, u, qk * u, qd * u, qmd * u,
-                                     _cpow(q, -d + k), _cpow(q, d + k)))
-
-
-def _braid_entries(c: _Crossing, p: QParams, table: dict,
-                   quotients: dict) -> ConnectionMatrix:
-    """The braid matrix of the crossing c, its log thetas from table; a
-    rejected theta raises its error, the first in the order of c.args.
-    Each log theta quotient is formed once per call and kept in
-    quotients under its two arguments and its exponent a, since the
-    crossings of one call share most of them (40 distinct of 147 in an
-    n = 3 braid check).  ConvergenceError where an entry overflows."""
-    zeta, d, k = c.zeta, c.d, p.k
-    eps = -math.log(p.q)
-    for x in c.args:
-        _checked(table[x])
-    qk, qd, qmd, u, qku, qdu, qmdu, qkmd, qkpd = c.args
-
-    def ratio(x1, x2, a):  # log Theta(x1) / Theta(x2), x1 = q^a x2
-        value = quotients.get((x1, x2, a))
-        if value is None:
-            value = quotients[x1, x2, a] = _log_theta_ratio(
-                table[x1], table[x2], a, eps)
-        return value
-    log_zeta = cmath.log(zeta)
-    u_ku = ratio(u, qku, -k) + k * log_zeta
-    try:
-        diag0, off0, off1, diag1 = map(cmath.exp, (
-            ratio(qk, qd, k - d) + ratio(qdu, qku, d - k)
-            + (k - d) * log_zeta,
-            k * d * eps + ratio(qkmd, qmd, k) + u_ku,
-            -k * d * eps + ratio(qkpd, qd, k) + u_ku,
-            ratio(qk, qmd, k + d) + ratio(qmdu, qku, -d - k)
-            + (k + d) * log_zeta))
-    except OverflowError:
-        raise ConvergenceError("a braid matrix entry is not finite in "
-                               "floating point") from None
-    return ConnectionMatrix(
-        i=c.i, w=c.s.w, ratio=zeta,
-        entries=[[diag0, off0], [off1, diag1]],
-    )
+    if not 1 <= i <= s.n - 1:  # before _swap
+        raise DomainError(f"i must lie in 1..{s.n - 1}")
+    rows = [(s.w, s.eta), (_swap(s.w, i), _swap(s.eta, i))]
+    M = _braid_actions(rows, [(i, z)], p)[0]
+    return ConnectionMatrix(i=i, w=s.w,
+                            ratio=complex(z[i - 1]) / complex(z[i]),
+                            entries=M.tolist())
 
 
 def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
     """The full n!-dimensional continuation matrix for wall i, on the basis
     of solutions ordered as in s_list (a list of SpectralData sharing lam).
 
-    Its 2x2 blocks share one table of log thetas, filled in one batch,
-    so each distinct theta argument is computed once and every entry
-    equals braid_matrix's, bit for bit."""
-    return _braid_actions(s_list, [(i, z)], p)[0]
+    Each 2x2 block is braid_matrix's for the row of its pair that comes
+    first in s_list, bit for bit, and each distinct theta argument is
+    computed once; _braid_actions says where the last bits can differ."""
+    return _braid_actions([(sd.w, sd.eta) for sd in s_list], [(i, z)],
+                          p)[0]
 
 
-def _braid_actions(s_list, walls, p: QParams) -> list[np.ndarray]:
+class _Zone:
+    """What a ratio zeta = z_i/z_{i+1} fixes in one braid call: u = 1/zeta,
+    q^k u, log zeta, u_ku = log Theta(u)/Theta(q^k u) zeta^k (None until
+    q^k u has passed its resonance test) and the entries of its blocks
+    formed so far, by spectral difference d."""
+
+    __slots__ = ("u", "qku", "log_zeta", "u_ku", "blocks")
+
+    def __init__(self, zeta: complex, qk: float):
+        self.u = 1.0 / zeta
+        self.qku = qk * self.u
+        self.log_zeta = cmath.log(zeta)
+        self.u_ku = None
+        self.blocks = {}
+
+
+def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
     """braid_action(s_list, i, z, p) for each (i, z) of walls, in order,
-    with one table of log thetas for all their blocks.
+    with rows the (w, eta) of each element of s_list.
 
-    The crossings of all blocks are formed first, up to the first error
-    one raises.  The blocks before it are assembled from one table, and
-    then that error is raised: the error the blocks taken one at a time
-    would raise first.  DomainError for a wall i outside 1..n-1 and for
-    an s_list without the partner s_i w of one of its w.
+    One loop over the 2x2 blocks forms each quantity once per call, at
+    the level it depends on: each log theta once, in a memo keyed by its
+    argument; per wall index i, the row pairs; per ratio zeta, a _Zone;
+    per spectral difference d, q^(+-d), q^(k-+d) and the four theta
+    quotients that depend on q alone; per block, Theta(q^(+-d) u), two
+    quotients and four exps.  A block of (zeta, d) met again is reused,
+    and one of (zeta, -d) with its rows and columns swapped, which gives
+    the bits forming it would.  For real d, q^d and q^-(-d) differ in the
+    sign of a zero imaginary part, which moves log Theta's last bits and
+    which the memo, keyed by value, drops: where two pairs of a wall have
+    opposite real d, the later block can differ from braid_matrix's in
+    its last bits.
+
+    The first block that fails raises the error braid_matrix would: a wall
+    i outside 1..n-1 and an s_list without the partner s_i w of one of
+    its w (DomainError), then a zero coordinate, the three resonance
+    tests in their order, the thetas in the order of the nine arguments
+    of braid_matrix's docstring, and an entry that overflows.
     """
-    dim = len(s_list)
-    index = {sd.w: j for j, sd in enumerate(s_list)}
-    blocks = []  # ((matrix, row, partner row), crossing) per 2x2 block
-    error = None
-    try:
-        for m, (i, z) in enumerate(walls):
-            done = set()
-            for j, sd in enumerate(s_list):
-                if j not in done:
-                    if not 1 <= i <= sd.n - 1:  # as _crossing, before _swap
-                        raise DomainError(f"i must lie in 1..{sd.n - 1}")
-                    j2 = index.get(_swap(sd.w, i))
-                    if j2 is None:
-                        raise DomainError(f"s_list has no partner of w = "
-                                          f"{sd.w} across wall {i}")
-                    blocks.append(((m, j, j2), _crossing(sd, i, z, p)))
-                    done.update((j, j2))
-    except Exception as exc:  # raised again after the blocks before it
-        error = exc
-    table = _theta_table(p.q, [x for _, c in blocks for x in c.args])
-    quotients = {}
-    out = [np.zeros((dim, dim), dtype=complex) for _ in walls]
-    for (m, j, j2), c in blocks:
-        cm = _braid_entries(c, p, table, quotients)
-        M = out[m]
-        M[j, j], M[j, j2] = cm.entries[0]
-        M[j2, j], M[j2, j2] = cm.entries[1]
-    if error is not None:
-        raise error
+    dim = len(rows)
+    index = {w: j for j, (w, _) in enumerate(rows)}
+    q, k = p.q, p.k
+    eps, qk = -math.log(q), q ** k
+    evaluate, thetas = _log_theta_of(q), {}
+    pairings, zones, spectra = {}, {}, {}
+
+    def pairing(i):
+        # the (row, partner row, d = eta_(i+1) - eta_i) of each block of
+        # wall i, in order, and the DomainError of the row that ends them,
+        # if one does
+        blocks, done = [], set()
+        for j, (w, eta) in enumerate(rows):
+            if j in done:
+                continue
+            if not 1 <= i <= len(w) - 1:  # before _swap
+                return blocks, DomainError(f"i must lie in 1..{len(w) - 1}")
+            j2 = index.get(_swap(w, i))
+            if j2 is None:
+                return blocks, DomainError(f"s_list has no partner of w = "
+                                           f"{w} across wall {i}")
+            done.update((j, j2))
+            blocks.append((j, j2, eta[i] - eta[i - 1]))
+        return blocks, None
+
+    def log_theta(x):  # its pair (c, s), or its error raised
+        entry = thetas.get(x)
+        if entry is None:
+            entry = thetas[x] = _checked(evaluate(x))
+        return entry
+
+    def ratio(x1, x2, a):  # log Theta(x1) / Theta(x2), x1 = q^a x2
+        return _log_theta_ratio(log_theta(x1), log_theta(x2), a, eps)
+
+    def resonance(name, x):
+        if _theta_vanishes(x, q):
+            raise ResonanceError(f"{name} vanishes: resonant parameters")
+
+    def block(zone, d):
+        # the checks of d and of the zone interleave, so that each comes
+        # where braid_matrix's order puts it; a d or zone formed before
+        # has passed them all
+        spec = spectra.get(d)
+        if spec is None:
+            qd, qmd = _cpow(q, d), _cpow(q, -d)
+            resonance("Theta_q(q^d)", qd)
+        if zone.u_ku is None:
+            resonance("Theta_q(q^k u)", zone.qku)
+        if spec is None:
+            resonance("Theta_q(q^d)", qmd)
+            qkmd, qkpd = _cpow(q, -d + k), _cpow(q, d + k)
+            a0, a1 = ratio(qk, qd, k - d), ratio(qk, qmd, k + d)
+        else:
+            qd, qmd, a0, a1, o0, o1 = spec
+        u, qku, log_zeta = zone.u, zone.qku, zone.log_zeta
+        if zone.u_ku is None:
+            zone.u_ku = ratio(u, qku, -k) + k * log_zeta
+        b0, b1 = ratio(qd * u, qku, d - k), ratio(qmd * u, qku, -d - k)
+        if spec is None:
+            o0 = k * d * eps + ratio(qkmd, qmd, k)
+            o1 = -k * d * eps + ratio(qkpd, qd, k)
+            spectra[d] = qd, qmd, a0, a1, o0, o1
+        try:
+            diag0, off0, off1, diag1 = map(cmath.exp, (
+                a0 + b0 + (k - d) * log_zeta, o0 + zone.u_ku,
+                o1 + zone.u_ku, a1 + b1 + (k + d) * log_zeta))
+        except OverflowError:
+            raise ConvergenceError("a braid matrix entry is not finite in "
+                                   "floating point") from None
+        return (diag0, off0), (off1, diag1)
+
+    out = []
+    for i, z in walls:
+        M = np.zeros((dim, dim), dtype=complex)
+        out.append(M)
+        if i not in pairings:
+            pairings[i] = pairing(i)
+        blocks, error = pairings[i]
+        zone = None
+        for j, j2, d in blocks:
+            if zone is None:  # the wall's own checks, at its first block
+                z = tuple(complex(c) for c in z)
+                if z[i] == 0:
+                    raise DomainError("z_{i+1} must be nonzero")
+                zeta = z[i - 1] / z[i]
+                if zeta == 0:
+                    raise DomainError("z_i / z_{i+1} must be nonzero")
+                # equal ratios on the two sides of the cut differ in
+                # log zeta, and in the sign of a zero imaginary part
+                key = zeta, math.copysign(1.0, zeta.imag)
+                zone = zones.get(key)
+                if zone is None:
+                    zone = zones[key] = _Zone(zeta, qk)
+            entries = zone.blocks.get(d)
+            if entries is None:
+                mirror = zone.blocks.get(-d)
+                if mirror is None:
+                    entries = zone.blocks[d] = block(zone, d)
+                else:
+                    (a, b), (c, e) = mirror
+                    entries = (e, c), (b, a)
+            (M[j, j], M[j, j2]), (M[j2, j], M[j2, j2]) = entries
+        if error is not None:
+            raise error
     return out
 
 
@@ -291,17 +311,18 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
     For n=3 assembles the 6x6 matrices for the two walls along both
     reduced words of the longest element and compares the products; for
     any n checks that crossing wall 1 forth and back is the identity.
-    Returns a report with the max deviations.  All the braid_action
-    matrices share one table of log thetas, filled in one batch: the
-    points differ only by transpositions, so their theta arguments
-    repeat, and each is computed once with entries bit-identical to
-    braid_action's.  The wall-1 matrix M1 at z, the first factor of the
-    double crossing, is also the first factor of the sigma1 sigma2 sigma1
-    path, so seven matrices serve the eight factors.
+    Returns a report with the max deviations.  All the matrices come
+    from one _braid_actions call: the points differ only by
+    transpositions, so ratios, spectral differences, blocks and theta
+    arguments repeat, and each is formed once, with entries bit-identical
+    to braid_action's (n = 3: 21 blocks, 12 distinct, 45 distinct
+    thetas).  The wall-1 matrix M1 at z, the first factor of the double
+    crossing, is also the first factor of the sigma1 sigma2 sigma1 path,
+    so seven matrices serve the eight factors.
     """
     n = s.n
     z = tuple(complex(c) for c in z)
-    basis = [SpectralData(n=n, lam=s.lam, w=w, k=s.k)
+    basis = [(w, tuple(s.lam[x] for x in w))  # (w, eta) of each element
              for w in itertools.permutations(range(n))]
     report = {}
     # double crossing: continue across wall 1 and back; for n = 3,

@@ -11,7 +11,7 @@ product in base p2, times its corner as that series in both bases.  A
 product leaving the float range, underflow included, is a
 ConvergenceError; an exact zero factor gives 0.
 
-Theta takes no q-product.  _log_theta_values gives log Theta from
+Theta takes no q-product.  _log_theta_of(q) gives log Theta from
 Jacobi's imaginary transformation, a Gaussian sum of a few terms at any
 q, and theta is its exp.  A quotient of thetas with arguments q^a apart
 (braid matrices, residue bases, the connection of F_q) is the exp of a
@@ -50,10 +50,17 @@ def _cpow(base: complex, expo: complex) -> complex:
     if base == 0:
         return 1.0 if expo == 0 else 0.0
     try:
-        return cmath.exp(expo * cmath.log(base))
-    except OverflowError:
-        raise DomainError(f"{base:.6g}**{expo:.6g} overflows the "
-                          "floating-point range") from None
+        log = expo * cmath.log(base)
+        # a real part of +inf is a power past the float range; -inf is one
+        # that underflows to 0, and NaN, from a NaN or infinite exponent,
+        # is left to the callers' own checks.  exp raises ValueError for
+        # an infinite imaginary part
+        if log.real != math.inf:
+            return cmath.exp(log)
+    except (OverflowError, ValueError):
+        pass
+    raise DomainError(f"{base:.6g}**{expo:.6g} overflows the "
+                      "floating-point range")
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,8 @@ def _checked(value):
 
 def _qpochhammer(z: complex, q: float) -> complex:
     """(z; q)_inf, |q| < 1: _factors above _cut(q), then the _log_series.
-    ConvergenceError at the term cap _terms(|z|, q, DEFAULT_EPS), for a
-    |z| that is NaN, inf or past the float range, and from _settle."""
-    _terms(_modulus(z), q, DEFAULT_EPS)  # the term cap
+    ConvergenceError at the term cap of the factors, for a |z| that is
+    NaN, inf or past the float range, and from _settle."""
     w, cut = complex(z), _cut(q)
     rows = _terms(_modulus(z), q, cut)
     return _settle(*_factors(w, q, rows),
@@ -255,10 +261,10 @@ def qgamma(a: complex, q: float) -> complex:
 
 def theta(z: complex, q: float) -> complex:
     """Theta_q(z) = (z;q)_inf (q/z;q)_inf (q;q)_inf, the exp of its
-    _log_theta_values entry.  c^2 / (2 eps) dominates near q = 1, so c's
+    _log_theta_of(q) entry.  c^2 / (2 eps) dominates near q = 1, so c's
     rounding (two sums, and pi - math.pi) enters it to first order.
     ConvergenceError where |Theta| leaves the normal float range."""
-    c, s = _checked(_log_theta_values((z,), q)[0])
+    c, s = _checked(_log_theta_of(q)(z))
     eps, w = -math.log(q), cmath.log(z)
     turn = math.copysign(math.pi, w.imag)
     big, small = sorted((0.5 * eps, w.real), key=abs, reverse=True)
@@ -272,10 +278,15 @@ def theta(z: complex, q: float) -> complex:
 
 
 def _log_theta_values(xs, q: float) -> list:
-    """log Theta_q(x) = c^2 / (2 eps) + s, eps = -log q, as the pair
-    (c, s) for each x in xs, or in its place the exception that rejects
-    x: DomainError at x = 0 and for q outside (0,1), ConvergenceError for
-    an x that is not finite.
+    """The _log_theta_of(q) entry of each x in xs."""
+    return list(map(_log_theta_of(q), xs))
+
+
+def _log_theta_of(q: float):
+    """The evaluator of log Theta_q, with its constants in q taken once:
+    it maps x to log Theta_q(x) = c^2 / (2 eps) + s, eps = -log q, as the
+    pair (c, s), or to the exception that rejects x: DomainError at x = 0
+    and for q outside (0,1), ConvergenceError for an x that is not finite.
 
     Poisson summation of Jacobi's triple product sum_n (-1)^n
     q^(n(n-1)/2) x^n gives sqrt(2 pi / eps) sum_m exp((b - 2 pi i m)^2 /
@@ -286,39 +297,38 @@ def _log_theta_values(xs, q: float) -> list:
     S keeps |m| <= M, the first left out below float eps (M <= 2, q >= 0.3).
     """
     if not 0.0 < q < 1.0:
-        return [DomainError(f"q must lie in (0,1), got {q}") if x != 0
-                else DomainError("Theta_q is not defined at z = 0")
-                for x in xs]
+        return lambda x: (DomainError(f"q must lie in (0,1), got {q}")
+                          if x != 0 else
+                          DomainError("Theta_q is not defined at z = 0"))
     eps = -math.log(q)
     need = eps * -math.log(sys.float_info.epsilon) / (2.0 * math.pi ** 2)
     width = max(1, math.ceil(math.sqrt(0.25 + need) - 0.5))  # M
     half = 0.5 * math.log(2.0 * math.pi / eps)
     steps = [(2.0 * math.pi * m / eps, math.pi * m)
              for m in range(1, width + 1)]
-    out = []
-    for x in xs:
+
+    def log_theta(x):
         if x == 0:
-            out.append(DomainError("Theta_q is not defined at z = 0"))
-        elif not cmath.isfinite(x):
-            out.append(ConvergenceError(
-                f"Theta_q({x}) is not finite in floating point"))
-        else:
-            w = cmath.log(x)  # theta forms the same c from the same w
-            re = 0.5 * eps + w.real
-            im = w.imag - math.copysign(math.pi, w.imag)
-            total = 1.0
-            for f, pi_m in steps:  # the terms m and -m of S
-                total += (cmath.exp(complex(f * (im - pi_m), -f * re))
-                          + cmath.exp(complex(-f * (im + pi_m), f * re)))
-            c = complex(re, im)
-            # S = 0 only where the terms cancel exactly, at a zero of Theta
-            out.append((c, half + (cmath.log(total) if total else -math.inf)))
-    return out
+            return DomainError("Theta_q is not defined at z = 0")
+        if not cmath.isfinite(x):
+            return ConvergenceError(
+                f"Theta_q({x}) is not finite in floating point")
+        w = cmath.log(x)  # theta forms the same c from the same w
+        re = 0.5 * eps + w.real
+        im = w.imag - math.copysign(math.pi, w.imag)
+        total = 1.0
+        for f, pi_m in steps:  # the terms m and -m of S
+            total += (cmath.exp(complex(f * (im - pi_m), -f * re))
+                      + cmath.exp(complex(-f * (im + pi_m), f * re)))
+        # S = 0 only where the terms cancel exactly, at a zero of Theta
+        return complex(re, im), half + (cmath.log(total) if total
+                                        else -math.inf)
+    return log_theta
 
 
 def _log_theta_ratio(num: tuple, den: tuple, a: complex,
                      eps: float) -> complex:
-    """log Theta_q(x1) / Theta_q(x2) from the _log_theta_values pairs of
+    """log Theta_q(x1) / Theta_q(x2) from the _log_theta_of(q) pairs of
     x1 = q^a x2 and x2.  c1 - c2 is D = -a eps up to 2 pi i's, and
     (c1^2 - c2^2) / (2 eps) = D (2 c2 + D) / (2 eps), -a c2 + a^2 eps / 2
     on one branch, has no 1/eps factor, unlike each c^2 / (2 eps)."""

@@ -210,6 +210,18 @@ class TestBraidMatrix:
                            match="no partner of w = \\(0, 1, 2\\)"):
             braid_action(basis, 1, (1.0, 8.0, 64.0), p)
 
+    def test_first_failing_block_raises(self, p):
+        # the blocks before a row without its partner are formed first,
+        # and the first that fails raises; the missing partner of the
+        # first row comes before the wall's own checks
+        basis = _basis(LAM3, p)
+        late = [sd for sd in basis if sd.w != (2, 1, 0)]
+        with pytest.raises(ResonanceError, match="q\\^k u"):
+            braid_action(late, 1, (p.q ** (p.k - 1.0), 1.0, 1.0), p)
+        early = [sd for sd in basis if sd.w != (1, 0, 2)]
+        with pytest.raises(DomainError, match="no partner"):
+            braid_action(early, 1, (1.0, 0.0, 64.0), p)
+
     @pytest.mark.parametrize("lam, w, i, z, q, k, entries", GOLDEN_BRAID)
     def test_golden_entries(self, lam, w, i, z, q, k, entries):
         s = SpectralData(n=len(lam), lam=lam, w=w, k=k)
@@ -382,6 +394,94 @@ class TestThetaTable:
         before = bits(braid_matrix(basis[1], 1, z, p).entries)
         verify_braid_relations(basis[0], p, z)
         assert bits(braid_matrix(basis[1], 1, z, p).entries) == before
+
+
+def walls_report(basis, z, p):
+    """verify_braid_relations' report from one block_action per wall."""
+    n, dim = basis[0].n, len(basis)
+    swap = lambda pt, i: pt[:i - 1] + (pt[i], pt[i - 1]) + pt[i + 1:]
+    M1 = block_action(basis, 1, z, p)
+    report = {"double_crossing": float(np.max(np.abs(
+        M1 @ block_action(basis, 1, swap(z, 1), p) - np.eye(dim))))}
+    if n == 3:
+        ends = []
+        for walls in ([1, 2, 1], [2, 1, 2]):
+            pt, total = z, np.eye(dim, dtype=complex)
+            for i in walls:
+                total = total @ block_action(basis, i, pt, p)
+                pt = swap(pt, i)
+            ends.append(total)
+        A, B = ends
+        scale = max(np.max(np.abs(A)), np.max(np.abs(B)))
+        report["braid_relation"] = float(np.max(np.abs(A - B)) / scale)
+    return report
+
+
+class TestBlockReuse:
+    """The blocks a braid call reuses: those of a spectral difference d met
+    again at the same ratio zeta, those of -d with rows and columns
+    swapped, and each theta argument once per call.  Evenly spaced lambda
+    gives different row pairs the same |d|.  Its imaginary parts keep
+    every q^d off the real axis: for real d, q^d and q^-(-d) differ in the
+    sign of a zero imaginary part, which moves log Theta in its last bits,
+    so braid_matrix of the partner row is not the mirror of braid_matrix's
+    bit for bit, and the memo keeps the first of the two."""
+
+    EVEN3 = (0.3 + 0.1j, 0.0, -0.3 - 0.1j)
+    EVEN4 = (0.45 + 0.15j, 0.15 + 0.05j, -0.15 - 0.05j, -0.45 - 0.15j)
+    Z4 = (1.0, 1.9 * cmath.exp(0.1j), 3.7 * cmath.exp(-0.05j), 7.1)
+
+    # s_list in permutations order, where the third pair's d equals the
+    # first's at either wall, and with (2, 1, 0), whose d is 0.3 + 0.1i,
+    # before its partner: its block is the mirror of the first pair's
+    ORDERS = {"permutations": list(itertools.permutations(range(3))),
+              "partner-first": [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0),
+                                (1, 2, 0), (2, 0, 1)]}
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_action_bits(self, monkeypatch, p, order):
+        calls = []
+        ratio = continuation._log_theta_ratio
+        monkeypatch.setattr(continuation, "_log_theta_ratio",
+                            lambda *args: calls.append(args) or ratio(*args))
+        basis = [SpectralData(n=3, lam=self.EVEN3, w=w, k=p.k)
+                 for w in self.ORDERS[order]]
+        z = TestBraidRelations.Z3
+        for i in (1, 2):
+            del calls[:]
+            got = bits(braid_action(basis, i, z, p))
+            # four quotients per d formed (-0.3 - 0.1i and -0.6 - 0.2i),
+            # one for the ratio, two per block formed: two of the three
+            assert len(calls) == 4 * 2 + 1 + 2 * 2
+            assert got == bits(block_action(basis, i, z, p))
+
+    @pytest.mark.parametrize("lam, z", [(EVEN3, TestThetaTable.CASES[0][1]),
+                                        (LAM3, (1.0, 2.0 + 0.1j, 4.5 + 0.3j)),
+                                        (EVEN4, Z4)],
+                             ids=["n3-even", "n3", "n4-even"])
+    def test_report_equals_walls(self, p, lam, z):
+        n = len(lam)
+        basis = [SpectralData(n=n, lam=lam, w=w, k=p.k)
+                 for w in itertools.permutations(range(n))]
+        z = tuple(complex(c) for c in z)
+        assert verify_braid_relations(basis[0], p, z) == walls_report(
+            basis, z, p)
+
+    def test_each_theta_argument_once(self, monkeypatch, p):
+        # the 21 blocks of an n = 3 check take 45 distinct theta
+        # arguments: q^k; q^(+-d) and q^(k-+d) of the 3 spectral
+        # differences; u and q^k u of the 4 ratios; q^(+-d) u of the 12
+        # blocks of distinct (zeta, |d|)
+        seen = []
+        factory = continuation._log_theta_of
+
+        def counted(q):
+            kernel = factory(q)
+            return lambda x: seen.append(x) or kernel(x)
+        monkeypatch.setattr(continuation, "_log_theta_of", counted)
+        verify_braid_relations(SpectralData.make(LAM3, p), p,
+                               (1.0, 2.0 + 0.1j, 4.5 + 0.3j))
+        assert len(seen) == len(set(seen)) == 45
 
 
 class TestBraidRelations:

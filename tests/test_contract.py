@@ -11,7 +11,7 @@ from qmacdonald import (ConvergenceError, DomainError, QParams, XRParams,
                         ZoneError, boltzmann_w, double_pochhammer,
                         eigenvalue_c, fq, integral_rep_fq, kernel_s,
                         kernel_t, qgamma, qpochhammer_inf)
-from qmacdonald.qcore import bracket_v, qbinomial_series
+from qmacdonald.qcore import _cpow, bracket_v, qbinomial_series
 
 P = QParams(q=0.5, k=0.4)
 XR = XRParams(0.5, 2.7)
@@ -96,6 +96,19 @@ def test_finite_values_at_a_non_finite_argument_are_kept():
     assert fq(0, 0.5, complex(1, math.nan), 0.3, 0.5) == 1
     assert qbinomial_series(math.inf, 0.3, 0.5) == pytest.approx(
         1 / qpochhammer_inf(0.3, 0.5), rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _cpow(0.1, 1 - 1.5e308),
+    lambda: qgamma(1.5e308, 0.9),
+    lambda: qgamma(complex(1.5e308, 1.5e308), 0.9),
+], ids=["cpow", "qgamma-huge", "qgamma-huge-complex"])
+def test_power_past_the_float_range_is_a_domain_error(call):
+    # expo * log(base) overflowed to a real part of +inf: the power came
+    # back as inf, qgamma as NaN, and with a complex exponent cmath.exp
+    # raised a bare ValueError
+    with pytest.raises(DomainError, match="overflows the floating-point"):
+        call()
 
 
 @pytest.mark.parametrize("v, words", [

@@ -84,9 +84,13 @@ class TestQPochhammer:
             qpochhammer_inf(0.3, 1.2)
 
     def test_term_cap(self):
-        # about 315k factors would exceed the cap; raised before any loop
-        with pytest.raises(ConvergenceError):
+        # (0.5; 0.9999)_inf is about e^-5822; a |z| with over 200k factors
+        # above the cut is refused before any loop, with the message of
+        # _terms
+        with pytest.raises(ConvergenceError, match="underflows"):
             qpochhammer_inf(0.5, 0.9999)
+        with pytest.raises(ConvergenceError, match="within the cap"):
+            qpochhammer_inf(1e10, 0.9999)
 
     @pytest.mark.parametrize("z", (math.inf, math.nan))
     def test_zero_base(self, z):
@@ -778,12 +782,20 @@ class TestBatchedProductBits:
                 assert _rel_error(mp, got, ref) <= self.MP_BOUND * unit
 
     def test_term_cap_error(self):
+        # the cap counts the factors above the cut, _terms(|z|, q, cut),
+        # not those of a loop to |z q^i| < 1e-14: (0.5; 0.9999)_inf and
+        # Gamma_q(1.3) there are typed underflows, not the cap's error
         with pytest.raises(ConvergenceError) as ref:
-            _terms(0.5, 0.9999, 1e-14)
+            _terms(1e10, 0.9999, qcore._cut(0.9999))
         with pytest.raises(ConvergenceError) as exc:
-            qpochhammer_inf(0.5, 0.9999)
+            qpochhammer_inf(1e10, 0.9999)
         assert str(exc.value) == str(ref.value)
-        # arguments below the cap at the same q are products as usual
+        for call in (lambda: qpochhammer_inf(0.5, 0.9999),
+                     lambda: qgamma(1.3, 0.9999)):
+            with pytest.raises(ConvergenceError, match="underflows"):
+                call()
+        # arguments of modulus below the cut at the same q are products
+        # as usual
         for z in (1e-7, 2e-7j):
             want = _loop_pochhammer(z, 0.9999)
             assert abs(qpochhammer_inf(z, 0.9999) - want) <= (
@@ -796,6 +808,19 @@ class TestBatchedProductBits:
             * (1 + theta_exponent(0.5, 0.9999)))
         with pytest.raises(ConvergenceError, match="underflows"):
             theta(0.5, 0.9999)
+
+    @pytest.mark.parametrize("z, q", [(1e-3, 0.9999), (1e-2, 0.99995)])
+    def test_near_one_below_the_cut(self, z, q):
+        # a loop to |z q^i| < 1e-14 would take over 200k factors; below
+        # the cut the series takes 107 terms or fewer at any q (radius
+        # 1/2): about 4.5e-5 and 8.4e-88 here
+        mp = pytest.importorskip("mpmath")
+        got = qpochhammer_inf(z, q)
+        with mp.workdps(40):
+            err = _rel_error(mp, got, _mp_pochhammer(mp, z, q))
+        assert err <= self.MP_BOUND * EPS * _condition(z, q)
+        q = math.nextafter(1.0, 0.0)
+        assert len(qcore._series(q, 0.0, qcore._cut(q))[1]) <= 107
 
     @pytest.mark.parametrize("q", [0.05, 0.5, 0.8, 0.95])
     def test_one_column(self, q):
