@@ -32,9 +32,9 @@ import numpy as np
 from .errors import (ConvergenceError, DomainError, PoleError,
                      ResonanceError, ZoneError)
 from .operators import SpectralData
-from .qcore import (QParams, XRParams, _brackets, _checked, _cpow,
-                    _log_theta_of, _log_theta_ratio, _theta_ratio, fq, g1,
-                    qgamma, qpochhammer_inf)
+from .qcore import (QParams, XRParams, _brackets, _cpow, _log_theta_of,
+                    _log_theta_ratio, _theta_ratio, fq, g1, qgamma,
+                    qpochhammer_inf)
 
 _RESONANCE_TOL = 1e-10
 
@@ -152,8 +152,8 @@ def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
     """The full n!-dimensional continuation matrix for wall i, on the basis
     of solutions ordered as in s_list (a list of SpectralData sharing lam).
 
-    Each 2x2 block is braid_matrix's for the row of its pair that comes
-    first in s_list, bit for bit, and each distinct theta argument is
+    Each 2x2 block is formed from the row of its pair that comes first in
+    s_list, as braid_matrix forms it, and each distinct theta argument is
     computed once; _braid_actions says where the last bits can differ."""
     return _braid_actions([(sd.w, sd.eta) for sd in s_list], [(i, z)],
                           p)[0]
@@ -184,13 +184,13 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
     argument; per wall index i, the row pairs; per ratio zeta, a _Zone;
     per spectral difference d, q^(+-d), q^(k-+d) and the four theta
     quotients that depend on q alone; per block, Theta(q^(+-d) u), two
-    quotients and four exps.  A block of (zeta, d) met again is reused,
-    and one of (zeta, -d) with its rows and columns swapped, which gives
-    the bits forming it would.  For real d, q^d and q^-(-d) differ in the
-    sign of a zero imaginary part, which moves log Theta's last bits and
-    which the memo, keyed by value, drops: where two pairs of a wall have
-    opposite real d, the later block can differ from braid_matrix's in
-    its last bits.
+    quotients and four exps.  Each block is formed from the first row of
+    its pair, and a block of (zeta, d) met again is reused.  For real d,
+    q^d and q^-(-d) differ in the sign of a zero imaginary part, which
+    moves log Theta's last bits and which the theta memo, keyed by value,
+    drops: where two pairs of a wall have opposite real d, the later
+    block can differ from braid_matrix's of its first row in its last
+    bits.
 
     The first block that fails raises the error braid_matrix would: a wall
     i outside 1..n-1 and an s_list without the partner s_i w of one of
@@ -226,7 +226,7 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
     def log_theta(x):  # its pair (c, s), or its error raised
         entry = thetas.get(x)
         if entry is None:
-            entry = thetas[x] = _checked(evaluate(x))
+            entry = thetas[x] = evaluate(x)
         return entry
 
     def ratio(x1, x2, a):  # log Theta(x1) / Theta(x2), x1 = q^a x2
@@ -293,12 +293,7 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
                     zone = zones[key] = _Zone(zeta, qk)
             entries = zone.blocks.get(d)
             if entries is None:
-                mirror = zone.blocks.get(-d)
-                if mirror is None:
-                    entries = zone.blocks[d] = block(zone, d)
-                else:
-                    (a, b), (c, e) = mirror
-                    entries = (e, c), (b, a)
+                entries = zone.blocks[d] = block(zone, d)
             (M[j, j], M[j, j2]), (M[j2, j], M[j2, j2]) = entries
         if error is not None:
             raise error
@@ -398,8 +393,7 @@ def _v_factors(v: complex, xr: XRParams, n: int) -> tuple:
     the three brackets from one call of qcore._brackets."""
     if _bracket_vanishes(v - 1.0, xr):
         raise ResonanceError("bracket vanishes in a weight denominator")
-    return (boltzmann_r1(v, xr, n),
-            *map(_checked, _brackets((v, v - 1.0, 1.0), xr)))
+    return (boltzmann_r1(v, xr, n), *_brackets((v, v - 1.0, 1.0), xr))
 
 
 def _weights(mu_ij: complex, v: complex, xr: XRParams,
@@ -410,8 +404,7 @@ def _weights(mu_ij: complex, v: complex, xr: XRParams,
     if _bracket_vanishes(mu_ij, xr):
         raise ResonanceError("bracket vanishes in a weight denominator")
     r1, br_v, den1, br_1 = factors
-    den2, br_m1, br_vm = map(_checked,
-                             _brackets((mu_ij, mu_ij - 1.0, v - mu_ij), xr))
+    den2, br_m1, br_vm = _brackets((mu_ij, mu_ij - 1.0, v - mu_ij), xr)
     w_cross = r1 * br_v * br_m1 / (den1 * den2)
     w_same = r1 * br_vm * br_1 / (den1 * den2)
     return BoltzmannWeights(mu_ij=mu_ij, v=v, r1=r1,

@@ -41,7 +41,8 @@ solution builds once as a read-only array.  Inside the radius of
 convergence the value is the term-by-term sum to within a few eps
 |prefactor| sum_p |a(p) r^p|.
 Where evaluate raises, the kernel holds the exception in place of the
-value, as qcore's batched q-products do.
+value, since numpy sums every point at once, and _checked raises it where
+the value is read.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
 from .operators import (SpectralData, _finite_image, _shifts, _weighted_points,
                         _weighted_sum, eigenvalue_c)
-from .qcore import (DEFAULT_EPS, QParams, XRMode, _checked, _cpow,
-                    _qpochhammer, _qq_inf, _theta_ratio, _xr_mode, fq,
-                    qgamma, qpochhammer_inf)
+from .qcore import (DEFAULT_EPS, QParams, XRMode, _cpow, _qpochhammer,
+                    _qq_inf, _theta_ratio, _xr_mode, fq, qgamma,
+                    qpochhammer_inf)
 
 DEFAULT_DEPTH = {2: 24, 3: 16, 4: 10}
 _MAX_RESIDUES = 100_000
@@ -391,6 +392,13 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     ConvergenceError when the value or the tail is not finite.
     """
     return EvalResult(*_checked(_series_values([sol], [z], max_ratio)[0][0]))
+
+
+def _checked(value):
+    """value, or the exception _series_values held in its place, raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _series_values(sols, points, max_ratio: float) -> list[list]:

@@ -134,25 +134,31 @@ def _shifts(z, m: int, q: complex) -> list:
             for sel in itertools.combinations(range(len(z)), m)]
 
 
-def _weighted_points(z, m: int, q: complex, t: complex) -> list:
-    """The points of _shifts(z, m, q), in its order, each after the weight
-    D^m gives it, prod_{i in I, j not in I} (t z_i - z_j)/(z_i - z_j):
-    a list of (weight, point) that serves any number of functions at z.
-    SingularConfigurationError when two coordinates are equal or closer
-    than _COINCIDENCE_TOL times the largest modulus; DomainError when a
-    modulus leaves the float range, and then when a coordinate of z or of
-    a shifted point is not finite."""
-    z = _as_complex_vector(z)
-    n = len(z)
-    shifts = _shifts(z, m, q)
+def _check_distinct(z) -> None:
+    """SingularConfigurationError when two coordinates of z are equal or
+    closer than _COINCIDENCE_TOL times the largest modulus, where a weight
+    (tt z_i - z_j)/(z_i - z_j) divides by their difference; DomainError
+    when a modulus leaves the float range."""
     try:
         scale = max(abs(c) for c in z)
-        for i, j in itertools.combinations(range(n), 2):
+        for i, j in itertools.combinations(range(len(z)), 2):
             if z[i] == z[j] or abs(z[i] - z[j]) < _COINCIDENCE_TOL * scale:
                 raise SingularConfigurationError(
                     f"coordinates {i} and {j} coincide")
     except OverflowError:  # abs() past the float range
         raise DomainError(f"a modulus at {z} leaves the float range") from None
+
+
+def _weighted_points(z, m: int, q: complex, t: complex) -> list:
+    """The points of _shifts(z, m, q), in its order, each after the weight
+    D^m gives it, prod_{i in I, j not in I} (t z_i - z_j)/(z_i - z_j):
+    a list of (weight, point) that serves any number of functions at z.
+    The errors of _check_distinct(z), then DomainError when a coordinate
+    of z or of a shifted point is not finite."""
+    z = _as_complex_vector(z)
+    n = len(z)
+    shifts = _shifts(z, m, q)
+    _check_distinct(z)
     # the points of D^m hold each z_i or q z_i, and its weights every z_i
     if not all(cmath.isfinite(c) and cmath.isfinite(q * c) for c in z):
         raise DomainError(f"a coordinate of {z} or of a point q-shifted "
@@ -279,12 +285,17 @@ def conjugation_identity_residual(y, p: QParams) -> float:
     with Delta(y) = prod_{l<s} (y_l/y_s;q)(y_s/y_l;q)
                     / ((t y_l/y_s;q)(t y_s/y_l;q)),
     applied to the test function f(y) = prod_j (1 + (0.3 + 0.1i (j+1)) y_j).
+    The left side weights each q-shifted point, so the errors of
+    _check_distinct at y and then at each shifted point come first;
     ConvergenceError when a q-product of Delta falls below the normal
     float range, as near q = 1.
     """
     y = _as_complex_vector(y)
     n = len(y)
     q, t = p.q, p.t
+    shifts = _shifts(y, 1, q)
+    for pt in (y, *(ys for _, ys in shifts)):
+        _check_distinct(pt)
     f = lambda yy: _prod(1.0 + (0.3 + 0.1j * (j + 1)) * c
                          for j, c in enumerate(yy))
 
@@ -299,7 +310,7 @@ def conjugation_identity_residual(y, p: QParams) -> float:
 
     lhs = complex(0.0)
     rhs = complex(0.0)
-    for (i,), ys in _shifts(y, 1, q):
+    for (i,), ys in shifts:
         lhs += _weight(ys, i, 1.0 / t) * delta(ys) * f(ys)
         rhs += _weight(y, i, t) * f(ys)
     rhs *= delta(y) * t ** (1 - n)
@@ -315,10 +326,11 @@ def gauge_transform_residual(z, p: QParams) -> float:
 
     with G(z) = prod_{i<j} z_j^(1-2k) (t z_i/z_j;q)/(q^(1-k) z_i/z_j;q),
     applied to f(z) = prod_j (1 + (0.2 - 0.15i (j+1)) z_j).
-    ConvergenceError when a q-product of G falls below the normal float
-    range, as near q = 1.
+    The errors of _check_distinct(z) come first; ConvergenceError when a
+    q-product of G falls below the normal float range, as near q = 1.
     """
     z = _as_complex_vector(z)
+    _check_distinct(z)
     n = len(z)
     q, t, k = p.q, p.t, p.k
     f = lambda zz: _prod(1.0 + (0.2 - 0.15j * (j + 1)) * c

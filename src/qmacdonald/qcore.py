@@ -132,13 +132,6 @@ def qpochhammer_inf(z: complex, q: float) -> complex:
     return _qpochhammer(z, q)
 
 
-def _checked(value):
-    """value, or the exception a batch left in its place, raised."""
-    if isinstance(value, Exception):
-        raise value
-    return value
-
-
 def _qpochhammer(z: complex, q: float) -> complex:
     """(z; q)_inf, |q| < 1: _factors above _cut(q), then the _log_series.
     ConvergenceError at the term cap of the factors, for a |z| that is
@@ -261,10 +254,11 @@ def qgamma(a: complex, q: float) -> complex:
 
 def theta(z: complex, q: float) -> complex:
     """Theta_q(z) = (z;q)_inf (q/z;q)_inf (q;q)_inf, the exp of its
-    _log_theta_of(q) entry.  c^2 / (2 eps) dominates near q = 1, so c's
-    rounding (two sums, and pi - math.pi) enters it to first order.
-    ConvergenceError where |Theta| leaves the normal float range."""
-    c, s = _checked(_log_theta_of(q)(z))
+    _log_theta_of(q) value, whose errors it raises.  c^2 / (2 eps)
+    dominates near q = 1, so c's rounding (two sums, and pi - math.pi)
+    enters it to first order.  ConvergenceError where |Theta| leaves the
+    normal float range."""
+    c, s = _log_theta_of(q)(z)
     eps, w = -math.log(q), cmath.log(z)
     turn = math.copysign(math.pi, w.imag)
     big, small = sorted((0.5 * eps, w.real), key=abs, reverse=True)
@@ -277,16 +271,11 @@ def theta(z: complex, q: float) -> complex:
     return value
 
 
-def _log_theta_values(xs, q: float) -> list:
-    """The _log_theta_of(q) entry of each x in xs."""
-    return list(map(_log_theta_of(q), xs))
-
-
 def _log_theta_of(q: float):
     """The evaluator of log Theta_q, with its constants in q taken once:
     it maps x to log Theta_q(x) = c^2 / (2 eps) + s, eps = -log q, as the
-    pair (c, s), or to the exception that rejects x: DomainError at x = 0
-    and for q outside (0,1), ConvergenceError for an x that is not finite.
+    pair (c, s).  It raises DomainError at x = 0, then for q outside
+    (0,1), and ConvergenceError for an x that is not finite.
 
     Poisson summation of Jacobi's triple product sum_n (-1)^n
     q^(n(n-1)/2) x^n gives sqrt(2 pi / eps) sum_m exp((b - 2 pi i m)^2 /
@@ -297,9 +286,11 @@ def _log_theta_of(q: float):
     S keeps |m| <= M, the first left out below float eps (M <= 2, q >= 0.3).
     """
     if not 0.0 < q < 1.0:
-        return lambda x: (DomainError(f"q must lie in (0,1), got {q}")
-                          if x != 0 else
-                          DomainError("Theta_q is not defined at z = 0"))
+        def bad_q(x):
+            if x == 0:
+                raise DomainError("Theta_q is not defined at z = 0")
+            raise DomainError(f"q must lie in (0,1), got {q}")
+        return bad_q
     eps = -math.log(q)
     need = eps * -math.log(sys.float_info.epsilon) / (2.0 * math.pi ** 2)
     width = max(1, math.ceil(math.sqrt(0.25 + need) - 0.5))  # M
@@ -309,9 +300,9 @@ def _log_theta_of(q: float):
 
     def log_theta(x):
         if x == 0:
-            return DomainError("Theta_q is not defined at z = 0")
+            raise DomainError("Theta_q is not defined at z = 0")
         if not cmath.isfinite(x):
-            return ConvergenceError(
+            raise ConvergenceError(
                 f"Theta_q({x}) is not finite in floating point")
         w = cmath.log(x)  # theta forms the same c from the same w
         re = 0.5 * eps + w.real
@@ -340,7 +331,8 @@ def _log_theta_ratio(num: tuple, den: tuple, a: complex,
 
 def _theta_ratio(x1: complex, x2: complex, a: complex, q: float) -> complex:
     """exp(_log_theta_ratio) for x1 = q^a x2; ConvergenceError on overflow."""
-    num, den = map(_checked, _log_theta_values((x1, x2), q))
+    log_theta = _log_theta_of(q)
+    num, den = log_theta(x1), log_theta(x2)
     return _exp(_log_theta_ratio(num, den, a, -math.log(q)),
                 f"Theta_q({x1}) / Theta_q({x2})")
 
@@ -357,56 +349,46 @@ def _exp(log: complex, what: str) -> complex:
 def double_pochhammer(z: complex, p1: float, p2: float) -> complex:
     """(z; p1, p2)_inf = prod_{i1,i2>=0} (1 - p1^i1 p2^i2 z): the rows
     (z p1^i1; p2)_inf with |z p1^i1| >= _RHO, times the corner below them
-    as exp of its log series.  DomainError for a base of modulus >= 1;
-    ConvergenceError at the term cap of the factor-by-factor product (its
-    row count or the length of its top row), for a z not finite or of
-    modulus past the float range, and from the first row where the
-    product leaves the float range."""
-    return _double_products((z,), p1, p2)[0]
-
-
-_NOT_FINITE = "(z;p1,p2)_inf is not finite in floating point"
-
-
-def _double_products(zs, p1: float, p2: float) -> list:
-    """(z; p1, p2)_inf for each z in zs, as in double_pochhammer; the
-    first error in the order of zs is raised."""
+    as exp of its log series.  It raises, in this order, DomainError for
+    a base of modulus >= 1; ConvergenceError at the term cap of the
+    factor-by-factor product (its row count or the length of its top
+    row), for a z not finite or of modulus past the float range, and from
+    the first row where the product leaves the float range."""
     if not (abs(p1) < 1.0 and abs(p2) < 1.0):
         raise DomainError("both bases must have modulus < 1")
-    cut = _cut(p2)
-    out = []
-    for z in zs:
-        z = complex(z)
-        az = _modulus(z)
-        _terms(az, p1, DEFAULT_EPS)  # the caps of double_pochhammer
-        _terms(az, p2, DEFAULT_EPS)
-        # each row enters whole, its factors times the exp of its series,
-        # so the running product leaves the float range only where a
-        # product of whole rows does
-        rows, zero, name = _terms(az, p1, _RHO), False, "(z;p1,p2)_inf"
-        value = _exp(-_log_series(z * p1 ** rows, p1, p2, _RHO), name)
-        for w in (z * p1 ** i for i in range(rows)):
-            count = _terms(_modulus(w), p2, cut)
-            factors, vanishes = _factors(w, p2, count)
-            tail = _exp(-_log_series(w * p2 ** count, p2, 0.0, cut), name)
-            value, zero = value * (factors * tail), zero or vanishes
-            if not cmath.isfinite(value):
-                raise ConvergenceError(_NOT_FINITE)
-        out.append(_settle(value, zero, 0j, "z", "p1,p2"))
-    return out
+    z = complex(z)
+    az = _modulus(z)
+    _terms(az, p1, DEFAULT_EPS)  # the caps of the factor-by-factor product
+    _terms(az, p2, DEFAULT_EPS)
+    # each row enters whole, its factors times the exp of its series, so
+    # the running product leaves the float range only where a product of
+    # whole rows does
+    cut, name = _cut(p2), "(z;p1,p2)_inf"
+    rows, zero = _terms(az, p1, _RHO), False
+    value = _exp(-_log_series(z * p1 ** rows, p1, p2, _RHO), name)
+    for w in (z * p1 ** i for i in range(rows)):
+        count = _terms(_modulus(w), p2, cut)
+        factors, vanishes = _factors(w, p2, count)
+        tail = _exp(-_log_series(w * p2 ** count, p2, 0.0, cut), name)
+        value, zero = value * (factors * tail), zero or vanishes
+        if not cmath.isfinite(value):
+            raise ConvergenceError(f"{name} is not finite in floating point")
+    return _settle(value, zero, 0j, "z", "p1,p2")
 
 
 def g1(z: complex, x: float, r: float, n: int) -> complex:
     """The vertex contraction ratio g_1(z) = {x^2 z}{x^(2r+2n-2) z} /
     ({x^(2r) z}{x^(2n) z}), {w} = (w; x^(2r), x^(2n))_inf, as two ratios
-    of the four double products of one _double_products call.
-    ConvergenceError where a double product underflows near q = 1."""
+    of four double_pochhammer values, formed in that order, so the first
+    that fails raises.  ConvergenceError where a double product
+    underflows near q = 1."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     p1 = x ** (2.0 * r)
     p2 = float(x) ** (2 * n)
-    num1, num2, den1, den2 = _double_products(
-        [w * z for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2)], p1, p2)
+    num1, num2, den1, den2 = (
+        double_pochhammer(w * z, p1, p2)
+        for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2))
     return (num1 / den1) * (num2 / den2)
 
 
@@ -427,45 +409,32 @@ def kernel_t(z: complex, p: QParams) -> complex:
 def bracket_v(v: complex, xr: XRParams) -> complex:
     """[v] = x^(v^2/r - v) Theta_{x^(2r)}(x^(2v)), antiperiodic,
     [v+r] = -[v]: the one-argument case of _brackets."""
-    return _checked(_brackets((v,), xr)[0])
+    return _brackets((v,), xr)[0]
 
 
 def _brackets(vs, xr: XRParams) -> list:
-    """[v] for each v in vs, or in its place the error of its theta
-    argument x^(2v) (DomainError also where it underflows to 0), of its
-    log theta (one _log_theta_values call), or ConvergenceError where [v]
-    overflows.  With eps = -log x^(2r), the c of x^(2v) is g + h,
-    g = eps (1/2 - v/r), h an odd multiple of i pi; the power's log
-    cancels the quadratic part of g^2 / (2 eps), so log [v] = eps/8 +
-    h (1/2 - v/r) + h^2 / (2 eps) + s."""
+    """[v] for each v in vs, in order, through one _log_theta_of
+    evaluator.  The first v that fails raises: the DomainError of its
+    theta argument x^(2v) (also where it underflows to 0), the error of
+    its log theta, or ConvergenceError where [v] overflows.  With
+    eps = -log x^(2r), the c of x^(2v) is g + h, g = eps (1/2 - v/r), h an
+    odd multiple of i pi; the power's log cancels the quadratic part of
+    g^2 / (2 eps), so log [v] = eps/8 + h (1/2 - v/r) + h^2 / (2 eps) + s."""
     x, r = xr.x, xr.r
     base = x ** (2.0 * r)
     eps = -math.log(base)
-    args = []  # theta argument per v, or its error
-    for v in vs:
-        try:
-            arg = _cpow(x, 2.0 * v)
-            if arg == 0:  # x^(2v) is never 0 in exact arithmetic
-                raise DomainError(f"{x:.6g}**{2.0 * v:.6g} underflows the "
-                                  "floating-point range")
-        except (DomainError, ValueError) as exc:  # from _cpow or cmath.exp
-            arg = exc
-        args.append(arg)
-    logs = iter(_log_theta_values(
-        [a for a in args if not isinstance(a, Exception)], base))
+    log_theta = _log_theta_of(base)
     out = []
-    for v, arg in zip(vs, args):
-        entry = arg if isinstance(arg, Exception) else next(logs)
-        if not isinstance(entry, Exception):
-            c, s = entry
-            g = eps * (0.5 - v / r)
-            h = 1j * math.pi * (2 * round((c - g).imag / math.tau - 0.5) + 1)
-            try:
-                entry = _exp(eps / 8.0 + h * (0.5 - v / r)
-                             + h * h / (2.0 * eps) + s, f"[{v}]")
-            except ConvergenceError as exc:
-                entry = exc
-        out.append(entry)
+    for v in vs:
+        arg = _cpow(x, 2.0 * v)
+        if arg == 0:  # x^(2v) is never 0 in exact arithmetic
+            raise DomainError(f"{x:.6g}**{2.0 * v:.6g} underflows the "
+                              "floating-point range")
+        c, s = log_theta(arg)
+        g = eps * (0.5 - v / r)
+        h = 1j * math.pi * (2 * round((c - g).imag / math.tau - 0.5) + 1)
+        out.append(_exp(eps / 8.0 + h * (0.5 - v / r)
+                        + h * h / (2.0 * eps) + s, f"[{v}]"))
     return out
 
 

@@ -418,14 +418,15 @@ def walls_report(basis, z, p):
 
 
 class TestBlockReuse:
-    """The blocks a braid call reuses: those of a spectral difference d met
-    again at the same ratio zeta, those of -d with rows and columns
-    swapped, and each theta argument once per call.  Evenly spaced lambda
-    gives different row pairs the same |d|.  Its imaginary parts keep
-    every q^d off the real axis: for real d, q^d and q^-(-d) differ in the
-    sign of a zero imaginary part, which moves log Theta in its last bits,
-    so braid_matrix of the partner row is not the mirror of braid_matrix's
-    bit for bit, and the memo keeps the first of the two."""
+    """The blocks a braid call reuses, those of a spectral difference d met
+    again at the same ratio zeta, and each theta argument once per call;
+    every other block is formed from the first row of its pair.  Evenly
+    spaced lambda gives different row pairs the same |d|.  Its imaginary
+    parts keep every q^d off the real axis: for real d, q^d and q^-(-d)
+    differ in the sign of a zero imaginary part, which moves log Theta in
+    its last bits, and the theta memo, keyed by value, keeps the first of
+    the two, so a block of -d formed after one of d can differ from
+    braid_matrix's in its last bits."""
 
     EVEN3 = (0.3 + 0.1j, 0.0, -0.3 - 0.1j)
     EVEN4 = (0.45 + 0.15j, 0.15 + 0.05j, -0.15 - 0.05j, -0.45 - 0.15j)
@@ -433,10 +434,15 @@ class TestBlockReuse:
 
     # s_list in permutations order, where the third pair's d equals the
     # first's at either wall, and with (2, 1, 0), whose d is 0.3 + 0.1i,
-    # before its partner: its block is the mirror of the first pair's
+    # before its partner: its block, of minus the first pair's d, is
+    # formed from its own row.  Four quotients per d formed, one for the
+    # ratio, two per block formed: two d and two blocks of the three in
+    # permutations order, all three otherwise
     ORDERS = {"permutations": list(itertools.permutations(range(3))),
               "partner-first": [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0),
                                 (1, 2, 0), (2, 0, 1)]}
+    QUOTIENTS = {"permutations": 4 * 2 + 1 + 2 * 2,
+                 "partner-first": 4 * 3 + 1 + 2 * 3}
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_action_bits(self, monkeypatch, p, order):
@@ -450,9 +456,7 @@ class TestBlockReuse:
         for i in (1, 2):
             del calls[:]
             got = bits(braid_action(basis, i, z, p))
-            # four quotients per d formed (-0.3 - 0.1i and -0.6 - 0.2i),
-            # one for the ratio, two per block formed: two of the three
-            assert len(calls) == 4 * 2 + 1 + 2 * 2
+            assert len(calls) == self.QUOTIENTS[order]
             assert got == bits(block_action(basis, i, z, p))
 
     @pytest.mark.parametrize("lam, z", [(EVEN3, TestThetaTable.CASES[0][1]),
@@ -580,14 +584,19 @@ class TestBoltzmannWeights:
 
     def test_three_theta_batches(self, monkeypatch):
         # [v], [v-1], [1] and, per weight set, [mu], [mu-1], [v-mu]: one
-        # batch each, where bracket_v one at a time made nine theta calls
-        calls = []
-        kernel = qcore._log_theta_values
-        monkeypatch.setattr(qcore, "_log_theta_values",
-                            lambda *args: calls.append(args) or kernel(*args))
+        # log theta evaluator per bracket triple, each evaluating its
+        # three arguments, where bracket_v one at a time made nine
+        evaluated = []
+        factory = qcore._log_theta_of
+
+        def counted(q):
+            kernel, seen = factory(q), []
+            evaluated.append(seen)
+            return lambda x: seen.append(x) or kernel(x)
+        monkeypatch.setattr(qcore, "_log_theta_of", counted)
         xr = XRParams.from_qparams(QParams(q=0.75, k=0.2), XRMode.B)
         boltzmann_exchange_matrix(1.3 + 0.2j, 0.37, xr, 2)
-        assert [len(xs) for xs, _ in calls] == [3, 3, 3]
+        assert [len(xs) for xs in evaluated] == [3, 3, 3]
 
     def test_resonant_bracket_rejected(self):
         xr = XRParams(x=0.85, r=2.5)

@@ -7,10 +7,13 @@ import re
 
 import pytest
 
-from qmacdonald import (ConvergenceError, DomainError, QParams, XRParams,
-                        ZoneError, boltzmann_w, double_pochhammer,
-                        eigenvalue_c, fq, integral_rep_fq, kernel_s,
-                        kernel_t, qgamma, qpochhammer_inf)
+from qmacdonald import (ConvergenceError, DomainError, QParams,
+                        SingularConfigurationError, XRParams, ZoneError,
+                        boltzmann_w, double_pochhammer, eigenvalue_c, fq,
+                        integral_rep_fq, kernel_s, kernel_t, qgamma,
+                        qpochhammer_inf)
+from qmacdonald.operators import (conjugation_identity_residual,
+                                  gauge_transform_residual)
 from qmacdonald.qcore import _cpow, bracket_v, qbinomial_series
 
 P = QParams(q=0.5, k=0.4)
@@ -118,3 +121,19 @@ def test_bracket_names_the_theta_argument_out_of_range(v, words):
     # x^(2v) underflowed to 0 and theta blamed a z = 0 never passed
     with pytest.raises(DomainError, match=re.escape(words)):
         bracket_v(v, XR)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conjugation_identity_residual((1.0, 0.5), P),
+    lambda: conjugation_identity_residual((1.0, 2.0), P),
+    lambda: conjugation_identity_residual((2.0, 1.0), P),
+    lambda: conjugation_identity_residual((1.0, 0.5, 0.25), P),
+    lambda: gauge_transform_residual((1.0, 1.0), P),
+], ids=["conjugation-1-0.5", "conjugation-1-2", "conjugation-2-1",
+        "conjugation-1-0.5-0.25", "gauge-1-1"])
+def test_coinciding_coordinates_are_singular(call):
+    # the conjugation identity weights each q-shifted point, so two
+    # coordinates q apart made a weight divide by zero, as two equal ones
+    # did in the gauge identity: a bare ZeroDivisionError
+    with pytest.raises(SingularConfigurationError, match="coincide"):
+        call()

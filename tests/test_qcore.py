@@ -16,8 +16,8 @@ from qmacdonald import (ConvergenceError, DomainError, PoleError, QParams,
                         g1, kernel_s, kernel_t, qbinomial_series, qgamma,
                         qpochhammer_inf, theta)
 from qmacdonald import qcore
-from qmacdonald.qcore import (_brackets, _cpow, _double_products,
-                              _log_theta_values, _terms, _theta_ratio)
+from qmacdonald.qcore import (_brackets, _cpow, _log_theta_of, _terms,
+                              _theta_ratio)
 
 from conftest import mp_theta, theta_exponent
 
@@ -26,7 +26,7 @@ EPS = np.finfo(float).eps
 
 def _log_theta(z, q):
     """log Theta_q(z) from the kernel, c^2 / (2 eps) + s, as a complex."""
-    c, s = _log_theta_values([z], q)[0]
+    c, s = _log_theta_of(q)(z)
     return c * c / (-2.0 * math.log(q)) + s
 
 
@@ -120,11 +120,12 @@ class TestQPochhammer:
             theta(z, 0.5)
         mp = pytest.importorskip("mpmath")
         for q in (0.5, 0.97):
-            # an inf argument leaves its error in its place alone
-            held = _log_theta_values([0.7, complex(math.inf, 0.0), 0.3j], q)
-            assert isinstance(held[1], ConvergenceError)
-            assert [held[j] for j in (0, 2)] == [
-                _log_theta_values([x], q)[0] for x in (0.7, 0.3j)]
+            # an inf argument raises, and leaves the evaluator as it was
+            log_theta = _log_theta_of(q)
+            with pytest.raises(ConvergenceError, match="not finite"):
+                log_theta(complex(math.inf, 0.0))
+            assert [log_theta(x) for x in (0.7, 0.3j)] == [
+                _log_theta_of(q)(x) for x in (0.7, 0.3j)]
             for x in (0.7, 0.3j):
                 assert _rel_error(mp, theta(x, q), mp_theta(mp, x, q)) <= (
                     TestThetaReference.THETA_BOUND * EPS
@@ -235,7 +236,7 @@ class TestThetaReference:
     # twice the worst error on this grid, rounded up.  Both read 13.1
     # eps (1 + E) at q = 1e-9 and z = exp(0.05i), where Theta is about
     # 1 - z and cancels 20-fold; the log read at most 2.7 elsewhere.
-    # theta on the batches of TestBatchedProductBits read at most 1.6,
+    # theta on the grids of TestBatchedProductBits read at most 1.6,
     # and the brackets of TestBracketBits 0.93.
     LOG_BOUND = 27.0
     THETA_BOUND = 27.0
@@ -246,9 +247,11 @@ class TestThetaReference:
     @pytest.mark.parametrize("q", QS)
     def test_against_triple_product(self, q):
         mp = pytest.importorskip("mpmath")
-        for z, entry in zip(self.ZS, _log_theta_values(self.ZS, q)):
+        log_theta = _log_theta_of(q)
+        for z in self.ZS:
             unit = EPS * (1 + theta_exponent(z, q))
-            assert entry == _log_theta_values([z], q)[0]
+            # one evaluator over every argument, as a fresh one per argument
+            assert log_theta(z) == _log_theta_of(q)(z)
             assert _log_error(mp, _log_theta(z, q), z, q) <= (
                 self.LOG_BOUND * unit)
             ref = mp_theta(mp, z, q)
@@ -713,25 +716,21 @@ class TestBatchedProductBits:
                             mp, z, q)) <= self.MP_BOUND * unit
     @pytest.mark.parametrize("seed", [3, 4])
     def test_theta_and_batch(self, seed):
-        # the batch of log thetas, each entry as the argument alone would
-        # get it, and theta against the 150-digit reference wherever its
+        # log thetas one argument at a time: a pair (c, s) on the grid and
+        # at 1e30, and at 0 and NaN the error theta raises, with its
+        # message; theta against the 150-digit reference wherever its
         # value is in the float range
         mp = pytest.importorskip("mpmath")
         for q, zs in _grid(seed, 6):
-            zs = zs + [0j, complex(math.nan, 1.0), 1e30, zs[0]]  # a repeat
-            held = _log_theta_values(zs, q)
-            for z, value in zip(zs, held):
-                alone = _log_theta_values([z], q)[0]
-                if isinstance(alone, Exception):
-                    assert type(value) is type(alone)
-                    assert str(value) == str(alone)
-                    with pytest.raises(type(alone)) as exc:
-                        theta(z, q)
-                    assert str(exc.value) == str(alone)
-                else:
-                    assert value == alone
-            assert [type(v) for v in held[-4:-1]] == [
-                DomainError, ConvergenceError, tuple]
+            log_theta = _log_theta_of(q)
+            assert all(type(log_theta(z)) is tuple for z in zs + [1e30])
+            for z, error in ((0j, DomainError),
+                             (complex(math.nan, 1.0), ConvergenceError)):
+                with pytest.raises(error) as alone:
+                    log_theta(z)
+                with pytest.raises(error) as exc:
+                    theta(z, q)
+                assert str(exc.value) == str(alone.value)
             for z in zs[:4]:
                 try:
                     got = theta(z, q)
@@ -859,8 +858,8 @@ class TestCornerSeriesBits:
                           * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
                   for _ in range(int(rng.integers(1, 6)))]
             zs += [0j, -0.3, complex(-0.3, -0.0), 1.5]  # signed zeros
-            for z, value in zip(zs, _double_products(zs, p1, p2)):
-                assert value == double_pochhammer(z, p1, p2)
+            for z in zs:
+                value = double_pochhammer(z, p1, p2)
                 with mp.workdps(40):
                     ref = _mp_double(mp, z, p1, p2)
                 assert _rel_error(mp, value, ref) <= (
@@ -890,12 +889,14 @@ class TestCornerSeriesBits:
 
 
 class TestBracketBits:
-    """_brackets against bracket_v one argument at a time, and against
-    x^(v^2/r - v) times the 150-digit theta."""
+    """bracket_v one argument at a time against x^(v^2/r - v) times the
+    150-digit theta, and _brackets against bracket_v: the same values, and
+    the error of the first argument that fails, raised there."""
 
-    @pytest.mark.parametrize("xr", [XRParams(x=0.8, r=2.0),
-                                    XRParams.from_qparams(
-                                        QParams(q=0.93, k=0.3), XRMode.B)])
+    XRS = [XRParams(x=0.8, r=2.0),
+           XRParams.from_qparams(QParams(q=0.93, k=0.3), XRMode.B)]
+
+    @pytest.mark.parametrize("xr", XRS)
     def test_batch_equals_one_at_a_time(self, xr):
         mp = pytest.importorskip("mpmath")
         x, r = xr.x, xr.r
@@ -905,18 +906,14 @@ class TestBracketBits:
               -150.0,  # Theta(x^(2v)) overflows, [v] does not
               1e6,     # x^(2v) underflows to 0: DomainError
               math.nan, 0.37]
-        held = _brackets(vs, xr)
-        assert len(held) == len(vs)
-        kinds = set()
-        for v, value in zip(vs, held):
+        kinds, good = set(), []
+        for v in vs:
             try:
-                want = bracket_v(v, xr)
-            except Exception as exc:
-                assert type(value) is type(exc)
-                assert str(value) == str(exc)
+                value = bracket_v(v, xr)
+            except (DomainError, ConvergenceError) as exc:
                 kinds.add(type(exc))
                 continue
-            assert repr(value) == repr(want)
+            good.append((v, value))
             if abs(cmath.sin(math.pi * v / r)) < 1e-9:
                 continue  # [v] = 0 at v on r Z: no relative error
             arg = _cpow(x, 2.0 * v)
@@ -927,3 +924,20 @@ class TestBracketBits:
                 TestThetaReference.THETA_BOUND * EPS
                 * (1 + theta_exponent(arg, base)))
         assert kinds == {DomainError, ConvergenceError}
+        assert repr(_brackets([v for v, _ in good], xr)) == repr(
+            [value for _, value in good])
+
+    @pytest.mark.parametrize("xr", XRS)
+    @pytest.mark.parametrize("vs, first, error", [
+        ((0.37, 1e6, 1e4j), 1e6, DomainError),
+        ((0.37, 1e4j, 1e6), 1e4j, ConvergenceError)],
+        ids=["underflow-first", "overflow-first"])
+    def test_first_failing_argument_raises(self, xr, vs, first, error):
+        # x^(2v) underflows to 0 at 1e6, and [v] overflows at 1e4j, a step
+        # later: held errors, or one pass over every v per step, would
+        # raise the other, or nothing
+        with pytest.raises(error) as alone:
+            bracket_v(first, xr)
+        with pytest.raises(error) as exc:
+            _brackets(vs, xr)
+        assert str(exc.value) == str(alone.value)
