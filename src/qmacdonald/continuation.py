@@ -376,11 +376,17 @@ class BoltzmannWeights:
 
 
 def boltzmann_r1(v: complex, xr: XRParams, n: int) -> complex:
-    """Common prefactor r_1(v) = z^((r-1)/r (n-1)/n) g_1(1/z)/g_1(z), z=x^2v."""
+    """Common prefactor r_1(v) = z^((r-1)/r (n-1)/n) g_1(1/z)/g_1(z), z=x^2v;
+    the errors of g1 at 1/z, then at z, then ResonanceError where
+    g_1(z) = 0."""
     x, r = xr.x, xr.r
     z = _cpow(x, 2.0 * v)
-    return (_cpow(z, (r - 1.0) / r * (n - 1.0) / n)
-            * g1(1.0 / z, x, r, n) / g1(z, x, r, n))
+    pref = _cpow(z, (r - 1.0) / r * (n - 1.0) / n)
+    num, den = g1(1.0 / z, x, r, n), g1(z, x, r, n)
+    if den == 0:
+        raise ResonanceError("g_1(z) vanishes in the denominator of r_1: "
+                             "resonant parameters")
+    return pref * num / den
 
 
 def _bracket_vanishes(v: complex, xr: XRParams) -> bool:

@@ -31,15 +31,18 @@ for the contour integrals.
 One kernel, _series_values, sums the series: for evaluate, one row at
 one point, and for the eigen residuals of eigen_residual and `verify`,
 in one call, one row or all n! basis elements at z and at the points
-z_I -> q z_I that D^m reads, which operators._shifts builds.  The ratios
-of every point in the zone are raised to the powers 0..N in one numpy
-power and read through the cached exponent columns in table
-order; the monomials of all points form one complex matrix, and the
-value and the moduli of the top two strata, which set the geometric tail
-estimate, are its contractions with the coefficient rows, which each
-solution builds once as a read-only array.  Inside the radius of
-convergence the value is the term-by-term sum to within a few eps
-|prefactor| sum_p |a(p) r^p|.
+z_I -> q z_I that D^m reads, which one operators._shifts per m builds.
+The ratios of every point in the zone are raised to the powers 0..N in
+one numpy power, and one gather through the positions _gather caches
+per (n, N) beside _columns, with one product over the exponent columns,
+forms the monomials of all points as one complex matrix.  The value and
+the moduli of the top two strata, which set the geometric tail
+estimate, are its contractions with the coefficient rows and with their
+moduli on those strata.  Each solution builds both once as read-only
+arrays, and keeps c^m per m from its first use, so a one-row call
+reads views and forms no modulus of a coefficient and no c^m again.
+Inside the radius of convergence the value is the term-by-term sum to
+within a few eps |prefactor| sum_p |a(p) r^p|.
 Where evaluate raises, the kernel holds the exception in place of the
 value, since numpy sums every point at once, and _checked raises it where
 the value is read.
@@ -60,8 +63,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
-from .operators import (SpectralData, _finite_image, _shifts, _weighted_points,
-                        _weighted_sum, eigenvalue_c)
+from .operators import (SpectralData, _check_order, _finite_image, _shifts,
+                        _weighted_points, _weighted_sum, eigenvalue_c)
 from .qcore import (DEFAULT_EPS, QParams, XRMode, _cpow, _qpochhammer,
                     _qq_inf, _theta_ratio, _xr_mode, fq, qgamma,
                     qpochhammer_inf)
@@ -92,6 +95,17 @@ def _columns(n_vars: int, max_total: int) -> np.ndarray:
     columns = np.array(np.unravel_index(flat, total.shape))
     columns.setflags(write=False)
     return columns
+
+
+@functools.cache
+def _gather(n_vars: int, max_total: int) -> np.ndarray:
+    """_columns as positions in a flattened (n_vars, max_total + 1) table
+    of powers, row l the powers of the l-th ratio: entry (l, j) is
+    l (max_total + 1) + p_l for the j-th p, read-only."""
+    flat = (_columns(n_vars, max_total)
+            + (max_total + 1) * np.arange(n_vars)[:, None])
+    flat.setflags(write=False)
+    return flat
 
 
 def _stratum(n_vars: int, D: int) -> slice:
@@ -136,13 +150,39 @@ class HCSolution:
     def prefactor_exponent(self) -> tuple[complex, ...]:
         return self.spectral.eta_plus_rho
 
+    # _row, _top_moduli and _eigenvalues are built on first use and are
+    # not fields, so dataclasses.replace gives the copy its own
+
     @functools.cached_property
     def _row(self) -> np.ndarray:
-        """coeffs as one read-only complex array, built on first use; not
-        a field, so dataclasses.replace gives the copy its own."""
+        """coeffs as one read-only complex array."""
         row = np.array(self.coeffs, dtype=complex)
         row.setflags(write=False)
         return row
+
+    @functools.cached_property
+    def _top_moduli(self) -> np.ndarray:
+        """|a(p)| for |p| = N - 1 and N, the tail's strata, in table order,
+        as one read-only float array."""
+        start = _stratum(self.n - 1, max(self.max_degree - 1, 0)).start
+        top = np.abs(self._row[start:])
+        top.setflags(write=False)
+        return top
+
+    @functools.cached_property
+    def _eigenvalues(self) -> dict:
+        """m -> c^m of lambda + rho, filled by _eigenvalue."""
+        return {}
+
+    def _eigenvalue(self, m) -> complex:
+        """eigenvalue_c(lambda + rho, m, params), kept per m from the first
+        call; an m that eigenvalue_c rejects raises its error every time."""
+        _check_order(m, self.n)
+        c = self._eigenvalues.get(m)
+        if c is None:
+            c = self._eigenvalues[m] = eigenvalue_c(
+                self.spectral.lam_plus_rho, m, self.params)
+        return c
 
 
 @functools.cache
@@ -408,11 +448,14 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
 
     The ratios z_i/z_{i+1} of every point in the zone are raised to the
     powers 0..N in one numpy power; the prefactors and the tails are
-    taken in Python.  The (points, M) monomial matrix is the product of
-    the powers over the exponent columns; the value and the moduli of the
-    strata |p| = N and N - 1, summed as |a(p)| |r^p|, are its
-    contractions with the cached coefficient rows.  einsum, not @:
-    complex @ goes to BLAS, whose kernel the CPU picks at run time.
+    taken in Python.  The (points, M) monomial matrix is one gather of
+    the powers through the cached _gather positions and one product over
+    the exponent columns, multiplied left to right; the value and the
+    moduli of the strata |p| = N and N - 1, summed as |a(p)| |r^p|, are
+    its contractions with the coefficient rows and the moduli each
+    solution caches (_row and _top_moduli, read as views for one row).
+    einsum, not @: complex @ goes to BLAS, whose kernel the CPU picks at
+    run time.
     """
     n, N = sols[0].n, sols[0].max_degree
     out = [None] * len(points)
@@ -425,27 +468,34 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
             continue
         summed.append((j, pt, rho_max))
         ratios += rs
-    columns = _columns(n - 1, N)
     mid = _stratum(n - 1, N).start  # entries with |p| = N from mid on
     start = _stratum(n - 1, max(N - 1, 0)).start  # and N - 1 from start
-    coeffs = np.array([sol._row for sol in sols]).T  # (M, rows)
+    if len(sols) == 1:
+        coeffs, sizes = sols[0]._row[:, None], sols[0]._top_moduli[:, None]
+    else:
+        coeffs = np.array([sol._row for sol in sols]).T  # (M, rows)
+        sizes = np.array([sol._top_moduli for sol in sols]).T
     # a power past the float range and inf * 0 become non-finite values,
     # checked in _result
     with np.errstate(all="ignore"):
         power = (np.array(ratios, dtype=complex).reshape(len(summed), n - 1, 1)
                  ** np.arange(N + 1))
-        monos = power[:, 0, columns[0]]
-        for l in range(1, n - 1):
-            monos = monos * power[:, l, columns[l]]
-        moduli, sizes = np.abs(monos[:, start:]), np.abs(coeffs[start:])
+        # indexing keeps the points innermost in memory, as the gathers of
+        # power[:, l, columns[l]] did; einsum sums in an order that follows
+        # the layout, so np.take, points outermost, rounds the sums apart
+        flat = power.reshape(len(summed), (n - 1) * (N + 1))
+        monos = np.multiply.reduce(flat[:, _gather(n - 1, N)], axis=1)
+        moduli = np.abs(monos[:, start:])
         value = np.einsum("pm,mr->pr", monos, coeffs)
         top = np.einsum("pm,mr->pr", moduli[:, mid - start:],
                         sizes[mid - start:])
         prev = np.einsum("pm,mr->pr", moduli[:, :mid - start],
                          sizes[:mid - start])
-    sums = np.stack([value.real, value.imag, top, prev], axis=-1).tolist()
-    for (j, pt, rho_max), row in zip(summed, sums):
-        out[j] = [_result(sol, pt, rho_max, s) for sol, s in zip(sols, row)]
+    for (j, pt, rho_max), *sums in zip(summed, value.real.tolist(),
+                                       value.imag.tolist(), top.tolist(),
+                                       prev.tolist()):
+        out[j] = [_result(sol, pt, rho_max, s)
+                  for sol, s in zip(sols, zip(*sums))]
     return out
 
 
@@ -516,19 +566,21 @@ def _eigen_residuals(sols, z, orders) -> list[list[float]]:
     """[[eigen_residual(sol, m, z) for m in orders] for sol in sols], bit
     for bit, with the error those calls in that order raise first.  sols
     share lambda, n, N and params, as the solutions of solve_basis do.
-    One kernel call sums every row at z and at the points of _shifts for
-    each m, which D^m reads in that order; a value where evaluate raises
-    raises its error when it is read.  D^m's checks of z and its weights
-    are formed once per m, by operators._weighted_points, when the first
-    row reaches m, after its c^m phi = 0 check, where eigen_residual forms
-    them."""
-    s, p = sols[0].spectral, sols[0].params
-    cs = [eigenvalue_c(s.lam_plus_rho, m, p) for m in orders]
+    The c^m come from the first row's _eigenvalue, so a bad m raises
+    first.  One kernel call sums every row at z and at the points of one
+    _shifts per m, which D^m reads in that order; a value where evaluate
+    raises raises its error when it is read.  D^m's checks of z and its
+    weights are formed once per m from those points, by
+    operators._weighted_points, when the first row reaches m, after its
+    c^m phi = 0 check, where eigen_residual forms them."""
+    p = sols[0].params
+    cs = [sols[0]._eigenvalue(m) for m in orders]
     z = tuple(z)
     # a z of the wrong length raises where its own value is read
-    points = ([pt for m in orders for _, pt in _shifts(z, m, p.q)]
-              if len(z) == s.n else [])
-    at_z, *shifted = _series_values(sols, [z] + points, 1.0)
+    shifts = ({m: _shifts(z, m, p.q) for m in orders}
+              if len(z) == sols[0].n else {})
+    at_z, *shifted = _series_values(
+        sols, [z] + [pt for m in orders for _, pt in shifts.get(m, ())], 1.0)
     weighted = {}  # m -> D^m's (weight, point) list
 
     def residuals(r, held):
@@ -538,7 +590,7 @@ def _eigen_residuals(sols, z, orders) -> list[list[float]]:
                 raise DomainError(f"c^m phi vanishes at {z}, so the relative "
                                   f"residual is undefined")
             if m not in weighted:
-                weighted[m] = _weighted_points(z, m, p.q, p.t)
+                weighted[m] = _weighted_points(z, m, p.q, p.t, shifts[m])
             lhs = _finite_image(_weighted_sum(
                 weighted[m], lambda _: _checked(next(held)[r])[0], m, p.t),
                 m, z)

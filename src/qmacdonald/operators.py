@@ -135,41 +135,51 @@ def _shifts(z, m: int, q: complex) -> list:
 
 
 def _check_distinct(z) -> None:
-    """SingularConfigurationError when two coordinates of z are equal or
-    closer than _COINCIDENCE_TOL times the largest modulus, where a weight
-    (tt z_i - z_j)/(z_i - z_j) divides by their difference; DomainError
-    when a modulus leaves the float range."""
+    """DomainError when a coordinate of z is not finite, or when its
+    modulus or the modulus of a difference leaves the float range;
+    SingularConfigurationError when two coordinates are equal or closer
+    than _COINCIDENCE_TOL times the larger of their two moduli, where a
+    weight (tt z_i - z_j)/(z_i - z_j) divides by their difference."""
+    if not all(map(cmath.isfinite, z)):
+        raise DomainError(f"a coordinate of {z} is not finite")
     try:
-        scale = max(abs(c) for c in z)
+        moduli = [abs(c) for c in z]
         for i, j in itertools.combinations(range(len(z)), 2):
-            if z[i] == z[j] or abs(z[i] - z[j]) < _COINCIDENCE_TOL * scale:
+            tol = _COINCIDENCE_TOL * max(moduli[i], moduli[j])
+            if z[i] == z[j] or abs(z[i] - z[j]) < tol:
                 raise SingularConfigurationError(
                     f"coordinates {i} and {j} coincide")
     except OverflowError:  # abs() past the float range
         raise DomainError(f"a modulus at {z} leaves the float range") from None
 
 
-def _weighted_points(z, m: int, q: complex, t: complex) -> list:
-    """The points of _shifts(z, m, q), in its order, each after the weight
-    D^m gives it, prod_{i in I, j not in I} (t z_i - z_j)/(z_i - z_j):
-    a list of (weight, point) that serves any number of functions at z.
-    The errors of _check_distinct(z), then DomainError when a coordinate
-    of z or of a shifted point is not finite."""
+def _weighted_points(z, m: int, q: complex, t: complex, shifts=None) -> list:
+    """The points of shifts, _shifts(z, m, q) unless given, in its order,
+    each after the weight D^m gives it, prod_{i in I, j not in I}
+    (t z_i - z_j)/(z_i - z_j): a list of (weight, point) that serves any
+    number of functions at z.  Each factor is formed once per ordered
+    pair (i, j), and each weight multiplies its factors in the order of
+    i in I, then of j.  The errors of _check_distinct(z), then
+    DomainError when a coordinate of a shifted point is not finite."""
     z = _as_complex_vector(z)
     n = len(z)
-    shifts = _shifts(z, m, q)
+    if shifts is None:
+        shifts = _shifts(z, m, q)
     _check_distinct(z)
-    # the points of D^m hold each z_i or q z_i, and its weights every z_i
-    if not all(cmath.isfinite(c) and cmath.isfinite(q * c) for c in z):
+    # _check_distinct checked z; the points of D^m also hold each q z_i
+    if not all(cmath.isfinite(q * c) for c in z):
         raise DomainError(f"a coordinate of {z} or of a point q-shifted "
                           "from it is not finite")
+    factor = [[(t * zi - zj) / (zi - zj) if i != j else None
+               for j, zj in enumerate(z)] for i, zi in enumerate(z)]
     out = []
     for sel, shifted in shifts:
+        rest = [j for j in range(n) if j not in sel]
         weight = complex(1.0)
         for i in sel:
-            for j in range(n):
-                if j not in sel:
-                    weight *= (t * z[i] - z[j]) / (z[i] - z[j])
+            row = factor[i]
+            for j in rest:
+                weight *= row[j]
         out.append((weight, shifted))
     return out
 
@@ -327,7 +337,8 @@ def gauge_transform_residual(z, p: QParams) -> float:
     with G(z) = prod_{i<j} z_j^(1-2k) (t z_i/z_j;q)/(q^(1-k) z_i/z_j;q),
     applied to f(z) = prod_j (1 + (0.2 - 0.15i (j+1)) z_j).
     The errors of _check_distinct(z) come first; ConvergenceError when a
-    q-product of G falls below the normal float range, as near q = 1.
+    q-product of G falls below the normal float range, as near q = 1,
+    and when a side is not finite, as where G f overflows.
     """
     z = _as_complex_vector(z)
     _check_distinct(z)
@@ -352,6 +363,9 @@ def gauge_transform_residual(z, p: QParams) -> float:
         lhs += _weight(z, i, t) * gauge(zs) * f(zs)
         rhs += _weight(z, i, q / t) * f(zs)
     rhs *= gauge(z)
+    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
+        raise ConvergenceError(f"a side of the gauge identity at {z} is not "
+                               f"finite")
     return abs(lhs - rhs) / abs(lhs)
 
 

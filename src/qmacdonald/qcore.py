@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, ResonanceError
 
 DEFAULT_EPS = 1e-14
 _POLE_TOL = 1e-10
@@ -381,7 +381,8 @@ def g1(z: complex, x: float, r: float, n: int) -> complex:
     ({x^(2r) z}{x^(2n) z}), {w} = (w; x^(2r), x^(2n))_inf, as two ratios
     of four double_pochhammer values, formed in that order, so the first
     that fails raises.  ConvergenceError where a double product
-    underflows near q = 1."""
+    underflows near q = 1; ResonanceError where a denominator product is
+    exactly 0, a factor of it on its lattice."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     p1 = x ** (2.0 * r)
@@ -389,6 +390,9 @@ def g1(z: complex, x: float, r: float, n: int) -> complex:
     num1, num2, den1, den2 = (
         double_pochhammer(w * z, p1, p2)
         for w in (x ** 2, x ** (2.0 * r + 2 * n - 2), p1, p2))
+    if den1 == 0 or den2 == 0:
+        raise ResonanceError("a double product in the denominator of g_1 "
+                             "vanishes: resonant parameters")
     return (num1 / den1) * (num2 / den2)
 
 

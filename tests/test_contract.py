@@ -2,16 +2,20 @@
 raises a typed QMacdonaldError, never NaN and never a bare Python error.
 Each case is a call that broke the contract before its guard."""
 
+import cmath
 import math
+import random
 import re
 
 import pytest
 
-from qmacdonald import (ConvergenceError, DomainError, QParams,
-                        SingularConfigurationError, XRParams, ZoneError,
-                        boltzmann_w, double_pochhammer, eigenvalue_c, fq,
-                        integral_rep_fq, kernel_s, kernel_t, qgamma,
-                        qpochhammer_inf)
+from qmacdonald import (ConvergenceError, DomainError, QMacdonaldError,
+                        QParams, ResonanceError, SingularConfigurationError,
+                        XRMode, XRParams, ZoneError, boltzmann_exchange_matrix,
+                        boltzmann_w, double_pochhammer, eigenvalue_c, fq, g1,
+                        integral_rep_fq, kernel_s, kernel_t,
+                        macdonald_apply_numeric, qgamma, qpochhammer_inf)
+from qmacdonald.continuation import boltzmann_r1
 from qmacdonald.operators import (conjugation_identity_residual,
                                   gauge_transform_residual)
 from qmacdonald.qcore import _cpow, bracket_v, qbinomial_series
@@ -137,3 +141,68 @@ def test_coinciding_coordinates_are_singular(call):
     # did in the gauge identity: a bare ZeroDivisionError
     with pytest.raises(SingularConfigurationError, match="coincide"):
         call()
+
+
+@pytest.mark.parametrize("call, words", [
+    # 16 = x^-4 puts the factor 1 - p2 z of a denominator product at 0
+    (lambda: g1(16.0, 0.5, 2.7, 2), "denominator of g_1 vanishes"),
+    # at v = -1, z = x^-2 puts the factor 1 - x^2 z of g_1(z) at 0
+    (lambda: boltzmann_r1(-1, XR, 2), "g_1(z) vanishes"),
+    (lambda: boltzmann_w(1.3, -1, XR, 2), "g_1(z) vanishes"),
+    (lambda: boltzmann_exchange_matrix(
+        1, 50, XRParams.from_qparams(QParams(0.7146, 0.8634), XRMode.A), 2),
+     "denominator of g_1 vanishes"),
+], ids=["g1-denominator", "r1-g1-zero", "boltzmann-w-g1-zero",
+        "exchange-matrix-v50"])
+def test_vanishing_double_product_is_resonant(call, words):
+    # each divided by an exact zero: a bare ZeroDivisionError
+    with pytest.raises(ResonanceError, match=re.escape(words)):
+        call()
+
+
+def test_exchange_matrix_sweep_raises_only_typed_errors():
+    # integer v puts the double products of g_1 on their lattice in about
+    # one draw in twelve; each draw returns finite entries or raises a
+    # QMacdonaldError, never a bare ZeroDivisionError
+    rng = random.Random(7)
+    resonant = 0
+    for _ in range(400):
+        xr = XRParams.from_qparams(
+            QParams(rng.uniform(0.3, 0.95), rng.uniform(0.1, 0.9)),
+            rng.choice([XRMode.A, XRMode.B]))
+        mu = rng.choice([1, 2, 3]) * rng.choice([1, -1])
+        v = rng.randint(-60, 60)
+        try:
+            m = boltzmann_exchange_matrix(mu, v, xr, 2)
+        except ResonanceError:
+            resonant += 1
+        except QMacdonaldError:
+            pass
+        else:
+            assert all(cmath.isfinite(e) for e in m.ravel()), (mu, v, xr)
+    assert resonant > 0
+
+
+def test_non_finite_coordinate_is_checked_before_coincidence():
+    # the tolerance scaled by the largest modulus, inf, made coordinates
+    # 0 and 1 coincide
+    with pytest.raises(DomainError, match="is not finite"):
+        macdonald_apply_numeric(sum, 1, (1, 2, math.inf), P)
+
+
+@pytest.mark.parametrize("z, value", [
+    ((1, 2, 1e300), 1.5498451015777474e300),
+    ((1e-12, 2e-12, 1), 1.549845101582397)])
+def test_coordinates_far_apart_do_not_coincide(z, value):
+    # each pair is compared with its own moduli: 1 and 2 are not within
+    # 1e-10 of 1e300, nor 1e-12 and 2e-12 of 1
+    assert macdonald_apply_numeric(sum, 1, z, P) == pytest.approx(
+        value, rel=1e-13)
+
+
+def test_gauge_identity_far_apart():
+    # the weights are finite now, and at 1e300 a side overflows, which a
+    # NaN residual hid
+    assert gauge_transform_residual((1, 2, 1e100), P) < 1e-13
+    with pytest.raises(ConvergenceError, match="not finite"):
+        gauge_transform_residual((1, 2, 1e300), P)

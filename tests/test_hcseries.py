@@ -1,6 +1,7 @@
 """Tests for the series solver, evaluation, leading coefficients,
 serialization and the residue-summation oracles."""
 
+import cmath
 import copy
 import dataclasses
 import itertools
@@ -18,7 +19,7 @@ from qmacdonald import (ConvergenceError, DomainError, NondegeneracyError,
                         leading_coefficient, qgamma, residue_integral_prop6,
                         solution_from_json, solution_to_json, solve_basis,
                         solve_coefficients)
-from qmacdonald import hcseries
+from qmacdonald import hcseries, operators
 from qmacdonald.hcseries import (_columns, _eigen_residuals, _stencil,
                                  _stratum, _weights, default_depth,
                                  multi_indices,
@@ -26,7 +27,7 @@ from qmacdonald.hcseries import (_columns, _eigen_residuals, _stencil,
                                  solution_to_dict,
                                  integral_rep_fq_reference,
                                  one_point_integral_binomial_route, one_point_integral_closed_form)
-from qmacdonald.operators import (_shifts, eigenvalue_c,
+from qmacdonald.operators import (_shifts, duality_check, eigenvalue_c,
                                   macdonald_apply_numeric)
 from qmacdonald.qcore import _cpow, qpochhammer_inf, theta
 
@@ -1016,6 +1017,178 @@ class TestBasisEigenBits:
         assert len(calls) == 1
         # z and the C(3, m) points D^m shifts it to
         assert len(calls[0][1]) == 1 + math.comb(3, m)
+
+
+def _series_values_by_columns(sols, points, max_ratio):
+    """The series kernel as it was before one gather formed the monomials
+    and each solution cached its moduli: one gather of the power table
+    per exponent column, the moduli of the top strata taken per call, and
+    the four sums read from one np.stack."""
+    n, N = sols[0].n, sols[0].max_degree
+    out = [None] * len(points)
+    summed, ratios = [], []
+    for j, z in enumerate(points):
+        try:
+            pt, rs, rho_max = hcseries._zone_point(z, n, max_ratio)
+        except Exception as exc:
+            out[j] = [exc] * len(sols)
+            continue
+        summed.append((j, pt, rho_max))
+        ratios += rs
+    columns = _columns(n - 1, N)
+    mid = _stratum(n - 1, N).start
+    start = _stratum(n - 1, max(N - 1, 0)).start
+    coeffs = np.array([np.array(sol.coeffs, dtype=complex)
+                       for sol in sols]).T
+    with np.errstate(all="ignore"):
+        power = (np.array(ratios, dtype=complex).reshape(len(summed), n - 1, 1)
+                 ** np.arange(N + 1))
+        monos = power[:, 0, columns[0]]
+        for l in range(1, n - 1):
+            monos = monos * power[:, l, columns[l]]
+        moduli, sizes = np.abs(monos[:, start:]), np.abs(coeffs[start:])
+        value = np.einsum("pm,mr->pr", monos, coeffs)
+        top = np.einsum("pm,mr->pr", moduli[:, mid - start:],
+                        sizes[mid - start:])
+        prev = np.einsum("pm,mr->pr", moduli[:, :mid - start],
+                         sizes[:mid - start])
+    sums = np.stack([value.real, value.imag, top, prev], axis=-1).tolist()
+    for (j, pt, rho_max), row in zip(summed, sums):
+        out[j] = [hcseries._result(sol, pt, rho_max, s)
+                  for sol, s in zip(sols, row)]
+    return out
+
+
+def _weighted_points_by_subsets(z, m, q, t, shifts=None):
+    """D^m's (weight, point) list as it was before the pairwise table:
+    every factor (t z_i - z_j)/(z_i - z_j) formed again in each subset,
+    after the same checks; the shifted points are built again too."""
+    z = tuple(complex(c) for c in z)
+    n = len(z)
+    shifts = _shifts(z, m, q)
+    operators._check_distinct(z)
+    if not all(cmath.isfinite(q * c) for c in z):
+        raise DomainError(f"a coordinate of {z} or of a point q-shifted "
+                          "from it is not finite")
+    out = []
+    for sel, shifted in shifts:
+        weight = complex(1.0)
+        for i in sel:
+            for j in range(n):
+                if j not in sel:
+                    weight *= (t * z[i] - z[j]) / (z[i] - z[j])
+        out.append((weight, shifted))
+    return out
+
+
+def _oracle_points(rng, n, q):
+    """Points at which every result is compared with the oracles: inside
+    the zone with every q-shifted point, with a shifted point outside it,
+    and points that fail, in D^m's checks or in the series."""
+    def chain(largest):
+        z = [complex(1.3, 0.4)]
+        for _ in range(n - 1):
+            z.insert(0, z[0] * largest * rng.uniform(0.5, 1.0)
+                     * np.exp(1j * rng.uniform(-3, 3)))
+        return tuple(z)
+    inside, beyond = chain(0.9 * q), chain((1.0 + q) / 2.0)
+    return [inside, beyond, chain(0.9 * q),
+            (0.0,) + inside[1:],             # the prefactor's branch point
+            inside[:-1] + (math.inf,),       # not finite
+            inside[:-1] + (math.nan,),
+            inside[:-1],                     # too few coordinates
+            inside[:-2] + (inside[-1],) * 2,  # two that coincide
+            inside[:-1] + (1e300,)]          # far apart, not coinciding
+
+
+class TestKernelOracles:
+    """The series kernel, the eigen residuals and D^m against the kernel
+    with a gather per exponent column and moduli taken per call, and the
+    weights formed again per subset, by repr: values, tails, residuals
+    and held or raised errors, with one row and with n! rows."""
+
+    @staticmethod
+    def _outcomes(sols, points, p):
+        n, sol = sols[0].n, sols[-1]
+        f = lambda zz: evaluate(sol, zz).value
+        out = [_outcome(lambda: hcseries._series_values(sols, points, 1.0)),
+               _outcome(lambda: hcseries._series_values(sols, points, 1.3))]
+        for z in points:
+            out.append(_outcome(lambda: evaluate(sol, z)))
+            out.append(_outcome(
+                lambda: _eigen_residuals(sols, z, range(1, n + 1))))
+            out.append(_outcome(lambda: _eigen_residuals(sols, z, (n, 1, n))))
+            for m in range(1, n + 1):
+                out.append(_outcome(lambda: eigen_residual(sol, m, z)))
+                out.append(_outcome(
+                    lambda: macdonald_apply_numeric(f, m, z, p)))
+            out.append(_outcome(lambda: duality_check(f, z, p)))
+        return out
+
+    @pytest.mark.parametrize("q,k", [(0.5, 0.4), (0.2, 0.15)])
+    @pytest.mark.parametrize("n,N", [(2, 24), (2, 0), (3, 10), (4, 6),
+                                     (5, 3)])
+    def test_equals_the_oracles(self, rng, q, k, n, N):
+        p = QParams(q=q, k=k)
+        basis = solve_basis(SOLVE_LAMS[n], p, N=N)
+        points = _oracle_points(rng, n, q)
+        for sols in ([basis[-1]], basis):
+            got = self._outcomes(sols, points, p)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hcseries, "_series_values",
+                           _series_values_by_columns)
+                for module in (hcseries, operators):
+                    mp.setattr(module, "_weighted_points",
+                               _weighted_points_by_subsets)
+                # fresh copies, whose c^m are formed anew
+                ref = self._outcomes([dataclasses.replace(sol)
+                                      for sol in sols], points, p)
+            assert got == ref
+            # values and residuals (repr strings) and errors are compared
+            assert {type(r) for r in got} == {str, tuple}
+
+    def test_eigenvalue_memo(self, p):
+        sol = solve_coefficients(SpectralData.make(LAM5, p), p, N=3)
+        for m in range(1, 6):
+            ref = repr(eigenvalue_c(sol.spectral.lam_plus_rho, m, p))
+            assert repr(sol._eigenvalue(m)) == ref
+            assert repr(sol._eigenvalue(m)) == ref  # from the memo
+        assert sorted(sol._eigenvalues) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("m", [0, 6, 2.0, "1"])
+    def test_bad_order_raises_first(self, p, m):
+        # 2.0 equals a key of the memo, and must not read it; a point
+        # of the wrong length would raise later
+        sol = solve_coefficients(SpectralData.make(LAM5, p), p, N=3)
+        z = (0.001, 0.01, 0.1, 0.4, 1.0)
+        for order in range(1, 6):
+            eigen_residual(sol, order, z)
+        message = f"m must be an integer in 1..5, got {m!r}"
+        for point in (z, z[:-1]):
+            with pytest.raises(DomainError) as exc:
+                eigen_residual(sol, m, point)
+            assert str(exc.value) == message
+            with pytest.raises(DomainError) as exc:
+                _eigen_residuals([sol], point, (1, m))
+            assert str(exc.value) == message
+
+    def test_copy_has_its_own_caches(self, p):
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=8)
+        z = (0.05, 0.2 + 0.1j, 1.0)
+        before = evaluate(sol, z), eigen_residual(sol, 1, z)
+        scaled = dataclasses.replace(
+            sol, coeffs=(1.0,) + tuple(3.0 * a for a in sol.coeffs[1:]))
+        other = QParams(q=0.6, k=0.4)
+        moved = dataclasses.replace(sol, params=other)
+        for copy_ in (scaled, moved):
+            ref = _series_values_by_columns([copy_], [z], 1.0)[0][0]
+            assert repr(tuple(evaluate(copy_, z))) == repr(ref)
+            assert copy_._top_moduli.tolist() == np.abs(
+                copy_._row[_stratum(2, 7).start:]).tolist()
+        assert evaluate(scaled, z).tail_estimate != before[0].tail_estimate
+        assert repr(moved._eigenvalue(1)) == repr(
+            eigenvalue_c(sol.spectral.lam_plus_rho, 1, other))
+        assert (evaluate(sol, z), eigen_residual(sol, 1, z)) == before
 
 
 class TestCoefficientLayout:
