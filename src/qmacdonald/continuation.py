@@ -159,32 +159,17 @@ def braid_action(s_list, i: int, z, p: QParams) -> np.ndarray:
                           p)[0]
 
 
-class _Zone:
-    """What a ratio zeta = z_i/z_{i+1} fixes in one braid call: u = 1/zeta,
-    q^k u, log zeta, u_ku = log Theta(u)/Theta(q^k u) zeta^k (None until
-    q^k u has passed its resonance test) and the entries of its blocks
-    formed so far, by spectral difference d."""
-
-    __slots__ = ("u", "qku", "log_zeta", "u_ku", "blocks")
-
-    def __init__(self, zeta: complex, qk: float):
-        self.u = 1.0 / zeta
-        self.qku = qk * self.u
-        self.log_zeta = cmath.log(zeta)
-        self.u_ku = None
-        self.blocks = {}
-
-
 def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
     """braid_action(s_list, i, z, p) for each (i, z) of walls, in order,
     with rows the (w, eta) of each element of s_list.
 
     One loop over the 2x2 blocks forms each quantity once per call, at
     the level it depends on: each log theta once, in a memo keyed by its
-    argument; per wall index i, the row pairs; per ratio zeta, a _Zone;
-    per spectral difference d, q^(+-d), q^(k-+d) and the four theta
-    quotients that depend on q alone; per block, Theta(q^(+-d) u), two
-    quotients and four exps.  Each block is formed from the first row of
+    argument; per wall index i, the row pairs; per ratio zeta, u = 1/zeta,
+    q^k u, log zeta and log Theta(u)/Theta(q^k u) zeta^k; per spectral
+    difference d, q^(+-d), q^(k-+d) and the four theta quotients that
+    depend on q alone; per block, Theta(q^(+-d) u), two quotients and
+    four exps.  Each block is formed from the first row of
     its pair, and a block of (zeta, d) met again is reused.  For real d,
     q^d and q^-(-d) differ in the sign of a zero imaginary part, which
     moves log Theta's last bits and which the theta memo, keyed by value,
@@ -192,11 +177,13 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
     block can differ from braid_matrix's of its first row in its last
     bits.
 
-    The first block that fails raises the error braid_matrix would: a wall
-    i outside 1..n-1 and an s_list without the partner s_i w of one of
-    its w (DomainError), then a zero coordinate, the three resonance
-    tests in their order, the thetas in the order of the nine arguments
-    of braid_matrix's docstring, and an entry that overflows.
+    The first failure raises.  Per wall, in order: a wall i outside
+    1..n-1 and an s_list without the partner s_i w of one of its w
+    (DomainError), before any block of the wall is formed; at its first
+    block, a point of the wrong length and a zero coordinate; then, per
+    block, the resonance tests of q^d and q^-d, which test the same
+    lattice q^Z, the thetas that d fixes, the resonance test of q^k u,
+    the thetas of the zone and of the block, and an entry that overflows.
     """
     dim = len(rows)
     index = {w: j for j, (w, _) in enumerate(rows)}
@@ -207,21 +194,20 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
 
     def pairing(i):
         # the (row, partner row, d = eta_(i+1) - eta_i) of each block of
-        # wall i, in order, and the DomainError of the row that ends them,
-        # if one does
+        # wall i, in order
         blocks, done = [], set()
         for j, (w, eta) in enumerate(rows):
             if j in done:
                 continue
             if not 1 <= i <= len(w) - 1:  # before _swap
-                return blocks, DomainError(f"i must lie in 1..{len(w) - 1}")
+                raise DomainError(f"i must lie in 1..{len(w) - 1}")
             j2 = index.get(_swap(w, i))
             if j2 is None:
-                return blocks, DomainError(f"s_list has no partner of w = "
-                                           f"{w} across wall {i}")
+                raise DomainError(f"s_list has no partner of w = {w} across "
+                                  f"wall {i}")
             done.update((j, j2))
             blocks.append((j, j2, eta[i] - eta[i - 1]))
-        return blocks, None
+        return blocks
 
     def log_theta(x):  # its pair (c, s), or its error raised
         entry = thetas.get(x)
@@ -236,34 +222,34 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
         if _theta_vanishes(x, q):
             raise ResonanceError(f"{name} vanishes: resonant parameters")
 
-    def block(zone, d):
-        # the checks of d and of the zone interleave, so that each comes
-        # where braid_matrix's order puts it; a d or zone formed before
-        # has passed them all
+    def spectrum(d):
+        # what d fixes: q^(+-d) and the four quotients of q alone
         spec = spectra.get(d)
         if spec is None:
             qd, qmd = _cpow(q, d), _cpow(q, -d)
             resonance("Theta_q(q^d)", qd)
-        if zone.u_ku is None:
-            resonance("Theta_q(q^k u)", zone.qku)
-        if spec is None:
             resonance("Theta_q(q^d)", qmd)
-            qkmd, qkpd = _cpow(q, -d + k), _cpow(q, d + k)
-            a0, a1 = ratio(qk, qd, k - d), ratio(qk, qmd, k + d)
-        else:
-            qd, qmd, a0, a1, o0, o1 = spec
-        u, qku, log_zeta = zone.u, zone.qku, zone.log_zeta
-        if zone.u_ku is None:
-            zone.u_ku = ratio(u, qku, -k) + k * log_zeta
+            spec = spectra[d] = (
+                qd, qmd, ratio(qk, qd, k - d), ratio(qk, qmd, k + d),
+                k * d * eps + ratio(_cpow(q, -d + k), qmd, k),
+                -k * d * eps + ratio(_cpow(q, d + k), qd, k))
+        return spec
+
+    def zone_of(zeta):
+        # what zeta fixes, and the entries of its blocks formed so far
+        u = 1.0 / zeta
+        qku, log_zeta = qk * u, cmath.log(zeta)
+        resonance("Theta_q(q^k u)", qku)
+        return u, qku, log_zeta, ratio(u, qku, -k) + k * log_zeta, {}
+
+    def block(zone, d):
+        qd, qmd, a0, a1, o0, o1 = spectrum(d)
+        u, qku, log_zeta, u_ku, _ = zone
         b0, b1 = ratio(qd * u, qku, d - k), ratio(qmd * u, qku, -d - k)
-        if spec is None:
-            o0 = k * d * eps + ratio(qkmd, qmd, k)
-            o1 = -k * d * eps + ratio(qkpd, qd, k)
-            spectra[d] = qd, qmd, a0, a1, o0, o1
         try:
             diag0, off0, off1, diag1 = map(cmath.exp, (
-                a0 + b0 + (k - d) * log_zeta, o0 + zone.u_ku,
-                o1 + zone.u_ku, a1 + b1 + (k + d) * log_zeta))
+                a0 + b0 + (k - d) * log_zeta, o0 + u_ku,
+                o1 + u_ku, a1 + b1 + (k + d) * log_zeta))
         except OverflowError:
             raise ConvergenceError("a braid matrix entry is not finite in "
                                    "floating point") from None
@@ -275,11 +261,13 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
         out.append(M)
         if i not in pairings:
             pairings[i] = pairing(i)
-        blocks, error = pairings[i]
         zone = None
-        for j, j2, d in blocks:
+        for j, j2, d in pairings[i]:
             if zone is None:  # the wall's own checks, at its first block
                 z = tuple(complex(c) for c in z)
+                if len(z) != len(rows[j][0]):
+                    raise DomainError(f"point must have {len(rows[j][0])} "
+                                      f"coordinates")
                 if z[i] == 0:
                     raise DomainError("z_{i+1} must be nonzero")
                 zeta = z[i - 1] / z[i]
@@ -290,13 +278,12 @@ def _braid_actions(rows, walls, p: QParams) -> list[np.ndarray]:
                 key = zeta, math.copysign(1.0, zeta.imag)
                 zone = zones.get(key)
                 if zone is None:
-                    zone = zones[key] = _Zone(zeta, qk)
-            entries = zone.blocks.get(d)
+                    spectrum(d)  # whose tests come before the zone's
+                    zone = zones[key] = zone_of(zeta)
+            entries = zone[-1].get(d)
             if entries is None:
-                entries = zone.blocks[d] = block(zone, d)
+                entries = zone[-1][d] = block(zone, d)
             (M[j, j], M[j, j2]), (M[j2, j], M[j2, j2]) = entries
-        if error is not None:
-            raise error
     return out
 
 
@@ -313,10 +300,13 @@ def verify_braid_relations(s: SpectralData, p: QParams, z) -> dict:
     to braid_action's (n = 3: 21 blocks, 12 distinct, 45 distinct
     thetas).  The wall-1 matrix M1 at z, the first factor of the double
     crossing, is also the first factor of the sigma1 sigma2 sigma1 path,
-    so seven matrices serve the eight factors.
+    so seven matrices serve the eight factors.  DomainError for a z of
+    other than n coordinates, then the errors of _braid_actions.
     """
     n = s.n
     z = tuple(complex(c) for c in z)
+    if len(z) != n:
+        raise DomainError(f"point must have {n} coordinates")
     basis = [(w, tuple(s.lam[x] for x in w))  # (w, eta) of each element
              for w in itertools.permutations(range(n))]
     report = {}

@@ -31,7 +31,8 @@ for the contour integrals.
 One kernel, _series_values, sums the series: for evaluate, one row at
 one point, and for the eigen residuals of eigen_residual and `verify`,
 in one call, one row or all n! basis elements at z and at the points
-z_I -> q z_I that D^m reads, which one operators._shifts per m builds.
+z_I -> q z_I that D^m reads, which one operators._weighted_points per m
+lists.
 The ratios of every point in the zone are raised to the powers 0..N in
 one numpy power, and one gather through the positions _gather caches
 per (n, N) beside _columns, with one product over the exponent columns,
@@ -43,9 +44,8 @@ arrays, and keeps c^m per m from its first use, so a one-row call
 reads views and forms no modulus of a coefficient and no c^m again.
 Inside the radius of convergence the value is the term-by-term sum to
 within a few eps |prefactor| sum_p |a(p) r^p|.
-Where evaluate raises, the kernel holds the exception in place of the
-value, since numpy sums every point at once, and _checked raises it where
-the value is read.
+Every error raises where it is found: the kernel checks every point
+before it sums anything, and no exception is held in place of a value.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, DomainError, NondegeneracyError,
                      PoleError, ZoneError)
-from .operators import (SpectralData, _check_order, _finite_image, _shifts,
+from .operators import (SpectralData, _check_order, _relative_residual,
                         _weighted_points, _weighted_sum, eigenvalue_c)
 from .qcore import (DEFAULT_EPS, QParams, XRMode, _cpow, _qpochhammer,
                     _qq_inf, _theta_ratio, _xr_mode, fq, qgamma,
@@ -431,43 +431,28 @@ def evaluate(sol: HCSolution, z, max_ratio: float = 1.0) -> EvalResult:
     max_ratio, which NaN and a modulus past the float range are not;
     ConvergenceError when the value or the tail is not finite.
     """
-    return EvalResult(*_checked(_series_values([sol], [z], max_ratio)[0][0]))
-
-
-def _checked(value):
-    """value, or the exception _series_values held in its place, raised."""
-    if isinstance(value, Exception):
-        raise value
-    return value
+    return EvalResult(*_series_values([sol], [z], max_ratio)[0][0])
 
 
 def _series_values(sols, points, max_ratio: float) -> list[list]:
     """For each point and each row of sols, the (value, tail) evaluate
-    returns there, or in its place the exception it raises.  sols share
-    n and N, as the solutions of solve_basis do.
+    returns there; sols share n and N, as the solutions of solve_basis do.
+    Every point passes _zone_point before anything is summed, and the
+    first that fails raises; then the first (point, row) whose value
+    _result rejects raises its error.
 
-    The ratios z_i/z_{i+1} of every point in the zone are raised to the
-    powers 0..N in one numpy power; the prefactors and the tails are
-    taken in Python.  The (points, M) monomial matrix is one gather of
-    the powers through the cached _gather positions and one product over
-    the exponent columns, multiplied left to right; the value and the
-    moduli of the strata |p| = N and N - 1, summed as |a(p)| |r^p|, are
-    its contractions with the coefficient rows and the moduli each
-    solution caches (_row and _top_moduli, read as views for one row).
-    einsum, not @: complex @ goes to BLAS, whose kernel the CPU picks at
-    run time.
+    The ratios z_i/z_{i+1} of every point are raised to the powers 0..N
+    in one numpy power; the prefactors and the tails are taken in
+    Python.  The (points, M) monomial matrix is one gather of the powers
+    through the cached _gather positions and one product over the
+    exponent columns, multiplied left to right; the value and the moduli
+    of the strata |p| = N and N - 1, summed as |a(p)| |r^p|, are its
+    contractions with the coefficient rows and the moduli each solution
+    caches (_row and _top_moduli, read as views for one row).  einsum,
+    not @: complex @ goes to BLAS, whose kernel the CPU picks at run time.
     """
     n, N = sols[0].n, sols[0].max_degree
-    out = [None] * len(points)
-    summed, ratios = [], []  # (j, point, rho_max) and ratios of the summed
-    for j, z in enumerate(points):
-        try:
-            pt, rs, rho_max = _zone_point(z, n, max_ratio)
-        except Exception as exc:  # raised where the result is read
-            out[j] = [exc] * len(sols)
-            continue
-        summed.append((j, pt, rho_max))
-        ratios += rs
+    zone = [_zone_point(z, n, max_ratio) for z in points]
     mid = _stratum(n - 1, N).start  # entries with |p| = N from mid on
     start = _stratum(n - 1, max(N - 1, 0)).start  # and N - 1 from start
     if len(sols) == 1:
@@ -478,12 +463,12 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
     # a power past the float range and inf * 0 become non-finite values,
     # checked in _result
     with np.errstate(all="ignore"):
-        power = (np.array(ratios, dtype=complex).reshape(len(summed), n - 1, 1)
-                 ** np.arange(N + 1))
+        power = (np.array([r for _, rs, _ in zone for r in rs], dtype=complex)
+                 .reshape(len(zone), n - 1, 1) ** np.arange(N + 1))
         # indexing keeps the points innermost in memory, as the gathers of
         # power[:, l, columns[l]] did; einsum sums in an order that follows
         # the layout, so np.take, points outermost, rounds the sums apart
-        flat = power.reshape(len(summed), (n - 1) * (N + 1))
+        flat = power.reshape(len(zone), (n - 1) * (N + 1))
         monos = np.multiply.reduce(flat[:, _gather(n - 1, N)], axis=1)
         moduli = np.abs(monos[:, start:])
         value = np.einsum("pm,mr->pr", monos, coeffs)
@@ -491,30 +476,27 @@ def _series_values(sols, points, max_ratio: float) -> list[list]:
                         sizes[mid - start:])
         prev = np.einsum("pm,mr->pr", moduli[:, :mid - start],
                          sizes[:mid - start])
-    for (j, pt, rho_max), *sums in zip(summed, value.real.tolist(),
-                                       value.imag.tolist(), top.tolist(),
-                                       prev.tolist()):
-        out[j] = [_result(sol, pt, rho_max, s)
-                  for sol, s in zip(sols, zip(*sums))]
-    return out
+    return [[_result(sol, pt, rho_max, s) for sol, s in zip(sols, zip(*sums))]
+            for (pt, _, rho_max), *sums in zip(zone, value.real.tolist(),
+                                               value.imag.tolist(),
+                                               top.tolist(), prev.tolist())]
 
 
 def _result(sol: HCSolution, pt, rho_max: float, sums):
-    """evaluate(sol, pt)'s (value, tail), or the exception it raises,
-    from the sums of the real and imaginary parts of the monomials and of
-    the moduli of the top stratum and of the one before it.
+    """evaluate(sol, pt)'s (value, tail) from the sums of the real and
+    imaginary parts of the monomials and of the moduli of the top stratum
+    and of the one before it.
 
-    The prefactor z^(eta+rho) is multiplied left to right.  The tail is
-    geometric, from the observed decay of the top two strata; a modulus
-    past the float range makes prev infinite, and abs() of such a
+    The prefactor z^(eta+rho) is multiplied left to right, and raises the
+    DomainError of _cpow where a power leaves the float range.  The tail
+    is geometric, from the observed decay of the top two strata; a
+    modulus past the float range makes prev infinite, and abs() of such a
     prefactor raises OverflowError: the tail is infinite then.
+    ConvergenceError when the value or the tail is not finite.
     """
-    try:
-        pref = complex(1.0)
-        for zi, e in zip(pt, sol.prefactor_exponent):
-            pref *= _cpow(zi, e)
-    except Exception as exc:  # raised where the result is read
-        return exc
+    pref = complex(1.0)
+    for zi, e in zip(pt, sol.prefactor_exponent):
+        pref *= _cpow(zi, e)
     total_re, total_im, top, prev = sums
     value = pref * complex(total_re, total_im)
     s = (min(0.95, top / prev) if prev > 0 and top < prev
@@ -525,7 +507,7 @@ def _result(sol: HCSolution, pt, rho_max: float, sums):
     except OverflowError:
         tail = math.inf
     if not (cmath.isfinite(value) and math.isfinite(tail)):
-        return ConvergenceError(f"the series at {pt} is not finite")
+        raise ConvergenceError(f"the series at {pt} is not finite")
     return value, tail
 
 
@@ -535,7 +517,7 @@ def _zone_point(z, n: int, max_ratio: float):
     if not 0.0 < max_ratio < math.inf:
         raise DomainError(f"max_ratio must be finite and positive, got "
                           f"{max_ratio}")
-    z = tuple(complex(c) for c in z)
+    z = tuple(map(complex, z))
     if len(z) != n:
         raise DomainError(f"point must have {n} coordinates")
     if 0 in z:
@@ -544,9 +526,9 @@ def _zone_point(z, n: int, max_ratio: float):
     if any(map(cmath.isinf, z)):
         raise DomainError(f"the series is not defined at {z}, which has an "
                           f"infinite coordinate")
-    ratios = [z[i] / z[i + 1] for i in range(n - 1)]
+    ratios = [a / b for a, b in zip(z, z[1:])]
     try:
-        rho_max = max(abs(r) for r in ratios)
+        rho_max = max(map(abs, ratios))
     except OverflowError:  # a modulus past the float range
         rho_max = math.inf
     if not rho_max < max_ratio:  # a NaN rho_max fails it too
@@ -557,45 +539,43 @@ def _zone_point(z, n: int, max_ratio: float):
 
 def eigen_residual(sol: HCSolution, m: int, z) -> float:
     """|D^m phi - c^m phi| / |c^m phi|, phi the series summed at z and at
-    the points of D^m in one kernel call.  DomainError when c^m phi(z) = 0,
-    where the ratio is undefined, and for an m not an integer in 1..n."""
+    the points of D^m in one kernel call.  Its errors come in the order
+    _eigen_residuals states, from DomainError for an m not an integer in
+    1..n to ConvergenceError for a residual that is not finite."""
     return _eigen_residuals([sol], z, [m])[0][0]
 
 
 def _eigen_residuals(sols, z, orders) -> list[list[float]]:
     """[[eigen_residual(sol, m, z) for m in orders] for sol in sols], bit
-    for bit, with the error those calls in that order raise first.  sols
-    share lambda, n, N and params, as the solutions of solve_basis do.
-    The c^m come from the first row's _eigenvalue, so a bad m raises
-    first.  One kernel call sums every row at z and at the points of one
-    _shifts per m, which D^m reads in that order; a value where evaluate
-    raises raises its error when it is read.  D^m's checks of z and its
-    weights are formed once per m from those points, by
-    operators._weighted_points, when the first row reaches m, after its
-    c^m phi = 0 check, where eigen_residual forms them."""
-    p = sols[0].params
+    for bit; sols share lambda, n, N and params, as the solutions of
+    solve_basis do.  One kernel call sums every row at z and at the
+    points of D^m for each m of orders, in that order.  The first failure
+    raises, in this order: 1. an m that eigenvalue_c rejects, from the
+    first row's _eigenvalue; 2. z's own checks, by _zone_point; 3. D^m's
+    checks of z, by operators._weighted_points, once per distinct m;
+    4. the first point of D^m outside the zone; 5. the first (point, row)
+    whose value is not finite; 6. per row, then per m, c^m phi(z) = 0
+    (DomainError), then a residual that is not finite, as from an image
+    of D^m that is not finite (ConvergenceError)."""
+    p, n = sols[0].params, sols[0].n
     cs = [sols[0]._eigenvalue(m) for m in orders]
     z = tuple(z)
-    # a z of the wrong length raises where its own value is read
-    shifts = ({m: _shifts(z, m, p.q) for m in orders}
-              if len(z) == sols[0].n else {})
+    _zone_point(z, n, 1.0)
+    weighted = {m: _weighted_points(z, m, p.q, p.t)
+                for m in dict.fromkeys(orders)}
     at_z, *shifted = _series_values(
-        sols, [z] + [pt for m in orders for _, pt in shifts.get(m, ())], 1.0)
-    weighted = {}  # m -> D^m's (weight, point) list
+        sols, [z] + [pt for m in orders for _, pt in weighted[m]], 1.0)
 
-    def residuals(r, held):
+    def residuals(r):
+        values = (row[r][0] for row in shifted)
         for m, c in zip(orders, cs):
-            ref = c * _checked(at_z[r])[0]
+            ref = c * at_z[r][0]
             if ref == 0:
                 raise DomainError(f"c^m phi vanishes at {z}, so the relative "
                                   f"residual is undefined")
-            if m not in weighted:
-                weighted[m] = _weighted_points(z, m, p.q, p.t, shifts[m])
-            lhs = _finite_image(_weighted_sum(
-                weighted[m], lambda _: _checked(next(held)[r])[0], m, p.t),
-                m, z)
-            yield abs(lhs - ref) / abs(ref)
-    return [list(residuals(r, iter(shifted))) for r in range(len(sols))]
+            lhs = _weighted_sum(weighted[m], lambda _: next(values), m, p.t)
+            yield _relative_residual(lhs, ref, f"D^{m} eigen-equation", z)
+    return [list(residuals(r)) for r in range(len(sols))]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -100,10 +101,13 @@ def _check_order(m, n: int) -> None:
 def eigenvalue_c(gamma, m: int, p: QParams) -> complex:
     """c^m_gamma = sum_{i1<...<im} prod_s q^(gamma_{i_s}) t^(i_s), i_s 1-based.
 
-    DomainError where c^m is not finite, as for a gamma holding NaN."""
+    DomainError for an entry of gamma that is not finite, and where c^m
+    is not finite."""
     gamma = _as_complex_vector(gamma)
     n = len(gamma)
     _check_order(m, n)
+    if not all(map(cmath.isfinite, gamma)):
+        raise DomainError(f"gamma must be finite, got {gamma}")
     q, t = p.q, p.t
     value = _elementary([_cpow(q, g) * t ** (i + 1)
                          for i, g in enumerate(gamma)], m)
@@ -134,6 +138,28 @@ def _shifts(z, m: int, q: complex) -> list:
             for sel in itertools.combinations(range(len(z)), m)]
 
 
+def _check_nonzero(v, name: str, first: int = 0) -> None:
+    """DomainError naming v's first zero coordinate from index first on."""
+    for i in range(first, len(v)):
+        if v[i] == 0:
+            raise DomainError(f"{name}_{i + 1} = 0, which a ratio divides by")
+
+
+def _relative_residual(value: complex, ref: complex, name: str, at) -> float:
+    """|value - ref| / |ref| of the equation name at the point at;
+    ConvergenceError unless it is finite, as where ref is 0 or a side,
+    their difference or a modulus leaves the float range."""
+    try:
+        residual = abs(value - ref) / abs(ref)
+    except (OverflowError, ZeroDivisionError):  # abs() past the range, ref = 0
+        residual = math.nan
+    if not math.isfinite(residual):
+        raise ConvergenceError(f"the relative residual of the {name} at {at} "
+                               f"is not finite: a side overflows, or the "
+                               f"side it divides by is 0")
+    return residual
+
+
 def _check_distinct(z) -> None:
     """DomainError when a coordinate of z is not finite, or when its
     modulus or the modulus of a difference leaves the float range;
@@ -153,18 +179,17 @@ def _check_distinct(z) -> None:
         raise DomainError(f"a modulus at {z} leaves the float range") from None
 
 
-def _weighted_points(z, m: int, q: complex, t: complex, shifts=None) -> list:
-    """The points of shifts, _shifts(z, m, q) unless given, in its order,
-    each after the weight D^m gives it, prod_{i in I, j not in I}
-    (t z_i - z_j)/(z_i - z_j): a list of (weight, point) that serves any
-    number of functions at z.  Each factor is formed once per ordered
-    pair (i, j), and each weight multiplies its factors in the order of
-    i in I, then of j.  The errors of _check_distinct(z), then
-    DomainError when a coordinate of a shifted point is not finite."""
+def _weighted_points(z, m: int, q: complex, t: complex) -> list:
+    """The points of _shifts(z, m, q), in its order, each after the
+    weight D^m gives it, prod_{i in I, j not in I} (t z_i - z_j)/(z_i - z_j):
+    a list of (weight, point) that serves any number of functions at z.
+    Each factor is formed once per ordered pair (i, j), and each weight
+    multiplies its factors in the order of i in I, then of j.  The
+    DomainError of _shifts for a bad m, the errors of _check_distinct(z),
+    then DomainError when a coordinate of a shifted point is not finite."""
     z = _as_complex_vector(z)
     n = len(z)
-    if shifts is None:
-        shifts = _shifts(z, m, q)
+    shifts = _shifts(z, m, q)
     _check_distinct(z)
     # _check_distinct checked z; the points of D^m also hold each q z_i
     if not all(cmath.isfinite(q * c) for c in z):
@@ -210,11 +235,7 @@ def macdonald_apply_numeric(f, m: int, z, p: QParams) -> complex:
 
     ConvergenceError when the value is not finite, as where the weighted
     sum of finite values of f overflows."""
-    return _finite_image(macdonald_apply_raw(f, m, z, p.q, p.t), m, z)
-
-
-def _finite_image(value: complex, m: int, z) -> complex:
-    """value, the image of D^m at z; ConvergenceError unless it is finite."""
+    value = macdonald_apply_raw(f, m, z, p.q, p.t)
     if not cmath.isfinite(value):
         raise ConvergenceError(f"D^{m} f at {z} is not finite")
     return value
@@ -256,13 +277,15 @@ def kernel_intertwiner_residual(z, y, p: QParams) -> float:
     from the contraction ratio s, len(z) = n+1 and len(y) = n.  Here
     D^1_y(1/q,1/t) carries the inverted overall prefactor 1/t; the power
     t^(n+1) absorbs the difference from quoting the identity with the
-    uninverted prefactor.
+    uninverted prefactor.  DomainError at y_j = 0; ConvergenceError when
+    a side is not finite or the left side is 0.
     """
     z = _as_complex_vector(z)
     y = _as_complex_vector(y)
     n = len(y)
     if len(z) != n + 1:
         raise DomainError("kernel identity requires len(z) = len(y) + 1")
+    _check_nonzero(y, "y")
     t = p.t
 
     def kernel(zz, yy):
@@ -277,7 +300,7 @@ def kernel_intertwiner_residual(z, y, p: QParams) -> float:
                * macdonald_apply_raw(lambda yy: kernel(z, yy), 1, y,
                                      1.0 / p.q, 1.0 / t)
                + kernel(z, y))
-    return abs(lhs - rhs) / abs(lhs)
+    return _relative_residual(rhs, lhs, "kernel identity", (z, y))
 
 
 def _weight(v, i: int, tt) -> complex:
@@ -295,14 +318,16 @@ def conjugation_identity_residual(y, p: QParams) -> float:
     with Delta(y) = prod_{l<s} (y_l/y_s;q)(y_s/y_l;q)
                     / ((t y_l/y_s;q)(t y_s/y_l;q)),
     applied to the test function f(y) = prod_j (1 + (0.3 + 0.1i (j+1)) y_j).
-    The left side weights each q-shifted point, so the errors of
-    _check_distinct at y and then at each shifted point come first;
-    ConvergenceError when a q-product of Delta falls below the normal
-    float range, as near q = 1.
+    DomainError at y_j = 0 comes first.  The left side weights each
+    q-shifted point, so the errors of _check_distinct at y and then at
+    each shifted point come next; ConvergenceError when a q-product of
+    Delta falls below the normal float range, as near q = 1, and as in
+    the kernel identity.
     """
     y = _as_complex_vector(y)
     n = len(y)
     q, t = p.q, p.t
+    _check_nonzero(y, "y")
     shifts = _shifts(y, 1, q)
     for pt in (y, *(ys for _, ys in shifts)):
         _check_distinct(pt)
@@ -324,7 +349,7 @@ def conjugation_identity_residual(y, p: QParams) -> float:
         lhs += _weight(ys, i, 1.0 / t) * delta(ys) * f(ys)
         rhs += _weight(y, i, t) * f(ys)
     rhs *= delta(y) * t ** (1 - n)
-    return abs(lhs - rhs) / abs(lhs)
+    return _relative_residual(rhs, lhs, "conjugation identity", y)
 
 
 def gauge_transform_residual(z, p: QParams) -> float:
@@ -336,12 +361,13 @@ def gauge_transform_residual(z, p: QParams) -> float:
 
     with G(z) = prod_{i<j} z_j^(1-2k) (t z_i/z_j;q)/(q^(1-k) z_i/z_j;q),
     applied to f(z) = prod_j (1 + (0.2 - 0.15i (j+1)) z_j).
-    The errors of _check_distinct(z) come first; ConvergenceError when a
-    q-product of G falls below the normal float range, as near q = 1,
-    and when a side is not finite, as where G f overflows.
+    The errors of _check_distinct(z) come first, then DomainError at
+    z_j = 0, j > 1; ConvergenceError when a q-product of G falls below
+    the normal float range, as near q = 1, and as in the kernel identity.
     """
     z = _as_complex_vector(z)
     _check_distinct(z)
+    _check_nonzero(z, "z", first=1)
     n = len(z)
     q, t, k = p.q, p.t, p.k
     f = lambda zz: _prod(1.0 + (0.2 - 0.15j * (j + 1)) * c
@@ -363,10 +389,7 @@ def gauge_transform_residual(z, p: QParams) -> float:
         lhs += _weight(z, i, t) * gauge(zs) * f(zs)
         rhs += _weight(z, i, q / t) * f(zs)
     rhs *= gauge(z)
-    if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
-        raise ConvergenceError(f"a side of the gauge identity at {z} is not "
-                               f"finite")
-    return abs(lhs - rhs) / abs(lhs)
+    return _relative_residual(rhs, lhs, "gauge identity", z)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,18 @@ class TestBraidMatrix:
         with pytest.raises(DomainError, match="i must lie in 1..2"):
             braid_action(_basis(LAM3, p), i, (1.0, 8.0, 64.0), p)
 
+    @pytest.mark.parametrize("z", [(1.0, 8.0), (1.0, 8.0, 64.0, 512.0)])
+    def test_point_of_wrong_length_is_typed(self, p, z):
+        # a short point raised a bare IndexError, and a long one was read
+        # in its first n coordinates
+        s = SpectralData.make(LAM3, p)
+        for call in (lambda: braid_action(_basis(LAM3, p), 2, z, p),
+                     lambda: braid_matrix(s, 1, z, p),
+                     lambda: verify_braid_relations(s, p, z)):
+            with pytest.raises(DomainError,
+                               match="point must have 3 coordinates"):
+                call()
+
     def test_missing_partner_is_typed(self, p):
         basis = [sd for sd in _basis(LAM3, p) if sd.w != (1, 0, 2)]
         with pytest.raises(DomainError,
@@ -211,13 +223,17 @@ class TestBraidMatrix:
             braid_action(basis, 1, (1.0, 8.0, 64.0), p)
 
     def test_first_failing_block_raises(self, p):
-        # the blocks before a row without its partner are formed first,
-        # and the first that fails raises; the missing partner of the
-        # first row comes before the wall's own checks
+        # a wall's missing partner raises before any block of the wall is
+        # formed, and before the wall's own checks; with every partner
+        # present, the first block that fails raises
         basis = _basis(LAM3, p)
-        late = [sd for sd in basis if sd.w != (2, 1, 0)]
+        z = (p.q ** (p.k - 1.0), 1.0, 1.0)
         with pytest.raises(ResonanceError, match="q\\^k u"):
-            braid_action(late, 1, (p.q ** (p.k - 1.0), 1.0, 1.0), p)
+            braid_action(basis, 1, z, p)
+        late = [sd for sd in basis if sd.w != (2, 1, 0)]
+        with pytest.raises(DomainError,
+                           match="no partner of w = \\(1, 2, 0\\)"):
+            braid_action(late, 1, z, p)
         early = [sd for sd in basis if sd.w != (1, 0, 2)]
         with pytest.raises(DomainError, match="no partner"):
             braid_action(early, 1, (1.0, 0.0, 64.0), p)

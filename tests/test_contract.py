@@ -3,21 +3,30 @@ raises a typed QMacdonaldError, never NaN and never a bare Python error.
 Each case is a call that broke the contract before its guard."""
 
 import cmath
+import dataclasses
+import functools
+import itertools
 import math
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmacdonald import (ConvergenceError, DomainError, QMacdonaldError,
                         QParams, ResonanceError, SingularConfigurationError,
-                        XRMode, XRParams, ZoneError, boltzmann_exchange_matrix,
-                        boltzmann_w, double_pochhammer, eigenvalue_c, fq, g1,
-                        integral_rep_fq, kernel_s, kernel_t,
-                        macdonald_apply_numeric, qgamma, qpochhammer_inf)
+                        SpectralData, XRMode, XRParams, ZoneError,
+                        boltzmann_exchange_matrix, boltzmann_w, braid_action,
+                        double_pochhammer, eigen_residual, eigenvalue_c,
+                        evaluate, fq, g1, integral_rep_fq, kernel_s, kernel_t,
+                        macdonald_apply_numeric, qgamma, qpochhammer_inf,
+                        solve_coefficients)
 from qmacdonald.continuation import boltzmann_r1
 from qmacdonald.operators import (conjugation_identity_residual,
-                                  gauge_transform_residual)
+                                  gauge_transform_residual,
+                                  kernel_intertwiner_residual)
 from qmacdonald.qcore import _cpow, bracket_v, qbinomial_series
 
 P = QParams(q=0.5, k=0.4)
@@ -45,9 +54,11 @@ def test_lattice_guards_on_non_finite_input(call, error):
     (lambda: qpochhammer_inf(1e200j, 0.5), ConvergenceError),
     (lambda: qgamma(-300.5, 0.5), ConvergenceError),
     (lambda: eigenvalue_c((math.nan, 0.0), 1, P), DomainError),
+    # q^inf was read as 0, and c^1 came back finite, 1.0096
+    (lambda: eigenvalue_c((math.inf, 0, 0), 1, P), DomainError),
     (lambda: integral_rep_fq((0.1, -0.1), 1.0, 0.0, P), DomainError),
 ], ids=["qpochhammer-not-finite", "qgamma-not-finite", "eigenvalue-nan",
-        "integral-z2-zero"])
+        "eigenvalue-inf", "integral-z2-zero"])
 def test_no_nan_and_no_zero_division(call, error):
     with pytest.raises(error):
         call()
@@ -206,3 +217,105 @@ def test_gauge_identity_far_apart():
     assert gauge_transform_residual((1, 2, 1e100), P) < 1e-13
     with pytest.raises(ConvergenceError, match="not finite"):
         gauge_transform_residual((1, 2, 1e300), P)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: kernel_intertwiner_residual((1, 2, 3), (0, 1.5), P), "y_1"),
+    (lambda: conjugation_identity_residual((0, 1.5), P), "y_1"),
+    (lambda: conjugation_identity_residual((1.5, 0), P), "y_2"),
+    (lambda: gauge_transform_residual((1.5, 0), P), "z_2"),
+], ids=["kernel-y1", "conjugation-y1", "conjugation-y2", "gauge-z2"])
+def test_zero_coordinate_is_named(call, name):
+    # a ratio of coordinates divided by it: a bare ZeroDivisionError
+    with pytest.raises(DomainError, match=f"^{name} = 0"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conjugation_identity_residual((1e200, 2e200j, 3e200),
+                                          QParams(0.6, 0.4)),
+    lambda: gauge_transform_residual((1e-150, 2e-150j, 3e-150, -4e-150j),
+                                     QParams(0.5, 0.25)),
+], ids=["conjugation-huge", "gauge-tiny"])
+def test_identity_side_not_finite_or_zero(call):
+    # a side overflowed to a NaN residual, or |lhs| underflowed to 0 and
+    # the residual divided by it: a bare ZeroDivisionError
+    with pytest.raises(ConvergenceError, match="residual of the .* identity"):
+        call()
+
+
+def test_eigen_residual_past_the_float_range():
+    # c^1 phi(z) has finite parts but a modulus past the float range:
+    # abs() raised a bare OverflowError
+    p = QParams(0.9, 0.4)
+    sol = solve_coefficients(SpectralData.make((0.3, -0.3), p), p, N=4)
+    big = dataclasses.replace(
+        sol, coeffs=sol.coeffs[:2] + (1e308 + 1e308j,) + sol.coeffs[3:])
+    with pytest.raises(ConvergenceError, match="D\\^1 eigen-equation"):
+        eigen_residual(big, 1, (1.1 + 0.7j, -0.4 + 1.4j))
+
+
+# Coordinates for the sweep below: zero, tiny, moderate, huge, infinite
+# and NaN moduli, in four directions of the plane.
+_COORDINATE = st.builds(
+    lambda r, u: r * u,
+    st.one_of(st.sampled_from([0.0, math.inf, math.nan]),
+              st.floats(1e-300, 1e-120), st.floats(0.05, 20.0),
+              st.floats(1e120, 1e300)),
+    st.sampled_from([1, -1, 1j, cmath.exp(0.7j)]))
+_QPARAMS = st.sampled_from([P, QParams(0.6, 0.4), QParams(0.5, 0.25),
+                            QParams(0.9, 0.7)])
+# mostly three coordinates, the n of the sweeps, and at times two or four
+_POINT = st.one_of(st.tuples(*[_COORDINATE] * 3),
+                   st.lists(_COORDINATE, min_size=2, max_size=4).map(tuple))
+_SWEEP = settings(max_examples=300, derandomize=True, deadline=None,
+                  database=None)
+
+
+def _finite_or_typed(call):
+    """call() returns finite numbers or raises a QMacdonaldError."""
+    try:
+        value = call()
+    except QMacdonaldError:
+        return
+    assert all(map(cmath.isfinite, np.ravel(value))), value
+
+
+@functools.cache
+def _basis():
+    """The six n = 3 solutions at N = 6 and their spectral data."""
+    lam = (0.3, 0.1, -0.4)
+    data = [SpectralData.make(lam, P, w=w)
+            for w in itertools.permutations(range(3))]
+    return data, [solve_coefficients(s, P, N=6) for s in data]
+
+
+@_SWEEP
+@given(z=st.tuples(*[_COORDINATE] * 3), y=st.tuples(*[_COORDINATE] * 2),
+       p=_QPARAMS)
+def test_identity_sweep(z, y, p):
+    _finite_or_typed(lambda: kernel_intertwiner_residual(z, y, p))
+    _finite_or_typed(lambda: conjugation_identity_residual(z, p))
+    _finite_or_typed(lambda: conjugation_identity_residual(y, p))
+    _finite_or_typed(lambda: gauge_transform_residual(z, p))
+
+
+@_SWEEP
+@given(z=_POINT, ordered=st.booleans(),
+       m=st.integers(1, 3), row=st.integers(0, 5))
+def test_series_sweep(z, ordered, m, row):
+    # ordered puts the moduli in increasing order, near or in the zone
+    if ordered:
+        z = tuple(sorted(z, key=abs))
+    sol = _basis()[1][row]
+    _finite_or_typed(lambda: evaluate(sol, z))
+    _finite_or_typed(lambda: eigen_residual(sol, m, z))
+
+
+@_SWEEP
+@given(z=_POINT, i=st.integers(0, 3),
+       missing=st.one_of(st.none(), st.integers(0, 5)))
+def test_braid_sweep(z, i, missing):
+    # missing leaves one row of the basis out of s_list
+    s_list = [s for j, s in enumerate(_basis()[0]) if j != missing]
+    _finite_or_typed(lambda: braid_action(s_list, i, z, P))

@@ -823,37 +823,47 @@ class TestEvaluationErrors:
         with pytest.raises(ConvergenceError):
             evaluate(self._sol(p, entries), z, max_ratio=max_ratio)
 
-    def test_every_point_held(self, p):
-        # nothing is summed: the kernel still returns each point's error,
-        # and numpy warns of nothing (an error here, as is any warning)
+    def test_first_failing_point_raises(self, p):
+        # every point is checked before anything is summed, and the first
+        # that fails raises its evaluate error, wherever it stands among
+        # points that pass; one whose power r ** 2 overflows under a loose
+        # guard raises too, and numpy warns of nothing (an error here, as
+        # is any warning)
+        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
+        good = [(0.3 + 0.1j, 1.0), (0.1, 1.0 + 0.5j)]
+        bad = [(1e300, 1e-10), (1e200, 1.0), (0.0, 1.0), (1.0,)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in bad:
+                alone = _outcome(lambda: evaluate(sol, z, max_ratio=1e300))
+                assert alone[0] in (ZoneError, ConvergenceError, DomainError)
+                for points in (good + [z], [z] + good):
+                    assert _outcome(lambda: hcseries._series_values(
+                        [sol, sol], points, 1e300)) == alone, points
+            # a value that is not finite raises after every zone check
+            points = [(1e200, 1.0), (1e300, 1e-10)]
+            assert _outcome(lambda: hcseries._series_values(
+                [sol], points, 1e300)) == _outcome(
+                lambda: evaluate(sol, points[1], max_ratio=1e300))
+            got = hcseries._series_values([sol, sol], good, 1e300)
+        # each row of each point that passes is evaluate there
+        assert [[repr(v) for v in row] for row in got] == [
+            [repr(tuple(evaluate(sol, z, max_ratio=1e300)))] * 2
+            for z in good]
+        # at n = 3: a point outside the zone before a zero coordinate and
+        # a point of the wrong length
         sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=6)
         points = [(4.0, 2.0, 1.0), (0.0, 1.0, 2.0), (1.0, 2.0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = hcseries._series_values([sol, sol], points, 1.0)
-        assert [[_outcome(lambda: hcseries._checked(v)) for v in row]
-                for row in got] == [[_outcome(lambda: evaluate(sol, z))] * 2
-                                    for z in points]
+        assert _outcome(lambda: hcseries._series_values([sol], points, 1.0)) \
+            == _outcome(lambda: evaluate(sol, points[0]))
 
-    def test_each_slot_as_evaluate_alone(self, p):
-        # a point summed, one outside the zone, and one whose power r ** 2
-        # overflows, in one call
-        sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
-        points = [(0.3 + 0.1j, 1.0), (1e300, 1e-10), (1e200, 1.0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = hcseries._series_values([sol], points, 1e300)
-        for z, (held,) in zip(points, got):
-            alone = _outcome(lambda: evaluate(sol, z, max_ratio=1e300))
-            if isinstance(held, Exception):
-                assert (type(held), str(held)) == alone, z
-            else:
-                value, tail = evaluate(sol, z, max_ratio=1e300)
-                ref, ref_tail, scale = _evaluate_by_terms(sol, z, 1e300)
-                assert abs(held[0] - value) <= VALUE_BOUND * EPS * scale
-                assert abs(held[1] - tail) <= TAIL_BOUND * ref_tail
-        assert [type(v) for (v,) in got] == [tuple, ZoneError,
-                                             ConvergenceError]
+    def test_wrong_length_raises_before_summing(self, p):
+        # the kernel returned each point's error in place of its value
+        sol = solve_coefficients(SpectralData.make((0.3, 0.1, -0.4), p), p,
+                                 N=6)
+        with pytest.raises(DomainError, match="point must have 3 coordinates"):
+            hcseries._series_values(
+                [sol], [(0.1, 0.5, 1.0), (1, 2), (0, 1, 2)], 1.0)
 
 
 class TestZoneGuard:
@@ -992,9 +1002,20 @@ class TestBasisEigenBits:
         assert _outcome(lambda: _eigen_residuals(sols, (1, 2, 3), (1, 2, 3))) \
             == (ZoneError, "point outside the zone: max ratio 1.0 >= 1.0")
 
+    def test_shifted_point_checked_before_values(self):
+        # a NaN coefficient makes the value at z NaN, and z with
+        # z_2 -> q z_2 leaves the zone: every point's zone check comes
+        # before any value is read, where z's ConvergenceError came first
+        p = QParams(q=0.5, k=0.4)
+        sol = solve_coefficients(SpectralData.make((0.3, 0.1, -0.4), p), p,
+                                 N=6)
+        bad = _with_entries(sol, {(0, 1): complex("nan")})
+        with pytest.raises(ZoneError, match="max ratio 1.0 >= 1.0"):
+            eigen_residual(bad, 1, (1, 2, 3))
+
     def test_weights_formed_once_per_order(self, monkeypatch, p):
         # the 6 rows share D^m's checks and weights: one call per m, in
-        # the order the first row reaches them
+        # the order of the orders
         sols = solve_basis(LAM3, p, N=6)
         z = (0.1, 0.3 + 0.1j, 1.0)
         calls = []
@@ -1023,17 +1044,13 @@ def _series_values_by_columns(sols, points, max_ratio):
     """The series kernel as it was before one gather formed the monomials
     and each solution cached its moduli: one gather of the power table
     per exponent column, the moduli of the top strata taken per call, and
-    the four sums read from one np.stack."""
+    the four sums read from one np.stack.  The first point outside the
+    zone raises before anything is summed."""
     n, N = sols[0].n, sols[0].max_degree
-    out = [None] * len(points)
     summed, ratios = [], []
-    for j, z in enumerate(points):
-        try:
-            pt, rs, rho_max = hcseries._zone_point(z, n, max_ratio)
-        except Exception as exc:
-            out[j] = [exc] * len(sols)
-            continue
-        summed.append((j, pt, rho_max))
+    for z in points:
+        pt, rs, rho_max = hcseries._zone_point(z, n, max_ratio)
+        summed.append((pt, rho_max))
         ratios += rs
     columns = _columns(n - 1, N)
     mid = _stratum(n - 1, N).start
@@ -1053,13 +1070,12 @@ def _series_values_by_columns(sols, points, max_ratio):
         prev = np.einsum("pm,mr->pr", moduli[:, :mid - start],
                          sizes[:mid - start])
     sums = np.stack([value.real, value.imag, top, prev], axis=-1).tolist()
-    for (j, pt, rho_max), row in zip(summed, sums):
-        out[j] = [hcseries._result(sol, pt, rho_max, s)
-                  for sol, s in zip(sols, row)]
-    return out
+    return [[hcseries._result(sol, pt, rho_max, s)
+             for sol, s in zip(sols, row)]
+            for (pt, rho_max), row in zip(summed, sums)]
 
 
-def _weighted_points_by_subsets(z, m, q, t, shifts=None):
+def _weighted_points_by_subsets(z, m, q, t):
     """D^m's (weight, point) list as it was before the pairwise table:
     every factor (t z_i - z_j)/(z_i - z_j) formed again in each subset,
     after the same checks; the shifted points are built again too."""
@@ -1105,7 +1121,7 @@ class TestKernelOracles:
     """The series kernel, the eigen residuals and D^m against the kernel
     with a gather per exponent column and moduli taken per call, and the
     weights formed again per subset, by repr: values, tails, residuals
-    and held or raised errors, with one row and with n! rows."""
+    and raised errors, with one row and with n! rows."""
 
     @staticmethod
     def _outcomes(sols, points, p):
