@@ -823,12 +823,25 @@ class TestEvaluationErrors:
         with pytest.raises(ConvergenceError):
             evaluate(self._sol(p, entries), z, max_ratio=max_ratio)
 
-    def test_first_failing_point_raises(self, p):
-        # every point is checked before anything is summed, and the first
-        # that fails raises its evaluate error, wherever it stands among
+    def test_every_point_held(self, p):
+        # nothing is summed: every point is checked first and the first that
+        # fails raises its evaluate error, whichever of the three leads, and
+        # numpy warns of nothing (an error here, as is any warning)
+        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=6)
+        points = [(4.0, 2.0, 1.0), (0.0, 1.0, 2.0), (1.0, 2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(len(points)):
+                order = points[i:] + points[:i]
+                got = _outcome(lambda: hcseries._series_values(
+                    [sol, sol], order, 1.0))
+                assert got == _outcome(lambda: evaluate(sol, order[0])), order
+                assert got[0] in (ZoneError, DomainError)
+
+    def test_each_slot_as_evaluate_alone(self, p):
+        # a failing point raises its evaluate error wherever it stands among
         # points that pass; one whose power r ** 2 overflows under a loose
-        # guard raises too, and numpy warns of nothing (an error here, as
-        # is any warning)
+        # guard raises too, and numpy warns of nothing
         sol = solve_coefficients(SpectralData.make(LAM2, p), p, N=4)
         good = [(0.3 + 0.1j, 1.0), (0.1, 1.0 + 0.5j)]
         bad = [(1e300, 1e-10), (1e200, 1.0), (0.0, 1.0), (1.0,)]
@@ -850,12 +863,6 @@ class TestEvaluationErrors:
         assert [[repr(v) for v in row] for row in got] == [
             [repr(tuple(evaluate(sol, z, max_ratio=1e300)))] * 2
             for z in good]
-        # at n = 3: a point outside the zone before a zero coordinate and
-        # a point of the wrong length
-        sol = solve_coefficients(SpectralData.make(LAM3, p), p, N=6)
-        points = [(4.0, 2.0, 1.0), (0.0, 1.0, 2.0), (1.0, 2.0)]
-        assert _outcome(lambda: hcseries._series_values([sol], points, 1.0)) \
-            == _outcome(lambda: evaluate(sol, points[0]))
 
     def test_wrong_length_raises_before_summing(self, p):
         # the kernel returned each point's error in place of its value
